@@ -44,7 +44,6 @@ from .sim import (
     Metrics,
     Scenario,
     TraceRow,
-    detect_violation,
     duty_cycle_report,
     run,
     validate_scenario,

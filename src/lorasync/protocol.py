@@ -59,11 +59,18 @@ class NetworkServerState:
 
 @dataclass(frozen=True)
 class AckPlan:
-    """One ACK the server intends to send at the RX1 opening."""
+    """One ACK the server intends to send at the RX1 opening.
+
+    It also carries the judgement of the uplink it answers, so callers
+    never judge a frame a second time.
+    """
 
     dev_addr: int
     remaining_ms: int | None
     scheduled_tx_true_time_ns: int
+    arrival_position_ns: int
+    signed_drift_ns: int
+    in_sync: bool
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,14 @@ def ns_on_uplink_end(
     elif rec.resync_pending:
         remaining_ms = ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, s.ref, s.cfg))
         rec.resync_pending = False
-    return AckPlan(dev_addr, remaining_ms, arrival_true_ns + s.cfg.rx_delay_ns)
+    return AckPlan(
+        dev_addr,
+        remaining_ms,
+        arrival_true_ns + s.cfg.rx_delay_ns,
+        pos,
+        signed_drift,
+        in_sync,
+    )
 
 
 def fixed_rate_round(s: NetworkServerState, round_s) -> list[ResyncAction]:

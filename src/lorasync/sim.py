@@ -22,19 +22,12 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .clock import ClockModel, RandomWalk, SimClock
 from .errors import ConfigError, ParamError
-from .frame import (
-    SYNC_FPORT,
-    SyncAck,
-    UplinkFrame,
-    decode_ack,
-    decode_uplink,
-    encode_ack,
-    encode_uplink,
-)
+from .frame import SyncAck, decode_ack, encode_ack
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,
@@ -46,7 +39,7 @@ from .protocol import (
     fixed_rate_round,
     ns_on_uplink_end,
 )
-from .slot import SlotConfig, TimelineRef, position_in_slot, uplink_end_in_sync
+from .slot import SlotConfig, TimelineRef
 from .units import NS_PER_MS, NS_PER_S, s_to_ns
 
 SLOT_PICK_RANDOM = "random"
@@ -106,7 +99,6 @@ class DeviceMetrics:
     resync_count: int = 0
     out_sync_frames: int = 0
     slot_violations: int = 0
-    drift_series: list = field(default_factory=list)  # (true_ns, signed_drift_ns)
 
 
 @dataclass
@@ -161,12 +153,6 @@ def validate_scenario(sc: Scenario):
             raise ConfigError(f"device {d.name}: dev_addr must fit in 32 bits")
 
 
-def detect_violation(arrival_pos_ns: int, cfg: SlotConfig) -> bool:
-    """Guard exceedance: the frame strayed outside its slot's tolerance."""
-    in_sync, _ = uplink_end_in_sync(arrival_pos_ns, cfg)
-    return not in_sync
-
-
 class _DeviceRt:
     """Mutable per-device simulation state."""
 
@@ -177,7 +163,6 @@ class _DeviceRt:
         "clock",
         "state",
         "rng",
-        "payload",
         "fcnt",
         "down_fcnt",
         "beg_local_ns",
@@ -185,14 +170,13 @@ class _DeviceRt:
         "next_window_start_ns",
     )
 
-    def __init__(self, idx, name, addr, clock, state, rng, payload, period_ns):
+    def __init__(self, idx, name, addr, clock, state, rng, period_ns):
         self.idx = idx
         self.name = name
         self.addr = addr
         self.clock = clock
         self.state = state
         self.rng = rng
-        self.payload = payload
         self.fcnt = 0
         self.down_fcnt = 0
         self.beg_local_ns = 0
@@ -205,8 +189,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     validate_scenario(scenario)
     cfg = scenario.cfg
     duration_ns = s_to_ns(scenario.duration_s)
-    ref = TimelineRef(0)
-    server = NetworkServerState(ref, cfg, strategy=scenario.strategy)
+    server = NetworkServerState(TimelineRef(0), cfg, strategy=scenario.strategy)
     master = random.Random(scenario.seed)
 
     devices: list[_DeviceRt] = []
@@ -239,7 +222,6 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                 state.clock,
                 state,
                 sched_rng,
-                bytes(spec.payload_bytes),
                 period_ns,
             )
         )
@@ -302,7 +284,9 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         for k in range(1, duration_ns // round_ns + 1):
             push(k * round_ns, _ROUND_BOUNDARY, ())
 
-    active_ends: list[tuple[int, int]] = []  # (end_ns, dev_idx) of in-flight uplinks
+    # end times of in-flight uplinks; every uplink lasts t_tx, so they end
+    # in the order they started and the deque stays sorted
+    active_ends: deque[int] = deque()
 
     while heap:
         t, _, kind, payload = heapq.heappop(heap)
@@ -312,9 +296,10 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         if kind == _UPLINK_START:
             idx, tx_local = payload
             dev = devices[idx]
-            active_ends = [(e, i) for e, i in active_ends if e > t]
+            while active_ends and active_ends[0] <= t:
+                active_ends.popleft()
             metrics.collision_count += len(active_ends)  # one per overlapping pair
-            active_ends.append((t + cfg.t_tx_ns, idx))
+            active_ends.append(t + cfg.t_tx_ns)
             ed_mark_transmitting(dev.state, tx_local)
             push(t + cfg.t_tx_ns, _UPLINK_END, (idx,))
 
@@ -322,17 +307,13 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             (idx,) = payload
             dev = devices[idx]
             dev.beg_local_ns = dev.clock.local_time(t)
-            wire = encode_uplink(UplinkFrame(dev.addr, dev.fcnt, SYNC_FPORT, dev.payload))
-            up = decode_uplink(wire)
+            # the server already knows dev_addr and fcnt, so the uplink
+            # skips the wire codec; validate_scenario enforces its bounds
+            plan = ns_on_uplink_end(server, dev.addr, t, fcnt=dev.fcnt)
             dev.fcnt = (dev.fcnt + 1) & 0xFFFF
-            plan = ns_on_uplink_end(server, up.dev_addr, t, fcnt=up.fcnt)
-            pos = position_in_slot(t, ref, cfg)
-            in_sync, signed_drift = uplink_end_in_sync(pos, cfg)
-            dm = metrics.per_device[dev.name]
-            dm.drift_series.append((t, signed_drift))
-            if not in_sync:
+            if not plan.in_sync:
+                dm = metrics.per_device[dev.name]
                 dm.out_sync_frames += 1
-            if detect_violation(pos, cfg):
                 dm.slot_violations += 1
             action = "none" if plan.remaining_ms is None else "resync"
             if scenario.strategy == ADAPTIVE and plan.remaining_ms is not None:
@@ -342,9 +323,9 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                     metrics.frames_total,
                     dev.name,
                     t,
-                    pos,
-                    signed_drift,
-                    in_sync,
+                    plan.arrival_position_ns,
+                    plan.signed_drift_ns,
+                    plan.in_sync,
                     action,
                     plan.remaining_ms,
                     scenario.strategy,

@@ -140,6 +140,16 @@ def test_true_time_at_local_inverse_property():
                 assert c.peek_local(t - 1) < local
 
 
+def test_random_walk_beyond_the_queried_horizon_is_not_drawn():
+    # the second step leaves the valid ppm range, but answering a local
+    # time at the end of the first step never needs it
+    c = SimClock(RandomWalk(step_interval_s=1.0, step_std_ppm=600_000.0, initial_ppm=0.0, seed=1))
+    assert c.true_time_at_local(NS_PER_S) == NS_PER_S
+    assert c.true_time_at_local(NS_PER_S // 2) == NS_PER_S // 2
+    with pytest.raises(ParamError):
+        c.local_time(2 * NS_PER_S)
+
+
 def test_true_time_at_local_ideal_is_identity():
     c = SimClock(Ideal())
     for local in (0, 1, 12345, 10**14):

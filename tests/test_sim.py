@@ -17,9 +17,9 @@ from lorasync import (
     ParamError,
     Scenario,
     SlotConfig,
-    detect_violation,
     duty_cycle_report,
     run,
+    uplink_end_in_sync,
     validate_scenario,
 )
 from lorasync import testbench_scenario as bench_scenario
@@ -69,7 +69,7 @@ def test_trace_invariants():
         # drift is the wrapped distance from the ideal end
         assert (row.arrival_position_ns + row.signed_drift_ns - CFG.t_tx_ns) % CFG.t_slot_ns == 0
         assert row.in_sync == (-CFG.tb2_ns < row.signed_drift_ns < CFG.tb1_ns)
-        assert row.in_sync == (not detect_violation(row.arrival_position_ns, CFG))
+        assert row.in_sync == uplink_end_in_sync(row.arrival_position_ns, CFG)[0]
         # adaptive: correction attached exactly when out of sync
         assert row.action == ("none" if row.in_sync else "resync")
         assert (row.remaining_ms is not None) == (row.action == "resync")
@@ -178,6 +178,33 @@ def test_collisions_counted_not_destructive():
     # and the count replays exactly
     m2, _ = run(Scenario(duration_s=120.0, cfg=cfg, devices=devices, seed=seen[0]))
     assert m2.collision_count == seen[1]
+
+
+def test_collision_count_matches_brute_force_overlaps():
+    # 200 devices on 5 s periods keep dozens of uplinks in flight at once
+    devices = tuple(
+        DeviceSpec(
+            name=f"d{i}",
+            clock_model=Ideal() if i % 2 else ConstantPpm((i % 7 - 3) * 20.0),
+            tx_period_s=5.0,
+        )
+        for i in range(200)
+    )
+    m, trace = run(Scenario(duration_s=600.0, cfg=CFG, devices=devices, seed=4))
+    starts = sorted(r.true_time_ns - CFG.t_tx_ns for r in trace)
+    overlapping_pairs = touching_pairs = 0
+    for i, a in enumerate(starts):
+        j = i + 1
+        while j < len(starts) and starts[j] < a + CFG.t_tx_ns:
+            j += 1
+        overlapping_pairs += j - i - 1
+        while j < len(starts) and starts[j] == a + CFG.t_tx_ns:
+            touching_pairs += 1
+            j += 1
+    assert overlapping_pairs > 10 * m.frames_total
+    # one uplink starting the instant another ends is not a collision
+    assert touching_pairs > 0
+    assert m.collision_count == overlapping_pairs
 
 
 def test_downlink_loss_devices_eventually_resync():
