@@ -13,9 +13,7 @@ Random-walk segments are drawn in time order and materialized only on
 demand: a forward query extends the walk to the segment holding its
 reference time, and the inverse extends it only until some segment starts
 at or after the queried local time.  The draws are therefore the same
-whatever the query pattern.  The inverse keeps a cursor on the segment of
-its last answer and walks forward from it for later local times, falling
-back to a binary search for earlier ones.
+whatever the query pattern.
 """
 
 from __future__ import annotations
@@ -106,7 +104,6 @@ class SimClock:
             raise ParamError("RandomWalk clock needs a concrete seed to run")
         self.model = model
         self._last_query_ns = 0
-        self._inverse_seg = 0  # segment holding the last inverse answer
         # materialized rate segments; grown lazily for random walks
         self._starts = [0]  # segment start, reference ns
         self._bases = [0]  # accumulated local-offset at segment start, ns
@@ -148,8 +145,7 @@ class SimClock:
             self._next_boundary = boundary + self._step_ns
 
     def _offset_at(self, true_time_ns: int) -> int:
-        if self._next_boundary is not None and true_time_ns >= self._next_boundary:
-            self._extend_to(true_time_ns)
+        self._extend_to(true_time_ns)
         i = bisect_right(self._starts, true_time_ns) - 1
         return self._bases[i] + _seg_offset_ns(true_time_ns - self._starts[i], self._ppms[i])
 
@@ -193,20 +189,14 @@ class SimClock:
             self._extend_to(self._next_boundary)
         # find the last segment whose local start precedes local_ns
         # (segment 0 starts at local 0, so there always is one)
-        i = self._inverse_seg
-        if starts[i] + bases[i] < local_ns:
-            last = len(starts) - 1
-            while i < last and starts[i + 1] + bases[i + 1] < local_ns:
-                i += 1
-        else:
-            lo, hi = 0, i - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if starts[mid] + bases[mid] < local_ns:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            i = lo
+        lo, hi = 0, len(starts) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if starts[mid] + bases[mid] < local_ns:
+                lo = mid
+            else:
+                hi = mid - 1
+        i = lo
         while True:
             s, b, ppm = starts[i], bases[i], ppms[i]
             rate = 1.0 + ppm / 1_000_000
@@ -221,7 +211,6 @@ class SimClock:
             if i + 1 < len(starts) and t >= starts[i + 1]:
                 i += 1
                 continue
-            self._inverse_seg = i
             return t
 
 

@@ -311,10 +311,6 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             # skips the wire codec; validate_scenario enforces its bounds
             plan = ns_on_uplink_end(server, dev.addr, t, fcnt=dev.fcnt)
             dev.fcnt = (dev.fcnt + 1) & 0xFFFF
-            if not plan.in_sync:
-                dm = metrics.per_device[dev.name]
-                dm.out_sync_frames += 1
-                dm.slot_violations += 1
             action = "none" if plan.remaining_ms is None else "resync"
             if scenario.strategy == ADAPTIVE and plan.remaining_ms is not None:
                 metrics.gateway.sync_overhead_bytes += ADAPTIVE_SYNC_BYTES
@@ -367,7 +363,9 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     for dev in devices:
         rec = server.records.get(dev.addr)
         if rec is not None:
-            metrics.per_device[dev.name].resync_count = rec.resync_count
+            dm = metrics.per_device[dev.name]
+            dm.resync_count = rec.resync_count
+            dm.out_sync_frames = dm.slot_violations = rec.out_sync_count
     metrics.gateway.duty_cycle_used_fraction = (
         metrics.gateway.downlink_airtime_ns / duration_ns
     )

@@ -34,8 +34,8 @@ _CLOCK_MODELS = st.one_of(
     order=st.randoms(use_true_random=False),
 )
 def test_true_time_at_local_is_exact_inverse_in_any_query_order(model, queries, order):
-    # ascending first, then a shuffled copy: the inverse cursor sees
-    # queries both ahead of and behind its last answer
+    # ascending first, then a shuffled copy: queries land both ahead of
+    # and behind the segments materialized so far
     queries = sorted(queries) + order.sample(queries, len(queries))
     c = SimClock(model)
     for local in queries:
