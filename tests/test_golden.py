@@ -3,7 +3,9 @@
 For both shipped configs, each run adaptive, fixed-rate with 600 s rounds
 and with 10% and 50% downlink loss, the sha256 of the trace CSV and of the
 `[summary]` block must match `data/golden.json`; so must the `[compare]`
-block of `compare configs/testbench.ini`.  A change that alters any of
+block of `compare configs/testbench.ini`, and the outputs of a small
+fixed-rate scenario built to make events tie on the nanosecond (see
+`_ties_config`).  A change that alters any of
 these bytes is a behaviour change: it re-pins the file and says why.
 
 Replay must also hold across interpreter processes: two different
@@ -20,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from lorasync.cli import main
+from lorasync.config import parse_scenario
+from lorasync.sim import run
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -73,6 +77,47 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, config, variant):
         "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
     }
     assert got == GOLDEN["simulate"][f"{config}/{variant}"]
+
+
+def _ties_config(slot_pick: str) -> str:
+    """Twenty ideal clocks on a 4 s slot with 1 s fixed-rate rounds.
+
+    Every slot field is a whole number of half seconds and the grid is
+    4 s, so resynced devices end their uplinks together, on a round
+    boundary.  d00 and d01 have a 1 ms period, hence a bootstrap phase of
+    0: their first uplinks end exactly on the first boundary, at 1 s,
+    before any device is registered.  The event order at such ties
+    decides whether that boundary flags them.
+    """
+    parts = [
+        "[scenario]\nduration_s = 120\nseed = 7\nstrategy = fixed_rate\nround_s = 1\n"
+        f"downlink_loss = 0.3\nslot_pick = {slot_pick}\n",
+        "[slot]\nt_tx_ms = 1000\nrx_delay_ms = 1000\nt_rx_ms = 1000\ntb1_ms = 500\ntb2_ms = 500\n",
+    ]
+    for i in range(20):
+        period = "0.001" if i < 2 else ("4" if i % 2 else "8")
+        parts.append(f"[device d{i:02d}]\nclock = ideal\ntx_period_s = {period}\n")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("slot_pick", ["aligned", "random"])
+def test_tied_events_keep_their_order(tmp_path, capsys, slot_pick):
+    text = _ties_config(slot_pick)
+    _, trace = run(parse_scenario(text))
+    ends = [r.true_time_ns for r in trace]
+    assert ends[:2] == [1_000_000_000, 1_000_000_000]
+    assert len(set(ends)) < len(ends) - 2  # more equal-end pairs than the first
+    assert sum(1 for t in ends if t % 1_000_000_000 == 0) > len(ends) // 2
+
+    ini = tmp_path / f"ties-{slot_pick}.ini"
+    ini.write_text(text)
+    csv_path = tmp_path / "trace.csv"
+    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
+    got = {
+        "trace_csv": _sha256(csv_path.read_bytes()),
+        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
+    }
+    assert got == GOLDEN["simulate"][f"ties/{slot_pick}"]
 
 
 def test_compare_block_is_pinned(capsys):
