@@ -9,6 +9,10 @@ interval since the segment start, so querying a clock in many small steps
 or one big step yields bit-identical local times (the simulator depends
 on that).
 
+Each segment is stored as its start on both clocks, so the offset at a
+segment start is their difference, and the inverse finds its segment
+with a bisection over the local starts.
+
 Random-walk segments are drawn in time order and materialized only on
 demand: a forward query extends the walk to the segment holding its
 reference time, and the inverse extends it only until some segment starts
@@ -19,7 +23,7 @@ whatever the query pattern.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import ParamError, UsageError
@@ -106,13 +110,12 @@ class SimClock:
         self._last_query_ns = 0
         # materialized rate segments; grown lazily for random walks
         self._starts = [0]  # segment start, reference ns
-        self._bases = [0]  # accumulated local-offset at segment start, ns
+        self._local_starts = [0]  # the same instant on the local clock, ns
+        self._next_boundary = None
         if isinstance(model, Ideal):
             self._ppms = [0.0]
-            self._next_boundary = None
         elif isinstance(model, ConstantPpm):
             self._ppms = [model.offset_ppm]
-            self._next_boundary = None
         elif isinstance(model, RandomWalk):
             self._ppms = [model.initial_ppm]
             self._rng = random.Random(model.seed)
@@ -122,32 +125,44 @@ class SimClock:
             self._next_boundary = s_ns
         else:  # Piecewise
             self._ppms = [model.segments[0][1]]
-            for (t0, ppm0), (t1, ppm1) in zip(model.segments, model.segments[1:]):
+            for t1, ppm in model.segments[1:]:
                 start = round(t1 * NS_PER_S)
-                prev_start = self._starts[-1]
-                base = self._bases[-1] + _seg_offset_ns(start - prev_start, self._ppms[-1])
+                dt = start - self._starts[-1]
+                self._local_starts.append(
+                    self._local_starts[-1] + dt + _seg_offset_ns(dt, self._ppms[-1])
+                )
                 self._starts.append(start)
-                self._bases.append(base)
-                self._ppms.append(ppm1)
-            self._next_boundary = None
+                self._ppms.append(ppm)
 
-    def _extend_to(self, true_time_ns: int):
-        # random walk is the only lazily growing model
-        while self._next_boundary is not None and true_time_ns >= self._next_boundary:
-            boundary = self._next_boundary
-            base = self._bases[-1] + _seg_offset_ns(boundary - self._starts[-1], self._ppms[-1])
-            ppm = self._ppms[-1] + self._rng.gauss(0.0, self.model.step_std_ppm)
+    def _grow(self, true_time_ns: int, local_ns: int = 0):
+        """Draw random-walk segments until all that start at or before
+        true_time_ns exist and the last starts at or after local_ns on the
+        local clock."""
+        boundary = self._next_boundary
+        if boundary is None:
+            return
+        starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
+        start, local_start, ppm = starts[-1], local_starts[-1], ppms[-1]
+        gauss, std = self._rng.gauss, self.model.step_std_ppm
+        while boundary <= true_time_ns or local_start < local_ns:
+            dt = boundary - start
+            local_start += dt + _seg_offset_ns(dt, ppm)
+            ppm += gauss(0.0, std)
             if not abs(ppm) < _PPM_LIMIT:
+                self._next_boundary = boundary
                 raise ParamError("random walk left the valid ppm range")
-            self._starts.append(boundary)
-            self._bases.append(base)
-            self._ppms.append(ppm)
-            self._next_boundary = boundary + self._step_ns
+            starts.append(boundary)
+            local_starts.append(local_start)
+            ppms.append(ppm)
+            start = boundary
+            boundary += self._step_ns
+        self._next_boundary = boundary
 
     def _offset_at(self, true_time_ns: int) -> int:
-        self._extend_to(true_time_ns)
+        self._grow(true_time_ns)
         i = bisect_right(self._starts, true_time_ns) - 1
-        return self._bases[i] + _seg_offset_ns(true_time_ns - self._starts[i], self._ppms[i])
+        start = self._starts[i]
+        return self._local_starts[i] - start + _seg_offset_ns(true_time_ns - start, self._ppms[i])
 
     def _check_forward(self, true_time_ns: int):
         if true_time_ns < 0:
@@ -181,32 +196,23 @@ class SimClock:
         """
         if local_ns <= 0:
             return 0
-        starts, bases, ppms = self._starts, self._bases, self._ppms
+        starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
         # the answer lies in the last segment starting before local_ns on
         # the local clock, or at the start of the one after it: make sure
         # that one exists
-        while self._next_boundary is not None and starts[-1] + bases[-1] < local_ns:
-            self._extend_to(self._next_boundary)
-        # find the last segment whose local start precedes local_ns
-        # (segment 0 starts at local 0, so there always is one)
-        lo, hi = 0, len(starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if starts[mid] + bases[mid] < local_ns:
-                lo = mid
-            else:
-                hi = mid - 1
-        i = lo
+        self._grow(-1, local_ns)
+        # segment 0 starts at local 0, so some segment starts before local_ns
+        i = bisect_left(local_starts, local_ns) - 1
         while True:
-            s, b, ppm = starts[i], bases[i], ppms[i]
+            ppm = ppms[i]
             rate = 1.0 + ppm / 1_000_000
-            target = local_ns - s - b
+            target = local_ns - local_starts[i]
             d = max(0, int(target / rate))
             while d + _seg_offset_ns(d, ppm) < target:
                 d += 1
             while d > 0 and (d - 1) + _seg_offset_ns(d - 1, ppm) >= target:
                 d -= 1
-            t = s + d
+            t = starts[i] + d
             # rounding can push the solution past the segment end; retry there
             if i + 1 < len(starts) and t >= starts[i + 1]:
                 i += 1
@@ -228,9 +234,3 @@ def preset(name: str, seed: int | None = None) -> ClockModel:
         return ConstantPpm(2.0)
     raise ParamError(f"unknown clock preset {name!r}")
 
-
-def is_in_sync(drift_ns: int, tb1_ns: int, tb2_ns: int) -> bool:
-    """Strict guard check: -tb2 < drift < tb1."""
-    if tb1_ns < 0 or tb2_ns < 0:
-        raise ParamError("guard intervals must be >= 0")
-    return -tb2_ns < drift_ns < tb1_ns

@@ -21,6 +21,7 @@ every device once per round, unconditionally, at 8 bytes a piece.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .clock import SimClock
 from .errors import UsageError
@@ -57,8 +58,7 @@ class NetworkServerState:
     records: dict[int, DeviceRecord] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class AckPlan:
+class AckPlan(NamedTuple):
     """One ACK the server intends to send at the RX1 opening.
 
     It also carries the judgement of the uplink it answers, so callers
@@ -104,7 +104,9 @@ def ns_on_uplink_end(
     """
     if arrival_true_ns < s.ref.ref_ns:
         raise UsageError("arrival precedes the timeline reference")
-    rec = s.records.setdefault(dev_addr, DeviceRecord())
+    rec = s.records.get(dev_addr)
+    if rec is None:
+        rec = s.records[dev_addr] = DeviceRecord()
     pos = position_in_slot(arrival_true_ns, s.ref, s.cfg)
     in_sync, signed_drift = uplink_end_in_sync(pos, s.cfg)
     rec.last_signed_drift_ns = signed_drift

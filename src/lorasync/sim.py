@@ -2,15 +2,25 @@
 
 Everything runs on virtual time.  Events are popped from a heap keyed by
 (time, insertion sequence), so identical (scenario, seed) pairs replay
-bit for bit.  One uplink unfolds as
+bit for bit.  A frame is one event, pushed at its uplink end.  Its
+handler counts the collisions of the uplink, judges it at the server,
+then opens RX1 (counted only if RX1 opens within the run) and applies
+the ACK and schedules the device's next transmission (only if the ACK
+ends within the run).  The only other events are the fixed-rate round
+boundaries, pushed before any uplink so that a boundary comes first at
+an equal instant.
 
-    uplink_start -> uplink_end -> rx1_open -> ack_end
+Handling RX1 and the ACK early keeps every outcome of a chain of
+separate events: every uplink lasts t_tx and RX1 and the ACK follow its
+end at fixed offsets, so uplinks end, and downlinks open, in the order
+the uplinks started, and the downlink loss draws happen in that order.
+Only a device's own events touch its state or its clock, and a device
+has one frame in flight at a time.
 
-with the server judged at uplink_end and the device applying the ACK and
-scheduling its next transmission at ack_end.  Device transmit decisions
-happen on the device's local clock and are mapped to reference time
-through the clock's inverse; transmit instants are whole local
-milliseconds, matching the millisecond tick of the wire format.
+Device transmit decisions happen on the device's local clock and are
+mapped to reference time through the clock's inverse; transmit instants
+are whole local milliseconds, matching the millisecond tick of the wire
+format.
 
 The medium is lossless by default: collisions are counted as time
 overlaps between uplinks but do not destroy frames.  An optional uniform
@@ -23,7 +33,9 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import count
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .clock import ClockModel, RandomWalk, SimClock
 from .errors import ConfigError, ParamError
@@ -50,11 +62,8 @@ FIXED_RATE_SYNC_BYTES = 8
 
 _MAX_UPLINK_PAYLOAD = 246  # 255-byte frame minus the 9-byte header
 
-_UPLINK_START = 0
-_UPLINK_END = 1
-_RX1_OPEN = 2
-_ACK_END = 3
-_ROUND_BOUNDARY = 4
+_UPLINK_END = 0
+_ROUND_BOUNDARY = 1
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,7 @@ class Scenario:
     slot_pick: str = SLOT_PICK_RANDOM
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One finished uplink as the server saw it."""
 
     frame_index: int
@@ -157,7 +165,6 @@ class _DeviceRt:
     """Mutable per-device simulation state."""
 
     __slots__ = (
-        "idx",
         "name",
         "addr",
         "clock",
@@ -165,13 +172,11 @@ class _DeviceRt:
         "rng",
         "fcnt",
         "down_fcnt",
-        "beg_local_ns",
         "period_ns",
         "next_window_start_ns",
     )
 
-    def __init__(self, idx, name, addr, clock, state, rng, period_ns):
-        self.idx = idx
+    def __init__(self, name, addr, clock, state, rng, period_ns):
         self.name = name
         self.addr = addr
         self.clock = clock
@@ -179,7 +184,6 @@ class _DeviceRt:
         self.rng = rng
         self.fcnt = 0
         self.down_fcnt = 0
-        self.beg_local_ns = 0
         self.period_ns = period_ns
         self.next_window_start_ns = 0
 
@@ -195,7 +199,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     devices: list[_DeviceRt] = []
     used_addrs = {d.dev_addr for d in scenario.devices if d.dev_addr is not None}
     next_auto = 1
-    for idx, spec in enumerate(scenario.devices):
+    for spec in scenario.devices:
         # one master draw per device keeps clock realizations and phases
         # paired across strategy variants of the same scenario seed
         dev_master = random.Random(master.getrandbits(64))
@@ -216,7 +220,6 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         )
         devices.append(
             _DeviceRt(
-                idx,
                 spec.name,
                 addr,
                 state.clock,
@@ -236,40 +239,52 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     )
     trace: list[TraceRow] = []
 
+    t_tx = cfg.t_tx_ns
+    t_rx = cfg.t_rx_ns
+    # (time, insertion sequence, kind, device, local tx start); the
+    # sequence breaks ties, so devices are never compared
     heap: list = []
-    seq = 0
-
-    def push(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, payload))
-        seq += 1
+    seq = count()
 
     def schedule_uplink(dev: _DeviceRt, tx_local_ns: int):
         tx_true = dev.clock.true_time_at_local(tx_local_ns)
-        if tx_true + cfg.t_tx_ns <= duration_ns:  # only complete frames
-            push(tx_true, _UPLINK_START, (dev.idx, tx_local_ns))
+        end = tx_true + t_tx
+        if end <= duration_ns:  # only complete frames
+            heapq.heappush(heap, (end, next(seq), _UPLINK_END, dev, tx_local_ns))
+
+    random_pick = scenario.slot_pick == SLOT_PICK_RANDOM
 
     def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int):
         d = dev.state
-        if scenario.slot_pick == SLOT_PICK_RANDOM:
+        if random_pick:
             # uniform slot pick inside this device's next period window
-            lo = max(dev.next_window_start_ns, now_local_ns)
-            hi = dev.next_window_start_ns + dev.period_ns
-            dev.next_window_start_ns += dev.period_ns
+            lo = dev.next_window_start_ns
+            hi = lo + dev.period_ns
+            dev.next_window_start_ns = hi
+            if lo < now_local_ns:
+                lo = now_local_ns
             s0 = d.slot_start_local_ns
-            k0 = -((s0 - lo) // d.t_slot_ns)
+            t_slot = d.t_slot_ns
+            k0 = -((s0 - lo) // t_slot)
             if k0 < 0:
                 k0 = 0
-            first = s0 + k0 * d.t_slot_ns
+            first = s0 + k0 * t_slot
             if first >= hi:
                 nxt = first  # no grid point in the window: earliest after it
             else:
-                n_slots = 1 + (hi - 1 - first) // d.t_slot_ns
-                nxt = first + dev.rng.randrange(n_slots) * d.t_slot_ns
+                n_slots = 1 + (hi - 1 - first) // t_slot
+                nxt = first + dev.rng.randrange(n_slots) * t_slot
         else:
             dev.next_window_start_ns += dev.period_ns
             nxt = ed_next_tx_time(d, now_local_ns)
         schedule_uplink(dev, nxt)
+
+    # round boundaries go in first: at an equal instant they keep coming
+    # before the uplink ends, bootstrap ones included
+    if scenario.strategy == FIXED_RATE:
+        round_ns = scenario.round_s * NS_PER_S
+        for k in range(1, duration_ns // round_ns + 1):
+            heapq.heappush(heap, (k * round_ns, next(seq), _ROUND_BOUNDARY, None, None))
 
     # bootstrap: each device first transmits at a uniform whole-millisecond
     # phase inside its first period window, on its own clock
@@ -279,77 +294,60 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         dev.next_window_start_ns = phase_local + dev.period_ns
         schedule_uplink(dev, phase_local)
 
-    if scenario.strategy == FIXED_RATE:
-        round_ns = scenario.round_s * NS_PER_S
-        for k in range(1, duration_ns // round_ns + 1):
-            push(k * round_ns, _ROUND_BOUNDARY, ())
-
+    gw = metrics.gateway
+    downlinks = gw.downlink_intervals
+    strategy = scenario.strategy
+    adaptive = strategy == ADAPTIVE
+    loss = scenario.downlink_loss
+    collisions = 0
     # end times of in-flight uplinks; every uplink lasts t_tx, so they end
     # in the order they started and the deque stays sorted
     active_ends: deque[int] = deque()
 
     while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, kind, dev, tx_local = heapq.heappop(heap)
         if t > duration_ns:
             break
 
-        if kind == _UPLINK_START:
-            idx, tx_local = payload
-            dev = devices[idx]
-            while active_ends and active_ends[0] <= t:
+        if kind == _UPLINK_END:
+            start = t - t_tx
+            while active_ends and active_ends[0] <= start:
                 active_ends.popleft()
-            metrics.collision_count += len(active_ends)  # one per overlapping pair
-            active_ends.append(t + cfg.t_tx_ns)
+            collisions += len(active_ends)  # one per overlapping pair
+            active_ends.append(t)
             ed_mark_transmitting(dev.state, tx_local)
-            push(t + cfg.t_tx_ns, _UPLINK_END, (idx,))
 
-        elif kind == _UPLINK_END:
-            (idx,) = payload
-            dev = devices[idx]
-            dev.beg_local_ns = dev.clock.local_time(t)
+            beg_local = dev.clock.local_time(t)
             # the server already knows dev_addr and fcnt, so the uplink
             # skips the wire codec; validate_scenario enforces its bounds
-            plan = ns_on_uplink_end(server, dev.addr, t, fcnt=dev.fcnt)
-            dev.fcnt = (dev.fcnt + 1) & 0xFFFF
-            action = "none" if plan.remaining_ms is None else "resync"
-            if scenario.strategy == ADAPTIVE and plan.remaining_ms is not None:
-                metrics.gateway.sync_overhead_bytes += ADAPTIVE_SYNC_BYTES
-            trace.append(
-                TraceRow(
-                    metrics.frames_total,
-                    dev.name,
-                    t,
-                    plan.arrival_position_ns,
-                    plan.signed_drift_ns,
-                    plan.in_sync,
-                    action,
-                    plan.remaining_ms,
-                    scenario.strategy,
-                )
+            _, remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(
+                server, dev.addr, t, fcnt=dev.fcnt
             )
-            metrics.frames_total += 1
-            push(plan.scheduled_tx_true_time_ns, _RX1_OPEN, (idx, plan.remaining_ms))
+            dev.fcnt = (dev.fcnt + 1) & 0xFFFF
+            if remaining_ms is None:
+                action = "none"
+            else:
+                action = "resync"
+                if adaptive:
+                    gw.sync_overhead_bytes += ADAPTIVE_SYNC_BYTES
+            trace.append(
+                TraceRow(len(trace), dev.name, t, pos, drift, in_sync, action, remaining_ms, strategy)
+            )
 
-        elif kind == _RX1_OPEN:
-            idx, remaining_ms = payload
-            dev = devices[idx]
-            gw = metrics.gateway
-            gw.downlink_count += 1
-            gw.downlink_airtime_ns += cfg.t_rx_ns
-            gw.downlink_intervals.append((t, t + cfg.t_rx_ns))
+            # RX1 opens and the ACK ends at fixed offsets from the uplink
+            # end, so handling both here keeps their order across devices
+            if t_rx1 > duration_ns:
+                continue
+            t_ack = t_rx1 + t_rx
+            downlinks.append((t_rx1, t_ack))
             wire = encode_ack(SyncAck(dev.addr, dev.down_fcnt, remaining_ms))
             dev.down_fcnt = (dev.down_fcnt + 1) & 0xFFFF
-            delivered = True
-            if scenario.downlink_loss > 0.0:
-                delivered = loss_rng.random() >= scenario.downlink_loss
-            push(t + cfg.t_rx_ns, _ACK_END, (idx, wire if delivered else None))
-
-        elif kind == _ACK_END:
-            idx, wire = payload
-            dev = devices[idx]
-            end_local = dev.clock.local_time(t)
-            if wire is not None:
-                ed_on_ack(dev.state, dev.beg_local_ns, end_local, decode_ack(wire))
+            delivered = loss == 0.0 or loss_rng.random() >= loss
+            if t_ack > duration_ns:
+                continue
+            end_local = dev.clock.local_time(t_ack)
+            if delivered:
+                ed_on_ack(dev.state, beg_local, end_local, decode_ack(wire))
             # a lost ACK changes nothing: the device keeps its grid and
             # simply schedules the next uplink
             schedule_next_uplink(dev, end_local)
@@ -358,7 +356,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             actions = fixed_rate_round(server, scenario.round_s)
             for a in actions:
                 metrics.round_log.append((t, name_of[a.dev_addr], a.last_signed_drift_ns))
-            metrics.gateway.sync_overhead_bytes += FIXED_RATE_SYNC_BYTES * len(actions)
+            gw.sync_overhead_bytes += FIXED_RATE_SYNC_BYTES * len(actions)
 
     for dev in devices:
         rec = server.records.get(dev.addr)
@@ -366,9 +364,11 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             dm = metrics.per_device[dev.name]
             dm.resync_count = rec.resync_count
             dm.out_sync_frames = dm.slot_violations = rec.out_sync_count
-    metrics.gateway.duty_cycle_used_fraction = (
-        metrics.gateway.downlink_airtime_ns / duration_ns
-    )
+    metrics.collision_count = collisions
+    metrics.frames_total = len(trace)
+    gw.downlink_count = len(downlinks)
+    gw.downlink_airtime_ns = len(downlinks) * t_rx
+    gw.duty_cycle_used_fraction = gw.downlink_airtime_ns / duration_ns
     return metrics, trace
 
 

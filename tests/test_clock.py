@@ -12,7 +12,6 @@ from lorasync import (
     RandomWalk,
     SimClock,
     UsageError,
-    is_in_sync,
     preset,
 )
 from lorasync.units import NS_PER_MS, NS_PER_S
@@ -165,14 +164,3 @@ def test_presets():
     assert fl.initial_ppm == 30.0
     with pytest.raises(ParamError):
         preset("cesium-fountain")
-
-
-def test_is_in_sync_bounds_are_strict():
-    tb = 180 * NS_PER_MS
-    assert is_in_sync(0, tb, tb)
-    assert is_in_sync(tb - 1, tb, tb)
-    assert not is_in_sync(tb, tb, tb)
-    assert is_in_sync(-(tb - 1), tb, tb)
-    assert not is_in_sync(-tb, tb, tb)
-    with pytest.raises(ParamError):
-        is_in_sync(0, -1, tb)
