@@ -252,28 +252,23 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         if end <= duration_ns:  # only complete frames
             heapq.heappush(heap, (end, next(seq), _UPLINK_END, dev, tx_local_ns))
 
-    random_pick = scenario.slot_pick == SLOT_PICK_RANDOM
-
     def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int):
         d = dev.state
-        if random_pick:
+        if scenario.slot_pick == SLOT_PICK_RANDOM:
             # uniform slot pick inside this device's next period window
-            lo = dev.next_window_start_ns
-            hi = lo + dev.period_ns
-            dev.next_window_start_ns = hi
-            if lo < now_local_ns:
-                lo = now_local_ns
+            lo = max(dev.next_window_start_ns, now_local_ns)
+            hi = dev.next_window_start_ns + dev.period_ns
+            dev.next_window_start_ns += dev.period_ns
             s0 = d.slot_start_local_ns
-            t_slot = d.t_slot_ns
-            k0 = -((s0 - lo) // t_slot)
+            k0 = -((s0 - lo) // d.t_slot_ns)
             if k0 < 0:
                 k0 = 0
-            first = s0 + k0 * t_slot
+            first = s0 + k0 * d.t_slot_ns
             if first >= hi:
                 nxt = first  # no grid point in the window: earliest after it
             else:
-                n_slots = 1 + (hi - 1 - first) // t_slot
-                nxt = first + dev.rng.randrange(n_slots) * t_slot
+                n_slots = 1 + (hi - 1 - first) // d.t_slot_ns
+                nxt = first + dev.rng.randrange(n_slots) * d.t_slot_ns
         else:
             dev.next_window_start_ns += dev.period_ns
             nxt = ed_next_tx_time(d, now_local_ns)
