@@ -142,11 +142,11 @@ class SimClock:
         if boundary is None:
             return
         starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
-        start, local_start, ppm = starts[-1], local_starts[-1], ppms[-1]
-        gauss, std = self._rng.gauss, self.model.step_std_ppm
+        local_start, ppm = local_starts[-1], ppms[-1]
+        step, gauss, std = self._step_ns, self._rng.gauss, self.model.step_std_ppm
+        # segments start at multiples of step, so each one lasts step
         while boundary <= true_time_ns or local_start < local_ns:
-            dt = boundary - start
-            local_start += dt + _seg_offset_ns(dt, ppm)
+            local_start += step + _seg_offset_ns(step, ppm)
             ppm += gauss(0.0, std)
             if not abs(ppm) < _PPM_LIMIT:
                 self._next_boundary = boundary
@@ -154,12 +154,12 @@ class SimClock:
             starts.append(boundary)
             local_starts.append(local_start)
             ppms.append(ppm)
-            start = boundary
-            boundary += self._step_ns
+            boundary += step
         self._next_boundary = boundary
 
     def _offset_at(self, true_time_ns: int) -> int:
-        self._grow(true_time_ns)
+        if self._next_boundary is not None and true_time_ns >= self._next_boundary:
+            self._grow(true_time_ns)
         i = bisect_right(self._starts, true_time_ns) - 1
         start = self._starts[i]
         return self._local_starts[i] - start + _seg_offset_ns(true_time_ns - start, self._ppms[i])
