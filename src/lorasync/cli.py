@@ -168,24 +168,25 @@ def _cmd_compare(args) -> int:
     variants = [("adaptive", replace(sc, strategy=ADAPTIVE, round_s=None))]
     for r in rounds:
         variants.append((f"fixed {r} s", replace(sc, strategy=FIXED_RATE, round_s=r)))
-    results = [(label, *run(v)) for label, v in variants]
+    # keep only the metrics: a variant's trace is dropped as soon as it returns
+    results = [(label, run(v)[0]) for label, v in variants]
 
     base = results[0][1]
     base_resyncs = sum(d.resync_count for d in base.per_device.values())
     base_bytes = base.gateway.sync_overhead_bytes
 
-    labels = [label for label, _, _ in results]
+    labels = [label for label, _ in results]
     rows = [
         ("resyncs", [str(sum(d.resync_count for d in m.per_device.values()))
-                     for _, m, _ in results]),
+                     for _, m in results]),
         ("out-of-sync frames", [str(sum(d.out_sync_frames for d in m.per_device.values()))
-                                for _, m, _ in results]),
+                                for _, m in results]),
         ("slot violations", [str(sum(d.slot_violations for d in m.per_device.values()))
-                             for _, m, _ in results]),
-        ("sync overhead bytes", [str(m.gateway.sync_overhead_bytes) for _, m, _ in results]),
-        ("downlink airtime ms", [fmt_ms(m.gateway.downlink_airtime_ns) for _, m, _ in results]),
+                             for _, m in results]),
+        ("sync overhead bytes", [str(m.gateway.sync_overhead_bytes) for _, m in results]),
+        ("downlink airtime ms", [fmt_ms(m.gateway.downlink_airtime_ns) for _, m in results]),
         ("duty-cycle fraction", [f"{m.gateway.duty_cycle_used_fraction:.6f}"
-                                 for _, m, _ in results]),
+                                 for _, m in results]),
     ]
 
     def ratio(value, base_value):
@@ -195,7 +196,7 @@ def _cmd_compare(args) -> int:
 
     overhead_ratios = ["-"]
     byte_ratios = ["-"]
-    for _, m, _ in results[1:]:
+    for _, m in results[1:]:
         overhead_ratios.append(
             ratio(sum(d.resync_count for d in m.per_device.values()), base_resyncs))
         byte_ratios.append(ratio(m.gateway.sync_overhead_bytes, base_bytes))
@@ -210,7 +211,7 @@ def _cmd_compare(args) -> int:
 
     print()
     print("[compare]")
-    for (label, m, _), oratio, bratio in zip(results, overhead_ratios, byte_ratios):
+    for (label, m), oratio, bratio in zip(results, overhead_ratios, byte_ratios):
         key = label.replace(" s", "").replace(" ", "_")
         print(f"{key}.resyncs={sum(d.resync_count for d in m.per_device.values())}")
         print(f"{key}.sync_overhead_bytes={m.gateway.sync_overhead_bytes}")

@@ -11,18 +11,29 @@ on that).
 
 Each segment is stored as its start on both clocks, so the offset at a
 segment start is their difference, and the inverse finds its segment
-with a bisection over the local starts.
+with a bisection over the local starts.  The starts live in int64 arrays
+and the rates in a double array, which holds every float exactly: a
+segment costs 24 bytes, not three boxed objects.  Forward queries keep a
+cursor on their current segment, so a query inside it reads plain
+attributes and only a query past its end searches the arrays again.
 
 Random-walk segments are drawn in time order and materialized only on
 demand: a forward query extends the walk to the segment holding its
 reference time, and the inverse extends it only until some segment starts
 at or after the queried local time.  The draws are therefore the same
 whatever the query pattern.
+
+Times are int64 nanoseconds.  Reference instants must stay at or below
+REF_NS_MAX (~146 years); since |ppm| < 1e6 keeps local time below twice
+reference time, every local reading then fits too.  Models reject segment
+starts past it, and a clock raises ParamError for a query, or a drawn
+segment, beyond it.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -31,6 +42,10 @@ from .units import NS_PER_S
 
 # |ppm| must stay below this for local time to keep moving forward
 _PPM_LIMIT = 1_000_000
+
+# latest reference instant whose local reading still fits in int64
+REF_NS_MAX = (2**63 - 1) // 2
+_RANGE_ERROR = f"clock time past {REF_NS_MAX} ns leaves the int64 nanosecond range"
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,11 @@ class RandomWalk:
     def __post_init__(self):
         if self.step_interval_s <= 0:
             raise ParamError("step_interval_s must be positive")
+        if not self.step_interval_s * NS_PER_S <= REF_NS_MAX:
+            raise ParamError(
+                f"step_interval_s must be at most {REF_NS_MAX // NS_PER_S} s, "
+                "the int64 nanosecond range"
+            )
         if self.step_std_ppm < 0:
             raise ParamError("step_std_ppm must be >= 0")
         if not abs(self.initial_ppm) < _PPM_LIMIT:
@@ -82,6 +102,11 @@ class Piecewise:
         times = [t for t, _ in self.segments]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ParamError("piecewise segment times must strictly increase")
+        if not all(t * NS_PER_S <= REF_NS_MAX for t in times):
+            raise ParamError(
+                f"piecewise segments must start by {REF_NS_MAX // NS_PER_S} s, "
+                "the int64 nanosecond range"
+            )
         if any(not abs(ppm) < _PPM_LIMIT for _, ppm in self.segments):
             raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
 
@@ -89,18 +114,12 @@ class Piecewise:
 ClockModel = Ideal | ConstantPpm | RandomWalk | Piecewise
 
 
-def _seg_offset_ns(dt_ns: int, ppm: float) -> int:
-    # one rounding per (segment start, query) pair; makes step patterns
-    # telescope exactly within a segment
-    return round(dt_ns * ppm / 1_000_000)
-
-
 class SimClock:
     """Single simulated oscillator.
 
-    local_time() and drift() must be queried with non-decreasing reference
-    times; true_time_at_local() is the scheduling inverse and carries no
-    such restriction.
+    local_time() must be queried with non-decreasing reference times;
+    true_time_at_local() is the scheduling inverse and carries no such
+    restriction.
     """
 
     def __init__(self, model: ClockModel):
@@ -108,31 +127,35 @@ class SimClock:
             raise ParamError("RandomWalk clock needs a concrete seed to run")
         self.model = model
         self._last_query_ns = 0
-        # materialized rate segments; grown lazily for random walks
-        self._starts = [0]  # segment start, reference ns
-        self._local_starts = [0]  # the same instant on the local clock, ns
+        # materialized rate segments; grown lazily for random walks.  Each
+        # offset is round(dt * ppm / 1e6) over the whole interval dt since
+        # its segment start: one rounding per (segment start, query) pair,
+        # so step patterns telescope exactly within a segment
+        self._starts = array("q", [0])  # segment start, reference ns
+        self._local_starts = array("q", [0])  # the same instant on the local clock, ns
         self._next_boundary = None
         if isinstance(model, Ideal):
-            self._ppms = [0.0]
+            self._ppms = array("d", [0.0])
         elif isinstance(model, ConstantPpm):
-            self._ppms = [model.offset_ppm]
+            self._ppms = array("d", [model.offset_ppm])
         elif isinstance(model, RandomWalk):
-            self._ppms = [model.initial_ppm]
+            self._ppms = array("d", [model.initial_ppm])
             self._rng = random.Random(model.seed)
             self._step_ns = s_ns = round(model.step_interval_s * NS_PER_S)
             if s_ns <= 0:
                 raise ParamError("step_interval_s too small")
             self._next_boundary = s_ns
         else:  # Piecewise
-            self._ppms = [model.segments[0][1]]
+            self._ppms = array("d", [model.segments[0][1]])
             for t1, ppm in model.segments[1:]:
                 start = round(t1 * NS_PER_S)
                 dt = start - self._starts[-1]
                 self._local_starts.append(
-                    self._local_starts[-1] + dt + _seg_offset_ns(dt, self._ppms[-1])
+                    self._local_starts[-1] + dt + round(dt * self._ppms[-1] / 1_000_000)
                 )
                 self._starts.append(start)
                 self._ppms.append(ppm)
+        self._seek(0)
 
     def _grow(self, true_time_ns: int, local_ns: int = 0):
         """Draw random-walk segments until all that start at or before
@@ -146,47 +169,68 @@ class SimClock:
         step, gauss, std = self._step_ns, self._rng.gauss, self.model.step_std_ppm
         # segments start at multiples of step, so each one lasts step
         while boundary <= true_time_ns or local_start < local_ns:
-            local_start += step + _seg_offset_ns(step, ppm)
+            local_start += step + round(step * ppm / 1_000_000)
             ppm += gauss(0.0, std)
             if not abs(ppm) < _PPM_LIMIT:
                 self._next_boundary = boundary
                 raise ParamError("random walk left the valid ppm range")
+            # only the inverse draws this far: a slow clock can need
+            # reference times far past the local time it was asked for
+            if boundary > REF_NS_MAX:
+                self._next_boundary = boundary
+                raise ParamError(_RANGE_ERROR)
             starts.append(boundary)
             local_starts.append(local_start)
             ppms.append(ppm)
             boundary += step
         self._next_boundary = boundary
 
-    def _offset_at(self, true_time_ns: int) -> int:
+    def _segment(self, true_time_ns: int) -> int:
+        """Index of the segment holding true_time_ns, drawn if need be."""
+        if true_time_ns > REF_NS_MAX:
+            raise ParamError(_RANGE_ERROR)
         if self._next_boundary is not None and true_time_ns >= self._next_boundary:
             self._grow(true_time_ns)
-        i = bisect_right(self._starts, true_time_ns) - 1
-        start = self._starts[i]
-        return self._local_starts[i] - start + _seg_offset_ns(true_time_ns - start, self._ppms[i])
+        return bisect_right(self._starts, true_time_ns) - 1
 
-    def _check_forward(self, true_time_ns: int):
-        if true_time_ns < 0:
-            raise UsageError("reference time precedes the common origin")
+    def _seek(self, true_time_ns: int):
+        """Move the forward cursor to the segment holding true_time_ns."""
+        starts = self._starts
+        i = self._segment(true_time_ns)
+        self._seg_start = starts[i]
+        self._seg_local_start = self._local_starts[i]
+        self._seg_ppm = self._ppms[i]
+        if i + 1 < len(starts):
+            end = starts[i + 1]
+        elif self._next_boundary is not None:
+            end = self._next_boundary
+        else:
+            end = REF_NS_MAX + 1
+        # a query past REF_NS_MAX always seeks, and fails there
+        self._seg_end = min(end, REF_NS_MAX + 1)
+
+    def local_time(self, true_time_ns: int) -> int:
         if true_time_ns < self._last_query_ns:
+            if true_time_ns < 0:
+                raise UsageError("reference time precedes the common origin")
             raise UsageError(
                 f"non-monotone clock query: {true_time_ns} after {self._last_query_ns}"
             )
         self._last_query_ns = true_time_ns
-
-    def local_time(self, true_time_ns: int) -> int:
-        self._check_forward(true_time_ns)
-        return true_time_ns + self._offset_at(true_time_ns)
-
-    def drift(self, true_time_ns: int) -> int:
-        """Reference minus local at the given reference instant."""
-        self._check_forward(true_time_ns)
-        return -self._offset_at(true_time_ns)
+        # queries never go back, so the cursor only ever moves forward
+        if true_time_ns >= self._seg_end:
+            self._seek(true_time_ns)
+        dt = true_time_ns - self._seg_start
+        return self._seg_local_start + dt + round(dt * self._seg_ppm / 1_000_000)
 
     def peek_local(self, true_time_ns: int) -> int:
         """local_time without the monotone-cursor side effect."""
         if true_time_ns < 0:
             raise UsageError("reference time precedes the common origin")
-        return true_time_ns + self._offset_at(true_time_ns)
+        # an independent bisection, not the cursor: tests compare the two
+        i = self._segment(true_time_ns)
+        dt = true_time_ns - self._starts[i]
+        return self._local_starts[i] + dt + round(dt * self._ppms[i] / 1_000_000)
 
     def true_time_at_local(self, local_ns: int) -> int:
         """Earliest reference time whose local reading is >= local_ns.
@@ -200,7 +244,8 @@ class SimClock:
         # the answer lies in the last segment starting before local_ns on
         # the local clock, or at the start of the one after it: make sure
         # that one exists
-        self._grow(-1, local_ns)
+        if self._next_boundary is not None and local_starts[-1] < local_ns:
+            self._grow(-1, local_ns)
         # segment 0 starts at local 0, so some segment starts before local_ns
         i = bisect_left(local_starts, local_ns) - 1
         while True:
@@ -208,9 +253,9 @@ class SimClock:
             rate = 1.0 + ppm / 1_000_000
             target = local_ns - local_starts[i]
             d = max(0, int(target / rate))
-            while d + _seg_offset_ns(d, ppm) < target:
+            while d + round(d * ppm / 1_000_000) < target:
                 d += 1
-            while d > 0 and (d - 1) + _seg_offset_ns(d - 1, ppm) >= target:
+            while d > 0 and (d - 1) + round((d - 1) * ppm / 1_000_000) >= target:
                 d -= 1
             t = starts[i] + d
             # rounding can push the solution past the segment end; retry there
@@ -233,4 +278,3 @@ def preset(name: str, seed: int | None = None) -> ClockModel:
     if name == "ttgo-like":
         return ConstantPpm(2.0)
     raise ParamError(f"unknown clock preset {name!r}")
-

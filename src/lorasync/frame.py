@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DecodeError, EncodeError
 
@@ -34,8 +35,7 @@ class UplinkFrame:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
-class SyncAck:
+class SyncAck(NamedTuple):
     dev_addr: int
     fcnt: int
     remaining_ms: int | None = None

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import count
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .clock import ClockModel, RandomWalk, SimClock
+from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
 from .errors import ConfigError, ParamError
 from .frame import SyncAck, decode_ack, encode_ack
 from .protocol import (
@@ -111,11 +112,14 @@ class DeviceMetrics:
 
 @dataclass
 class GatewayMetrics:
-    downlink_count: int = 0
-    sync_overhead_bytes: int = 0
-    downlink_airtime_ns: int = 0
-    duty_cycle_used_fraction: float = 0.0
-    downlink_intervals: list = field(default_factory=list)  # (start_ns, end_ns)
+    downlink_count: int = 0  # RX1 downlinks that opened within the run
+    sync_overhead_bytes: int = 0  # 2 per adaptive resync, 8 per fixed-rate round resync
+    downlink_airtime_ns: int = 0  # downlink_count * downlink_length_ns
+    duty_cycle_used_fraction: float = 0.0  # downlink air-time over the run length
+    # RX1 openings, reference ns, in time order; each downlink lasts
+    # downlink_length_ns, so downlink k is [start_k, start_k + length)
+    downlink_starts: array = field(default_factory=lambda: array("q"))
+    downlink_length_ns: int = 0
 
 
 @dataclass
@@ -130,8 +134,11 @@ class Metrics:
 
 
 def validate_scenario(sc: Scenario):
+    max_s = REF_NS_MAX // NS_PER_S
     if sc.duration_s <= 0:
         raise ConfigError("duration_s must be positive")
+    if not sc.duration_s * NS_PER_S <= REF_NS_MAX:
+        raise ConfigError(f"duration_s must be at most {max_s} s, the int64 nanosecond range")
     if not sc.devices:
         raise ConfigError("scenario needs at least one device")
     names = [d.name for d in sc.devices]
@@ -159,6 +166,14 @@ def validate_scenario(sc: Scenario):
             )
         if d.dev_addr is not None and not 0 <= d.dev_addr < (1 << 32):
             raise ConfigError(f"device {d.name}: dev_addr must fit in 32 bits")
+        # a device's clock is asked for instants up to about two periods
+        # past the horizon, and the inverse may draw a walk step past that
+        step_s = d.clock_model.step_interval_s if isinstance(d.clock_model, RandomWalk) else 0
+        if not (sc.duration_s + 2 * d.tx_period_s + step_s) * NS_PER_S <= REF_NS_MAX:
+            raise ConfigError(
+                f"device {d.name}: duration_s + 2 * tx_period_s (+ step_interval_s) "
+                f"must be at most {max_s} s, the int64 nanosecond range"
+            )
 
 
 class _DeviceRt:
@@ -235,7 +250,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         duration_ns=duration_ns,
         strategy=scenario.strategy,
         per_device={d.name: DeviceMetrics() for d in devices},
-        gateway=GatewayMetrics(),
+        gateway=GatewayMetrics(downlink_length_ns=cfg.t_rx_ns),
     )
     trace: list[TraceRow] = []
 
@@ -290,7 +305,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         schedule_uplink(dev, phase_local)
 
     gw = metrics.gateway
-    downlinks = gw.downlink_intervals
+    downlinks = gw.downlink_starts
     strategy = scenario.strategy
     adaptive = strategy == ADAPTIVE
     loss = scenario.downlink_loss
@@ -334,7 +349,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             if t_rx1 > duration_ns:
                 continue
             t_ack = t_rx1 + t_rx
-            downlinks.append((t_rx1, t_ack))
+            downlinks.append(t_rx1)
             wire = encode_ack(SyncAck(dev.addr, dev.down_fcnt, remaining_ms))
             dev.down_fcnt = (dev.down_fcnt + 1) & 0xFFFF
             delivered = loss == 0.0 or loss_rng.random() >= loss
@@ -372,17 +387,17 @@ def duty_cycle_report(m: Metrics, window_s) -> float:
 
     Windows of the given length slide over the run; the maximum overlap
     is always achieved with a window flush against some transmission
-    edge, so only those candidates are evaluated.  Intervals are uniform
-    length and time ordered (the simulator emits them that way).
+    edge, so only those candidates are evaluated.  The downlinks are of
+    one length and time ordered (the simulator logs them that way).
     """
     window_ns = s_to_ns(window_s)
     if window_ns <= 0:
         raise ParamError("window_s must be positive")
-    intervals = m.gateway.downlink_intervals
-    if not intervals:
+    starts = m.gateway.downlink_starts
+    if not starts:
         return 0.0
-    starts = [a for a, _ in intervals]
-    ends = [b for _, b in intervals]
+    length = m.gateway.downlink_length_ns
+    ends = [a + length for a in starts]
     prefix_starts = [0]
     for a in starts:
         prefix_starts.append(prefix_starts[-1] + a)
@@ -405,7 +420,7 @@ def duty_cycle_report(m: Metrics, window_s) -> float:
         return sum_min_end - sum_max_start
 
     candidates = {0}
-    for a, b in intervals:
+    for a, b in zip(starts, ends):
         candidates.add(a)
         candidates.add(max(0, b - window_ns))
     return max(overlap(c) for c in candidates) / window_ns

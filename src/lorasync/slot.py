@@ -42,7 +42,9 @@ class SlotConfig:
         if self.t_tx_ns <= self.tb1_ns:
             # keeps the in-sync window wrap-free around the ideal end
             raise ParamError("t_tx must exceed tb1")
-        t_slot = self.t_slot_ns
+        t_slot = self.t_tx_ns + self.rx_delay_ns + self.t_rx_ns + self.tb1_ns + self.tb2_ns
+        # summed once: the simulator reads it for every frame
+        object.__setattr__(self, "_t_slot_ns", t_slot)
         if 2 * self.tb1_ns >= t_slot or 2 * self.tb2_ns >= t_slot:
             raise ParamError("guards must stay below half a slot")
         if (self.tb1_ns + self.tb2_ns) > GUARD_HEADROOM_MS * NS_PER_MS:
@@ -52,7 +54,7 @@ class SlotConfig:
 
     @property
     def t_slot_ns(self) -> int:
-        return self.t_tx_ns + self.rx_delay_ns + self.t_rx_ns + self.tb1_ns + self.tb2_ns
+        return self._t_slot_ns
 
 
 @dataclass(frozen=True)

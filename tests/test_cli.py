@@ -3,6 +3,8 @@
 import csv
 from pathlib import Path
 
+import pytest
+
 from lorasync.cli import CSV_HEADER, main
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -117,6 +119,50 @@ def test_simulate_missing_config(capsys):
     code, _, err = _run(capsys, "simulate", str(CONFIGS / "nope.ini"))
     assert code == 1
     assert "error:" in err
+
+
+_ONE_DEVICE = """\
+[scenario]
+duration_s = {duration_s}
+
+[slot]
+t_tx_ms = 306
+t_rx_ms = 91
+rx_delay_ms = 1000
+tb1_ms = 180
+tb2_ms = 180
+
+[device d]
+{clock}
+tx_period_s = {tx_period_s}
+"""
+_WALK = "clock = random_walk\nstep_std_ppm = 0.5\ninitial_ppm = 10\nstep_interval_s = "
+
+
+@pytest.mark.parametrize(
+    "duration_s, clock, tx_period_s",
+    [
+        ("2e10", _WALK + "5e9", "4e9"),
+        ("3600", "clock = piecewise\nsegments = 0:5, 10000000000:3", "30"),
+    ],
+)
+def test_simulate_rejects_times_past_int64(capsys, tmp_path, duration_s, clock, tx_period_s):
+    path = tmp_path / "far.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s=duration_s, clock=clock,
+                                       tx_period_s=tx_period_s))
+    code, _, err = _run(capsys, "simulate", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "int64" in err
+
+
+def test_simulate_accepts_a_week(capsys, tmp_path):
+    path = tmp_path / "week.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s=7 * 86400, clock=_WALK + "10",
+                                       tx_period_s=3600))
+    code, out, _ = _run(capsys, "simulate", str(path))
+    assert code == 0
+    # one uplink an hour, the first at a random phase inside the first hour
+    assert "frames_total=167" in out
 
 
 def test_compare_table_and_machine_block(capsys):

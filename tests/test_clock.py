@@ -14,6 +14,7 @@ from lorasync import (
     UsageError,
     preset,
 )
+from lorasync.clock import REF_NS_MAX
 from lorasync.units import NS_PER_MS, NS_PER_S
 
 
@@ -21,7 +22,7 @@ def test_ideal_clock_is_identity():
     c = SimClock(Ideal())
     for t in (0, 1, 999, 10**12, 10**15):
         assert c.local_time(t) == t
-        assert c.drift(t) == 0
+        assert t - c.local_time(t) == 0
 
 
 def test_fast_clock_has_negative_drift():
@@ -29,14 +30,14 @@ def test_fast_clock_has_negative_drift():
     # reference - local = -178.2 ms
     c = SimClock(ConstantPpm(33.0))
     t = 5400 * NS_PER_S
-    assert c.drift(t) == -round(178.2 * NS_PER_MS)
+    assert t - c.local_time(t) == -round(178.2 * NS_PER_MS)
     assert c.local_time(t) == t + round(178.2 * NS_PER_MS)
 
 
 def test_slow_clock_has_positive_drift():
     c = SimClock(ConstantPpm(-20.0))
     t = 500 * NS_PER_S
-    assert c.drift(t) == 10 * NS_PER_MS
+    assert t - c.local_time(t) == 10 * NS_PER_MS
 
 
 def test_integer_ppm_is_exact_linear():
@@ -63,8 +64,10 @@ def test_offsets_compose_across_queries():
 def test_piecewise_model():
     # +50 ppm for 100 s, then -50 ppm: offsets cancel at 200 s
     c = SimClock(Piecewise(((0.0, 50.0), (100.0, -50.0))))
-    assert c.drift(100 * NS_PER_S) == -5 * NS_PER_MS
-    assert c.drift(200 * NS_PER_S) == 0
+    t = 100 * NS_PER_S
+    assert t - c.local_time(t) == -5 * NS_PER_MS
+    t = 200 * NS_PER_S
+    assert t - c.local_time(t) == 0
 
 
 def test_piecewise_validation():
@@ -110,7 +113,7 @@ def test_monotone_query_enforced():
     with pytest.raises(UsageError):
         c.local_time(10**9 - 1)
     with pytest.raises(UsageError):
-        c.drift(-1)
+        c.local_time(-1)
 
 
 def test_peek_does_not_move_cursor():
@@ -147,6 +150,30 @@ def test_random_walk_beyond_the_queried_horizon_is_not_drawn():
     assert c.true_time_at_local(NS_PER_S // 2) == NS_PER_S // 2
     with pytest.raises(ParamError):
         c.local_time(2 * NS_PER_S)
+
+
+def test_times_past_the_int64_range_raise_param_error():
+    # the fastest clock still reads below 2**63 at the last valid instant
+    c = SimClock(ConstantPpm(999_999.0))
+    assert c.local_time(REF_NS_MAX) < 2**63
+    with pytest.raises(ParamError):
+        c.local_time(REF_NS_MAX + 1)
+    with pytest.raises(ParamError):
+        c.peek_local(REF_NS_MAX + 1)
+    # a half-rate walk with 4e18 ns steps: its second boundary (8e18 ns)
+    # is past the limit, and only a local time beyond 2e18 ns needs it
+    walk = SimClock(RandomWalk(step_interval_s=4e9, step_std_ppm=0.0,
+                               initial_ppm=-500_000.0, seed=1))
+    assert walk.local_time(REF_NS_MAX) > 0
+    assert walk.true_time_at_local(2 * 10**18) == 4 * 10**18
+    with pytest.raises(ParamError):
+        walk.true_time_at_local(2 * 10**18 + 1)
+    with pytest.raises(ParamError):
+        Piecewise(((0.0, 5.0), (1e10, 3.0)))
+    with pytest.raises(ParamError):
+        RandomWalk(step_interval_s=5e9, step_std_ppm=0.0, initial_ppm=0.0)
+    with pytest.raises(ParamError):
+        RandomWalk(step_interval_s=float("nan"), step_std_ppm=0.0, initial_ppm=0.0)
 
 
 def test_true_time_at_local_ideal_is_identity():

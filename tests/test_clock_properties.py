@@ -45,3 +45,45 @@ def test_true_time_at_local_is_exact_inverse_in_any_query_order(model, queries, 
             assert c.peek_local(t - 1) < local
         # the answer does not depend on the clock's query history
         assert SimClock(model).true_time_at_local(local) == t
+
+
+def _next_start(model, t):
+    """First rate-segment start at or after t, or None past the last one."""
+    if isinstance(model, RandomWalk):
+        step = round(model.step_interval_s * NS_PER_S)
+        return -(-t // step) * step
+    if isinstance(model, Piecewise):
+        return next((s for s in (round(ts * NS_PER_S) for ts, _ in model.segments) if s >= t), None)
+    return 0 if t == 0 else None
+
+
+_FORWARD = st.tuples(
+    st.sampled_from(["step", "segment start", "inverse"]),
+    st.one_of(st.integers(0, 10**9), st.integers(0, 900 * NS_PER_S)),
+    st.sampled_from([-1, 0, 1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_CLOCK_MODELS, ops=st.lists(_FORWARD, min_size=10, max_size=40))
+def test_forward_cursor_matches_bisection(model, ops):
+    # local_time walks a cursor forward; peek_local bisects the segments
+    # of a clock nothing else has queried.  Exact segment starts (and the
+    # nanoseconds around them), jumps past everything a random walk has
+    # drawn so far, and inverse calls that draw ahead must not tell them
+    # apart
+    c = SimClock(model)
+    oracle = SimClock(model)
+    t = 0
+    for kind, x, nudge in ops:
+        if kind == "inverse":
+            c.true_time_at_local(x)
+            continue
+        if kind == "segment start":
+            start = _next_start(model, t + x)
+            if start is None:
+                continue
+            t = max(t, start + nudge)
+        else:
+            t += x
+        assert c.local_time(t) == oracle.peek_local(t)

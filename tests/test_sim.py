@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from array import array
 
 import pytest
 
@@ -262,6 +263,8 @@ def test_scenario_validation():
         dict(downlink_loss=1.5),
         dict(duty_cycle_limit=0.0),
         dict(slot_pick="bursty"),
+        dict(duration_s=5e9),  # past the int64 nanosecond range
+        dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=2.4e9),)),
         dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=0.0),)),
         dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=30.0,
                                  payload_bytes=247),)),
@@ -286,7 +289,13 @@ def test_explicit_dev_addr_coexists_with_auto():
 
 
 def _metrics_with_intervals(intervals, duration_s=3600.0):
-    gw = GatewayMetrics(downlink_intervals=list(intervals))
+    # the gateway logs downlinks of one length by their start times
+    lengths = {b - a for a, b in intervals}
+    assert len(lengths) <= 1
+    gw = GatewayMetrics(
+        downlink_starts=array("q", [a for a, _ in intervals]),
+        downlink_length_ns=lengths.pop() if lengths else 0,
+    )
     return Metrics(duration_ns=s_to_ns(duration_s), strategy=ADAPTIVE,
                    per_device={}, gateway=gw)
 
@@ -334,6 +343,36 @@ def test_duty_cycle_report_matches_brute_force():
     for _ in range(500):
         best = max(best, brute(rng.randrange(0, s_to_ns(600))))
     assert duty_cycle_report(m, 7) == pytest.approx(best / window_ns, rel=1e-12)
+
+
+def test_downlink_log_is_ordered_and_matches_brute_force():
+    # 12 devices on 5 s periods: downlinks overlap on the gateway
+    sc = _ideal_scenario(seed=3, duration_s=120.0, n_devices=12)
+    sc = dataclasses.replace(
+        sc, devices=tuple(dataclasses.replace(d, tx_period_s=5.0) for d in sc.devices)
+    )
+    m, trace = run(sc)
+    gw = m.gateway
+    starts = list(gw.downlink_starts)
+    assert len(starts) == gw.downlink_count > 0
+    assert starts == sorted(starts)
+    assert starts == [
+        r.true_time_ns + CFG.rx_delay_ns
+        for r in trace
+        if r.true_time_ns + CFG.rx_delay_ns <= m.duration_ns
+    ]
+    assert gw.downlink_length_ns == CFG.t_rx_ns
+    window_ns = s_to_ns(2)
+
+    def brute(w_start):
+        return sum(
+            max(0, min(a + CFG.t_rx_ns, w_start + window_ns) - max(a, w_start))
+            for a in starts
+        )
+
+    best = max(brute(c) for a in starts for c in (a, max(0, a + CFG.t_rx_ns - window_ns)))
+    assert best > CFG.t_rx_ns  # some window holds overlapping downlinks
+    assert duty_cycle_report(m, 2) == best / window_ns
 
 
 def test_bench_gateway_stays_inside_duty_limit():
