@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import replace
 
@@ -37,26 +38,38 @@ CSV_HEADER = [
 WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255)
 
 
-def trace_csv_rows(rows: list[TraceRow]):
-    for r in rows:
-        yield [
-            r.frame_index,
-            r.device_id,
-            fmt_ms(r.true_time_ns),
-            fmt_ms(r.arrival_position_ns),
-            fmt_ms(r.signed_drift_ns),
-            int(r.in_sync),
-            r.action,
-            "" if r.remaining_ms is None else r.remaining_ms,
-            r.strategy,
-        ]
+# rows rendered per write: the file is written in bounded pieces
+_CSV_CHUNK_ROWS = 4096
+
+
+class _CsvFields(dict):
+    """Each distinct string field as csv.writer renders it inside a row."""
+
+    def __missing__(self, value: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([value, 0])
+        text = self[value] = buf.getvalue()[: -len(",0\n")]
+        return text
 
 
 def write_trace_csv(path, rows: list[TraceRow]):
+    """The trace as CSV, byte for byte what csv.writer makes of it.
+
+    Only device_id and strategy are free text, so only they go through
+    csv.writer, once per distinct value; every other field is a number,
+    "none" or "resync", which csv.writer never quotes.
+    """
+    quoted = _CsvFields()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(trace_csv_rows(rows))
+        csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
+        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            fh.write("".join([
+                f"{i},{quoted[dev]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},"
+                f"{1 if in_sync else 0},{action},{'' if rem is None else rem},"
+                f"{quoted[strategy]}\n"
+                for i, dev, t, pos, drift, in_sync, action, rem, strategy
+                in rows[lo:lo + _CSV_CHUNK_ROWS]
+            ]))
 
 
 def _cmd_airtime(args) -> int:

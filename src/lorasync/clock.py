@@ -36,6 +36,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import cos, log, sin, sqrt, tau
 
 from .errors import ParamError, UsageError
 from .units import NS_PER_S
@@ -166,24 +167,36 @@ class SimClock:
             return
         starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
         local_start, ppm = local_starts[-1], ppms[-1]
-        step, gauss, std = self._step_ns, self._rng.gauss, self.model.step_std_ppm
+        step, std = self._step_ns, self.model.step_std_ppm
+        rng = self._rng
+        uniform, z_next = rng.random, rng.gauss_next
         # segments start at multiples of step, so each one lasts step
         while boundary <= true_time_ns or local_start < local_ns:
             local_start += step + round(step * ppm / 1_000_000)
-            ppm += gauss(0.0, std)
+            # each step is rng.gauss(0.0, std), drawn inline: the same
+            # Box-Muller pair from two uniform draws, the same arithmetic,
+            # and the pair's second value pending in rng.gauss_next
+            if z_next is None:
+                x2pi = uniform() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                ppm += 0.0 + cos(x2pi) * g2rad * std
+                z_next = sin(x2pi) * g2rad
+            else:
+                ppm += 0.0 + z_next * std
+                z_next = None
             if not abs(ppm) < _PPM_LIMIT:
-                self._next_boundary = boundary
+                self._next_boundary, rng.gauss_next = boundary, z_next
                 raise ParamError("random walk left the valid ppm range")
             # only the inverse draws this far: a slow clock can need
             # reference times far past the local time it was asked for
             if boundary > REF_NS_MAX:
-                self._next_boundary = boundary
+                self._next_boundary, rng.gauss_next = boundary, z_next
                 raise ParamError(_RANGE_ERROR)
             starts.append(boundary)
             local_starts.append(local_start)
             ppms.append(ppm)
             boundary += step
-        self._next_boundary = boundary
+        self._next_boundary, rng.gauss_next = boundary, z_next
 
     def _segment(self, true_time_ns: int) -> int:
         """Index of the segment holding true_time_ns, drawn if need be."""

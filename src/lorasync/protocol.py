@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .clock import SimClock
 from .errors import UsageError
-from .frame import SyncAck
 from .slot import (
     SlotConfig,
     TimelineRef,
@@ -46,7 +45,6 @@ class DeviceRecord:
     last_signed_drift_ns: int | None = None
     resync_count: int = 0
     out_sync_count: int = 0
-    last_seen_fcnt: int | None = None
     resync_pending: bool = False  # fixed-rate strategy only
 
 
@@ -89,12 +87,7 @@ class EndDeviceState:
     last_uplink_start_local_ns: int | None = None
 
 
-def ns_on_uplink_end(
-    s: NetworkServerState,
-    dev_addr: int,
-    arrival_true_ns: int,
-    fcnt: int | None = None,
-) -> AckPlan:
+def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int) -> AckPlan:
     """Judge one finished uplink and plan its ACK.
 
     Unknown devices auto-register.  Under the adaptive strategy the
@@ -110,8 +103,6 @@ def ns_on_uplink_end(
     pos = position_in_slot(arrival_true_ns, s.ref, s.cfg)
     in_sync, signed_drift = uplink_end_in_sync(pos, s.cfg)
     rec.last_signed_drift_ns = signed_drift
-    if fcnt is not None:
-        rec.last_seen_fcnt = fcnt
     if not in_sync:
         rec.out_sync_count += 1
 
@@ -176,18 +167,21 @@ def ed_next_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
     return d.slot_start_local_ns + k * d.t_slot_ns
 
 
-def ed_on_ack(d: EndDeviceState, beg_local_ns: int, end_local_ns: int, ack: SyncAck):
+def ed_on_ack(
+    d: EndDeviceState, beg_local_ns: int, end_local_ns: int, remaining_ms: int | None
+):
     """Apply one received ACK.
 
     beg is the local timestamp of the own uplink's end, end the local
-    timestamp of the ACK's end.  An empty ACK changes nothing.
+    timestamp of the ACK's end, remaining_ms the ACK's remaining-time
+    field.  An empty ACK (remaining_ms None) changes nothing.
     """
     if end_local_ns < beg_local_ns:
         raise UsageError("ACK cannot end before the uplink it answers")
-    if ack.remaining_ms is None:
+    if remaining_ms is None:
         return
     elapsed = end_local_ns - beg_local_ns
-    t = ack.remaining_ms * NS_PER_MS - elapsed
+    t = remaining_ms * NS_PER_MS - elapsed
     if t < 0:
         t %= d.t_slot_ns
     d.slot_start_local_ns = end_local_ns + t

@@ -17,6 +17,11 @@ the uplinks started, and the downlink loss draws happen in that order.
 Only a device's own events touch its state or its clock, and a device
 has one frame in flight at a time.
 
+Frames skip the wire codec: the server's verdict reaches the device as
+the ACK's remaining-time field itself, a whole number of milliseconds
+that never exceeds the slot length, which SlotConfig caps at the 16-bit
+field's 65535 ms (`frame` holds the on-air layout).
+
 Device transmit decisions happen on the device's local clock and are
 mapped to reference time through the clock's inverse; transmit instants
 are whole local milliseconds, matching the millisecond tick of the wire
@@ -40,7 +45,6 @@ from typing import NamedTuple
 
 from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
 from .errors import ConfigError, ParamError
-from .frame import SyncAck, decode_ack, encode_ack
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,
@@ -182,23 +186,17 @@ class _DeviceRt:
     __slots__ = (
         "name",
         "addr",
-        "clock",
         "state",
         "rng",
-        "fcnt",
-        "down_fcnt",
         "period_ns",
         "next_window_start_ns",
     )
 
-    def __init__(self, name, addr, clock, state, rng, period_ns):
+    def __init__(self, name, addr, state, rng, period_ns):
         self.name = name
         self.addr = addr
-        self.clock = clock
         self.state = state
         self.rng = rng
-        self.fcnt = 0
-        self.down_fcnt = 0
         self.period_ns = period_ns
         self.next_window_start_ns = 0
 
@@ -233,16 +231,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         state = EndDeviceState(
             clock=SimClock(model), tx_period_ns=period_ns, t_slot_ns=cfg.t_slot_ns
         )
-        devices.append(
-            _DeviceRt(
-                spec.name,
-                addr,
-                state.clock,
-                state,
-                sched_rng,
-                period_ns,
-            )
-        )
+        devices.append(_DeviceRt(spec.name, addr, state, sched_rng, period_ns))
     loss_rng = random.Random(master.getrandbits(64))
     name_of = {d.addr: d.name for d in devices}
 
@@ -262,7 +251,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     seq = count()
 
     def schedule_uplink(dev: _DeviceRt, tx_local_ns: int):
-        tx_true = dev.clock.true_time_at_local(tx_local_ns)
+        tx_true = dev.state.clock.true_time_at_local(tx_local_ns)
         end = tx_true + t_tx
         if end <= duration_ns:  # only complete frames
             heapq.heappush(heap, (end, next(seq), _UPLINK_END, dev, tx_local_ns))
@@ -325,15 +314,11 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                 active_ends.popleft()
             collisions += len(active_ends)  # one per overlapping pair
             active_ends.append(t)
-            ed_mark_transmitting(dev.state, tx_local)
+            d = dev.state
+            ed_mark_transmitting(d, tx_local)
 
-            beg_local = dev.clock.local_time(t)
-            # the server already knows dev_addr and fcnt, so the uplink
-            # skips the wire codec; validate_scenario enforces its bounds
-            _, remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(
-                server, dev.addr, t, fcnt=dev.fcnt
-            )
-            dev.fcnt = (dev.fcnt + 1) & 0xFFFF
+            beg_local = d.clock.local_time(t)
+            _, remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.addr, t)
             if remaining_ms is None:
                 action = "none"
             else:
@@ -350,14 +335,12 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                 continue
             t_ack = t_rx1 + t_rx
             downlinks.append(t_rx1)
-            wire = encode_ack(SyncAck(dev.addr, dev.down_fcnt, remaining_ms))
-            dev.down_fcnt = (dev.down_fcnt + 1) & 0xFFFF
             delivered = loss == 0.0 or loss_rng.random() >= loss
             if t_ack > duration_ns:
                 continue
-            end_local = dev.clock.local_time(t_ack)
+            end_local = d.clock.local_time(t_ack)
             if delivered:
-                ed_on_ack(dev.state, beg_local, end_local, decode_ack(wire))
+                ed_on_ack(d, beg_local, end_local, remaining_ms)
             # a lost ACK changes nothing: the device keeps its grid and
             # simply schedules the next uplink
             schedule_next_uplink(dev, end_local)

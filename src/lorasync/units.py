@@ -30,11 +30,16 @@ def ns_to_ms_round(ns: int) -> int:
 def fmt_ms(ns: int) -> str:
     """Exact decimal millisecond rendering of a nanosecond value.
 
-    Pure integer arithmetic, so output is reproducible byte for byte:
-    1_271_000_000 -> "1271", -179_832_400 -> "-179.8324".
+    One integer-to-text conversion, then the last six digits become the
+    fraction with its trailing zeros dropped, so output is reproducible
+    byte for byte: 1_271_000_000 -> "1271", -179_832_400 -> "-179.8324".
     """
-    sign = "-" if ns < 0 else ""
-    whole, frac = divmod(abs(ns), NS_PER_MS)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{format(frac, '06d').rstrip('0')}"
+    sign = ""
+    if ns < 0:
+        sign, ns = "-", -ns
+    digits = str(ns)
+    if len(digits) > 6:
+        whole, frac = digits[:-6], digits[-6:].rstrip("0")
+    else:  # under one millisecond
+        whole, frac = "0", ("00000" + digits)[-6:].rstrip("0")
+    return f"{sign}{whole}.{frac}" if frac else sign + whole

@@ -1,11 +1,17 @@
 """Command-line front end: outputs, exit codes, CSV trace files."""
 
 import csv
+import dataclasses
+import io
 from pathlib import Path
 
 import pytest
 
+from lorasync import cli
 from lorasync.cli import CSV_HEADER, main
+from lorasync.config import load_scenario
+from lorasync.sim import run
+from lorasync.units import fmt_ms
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 BENCH = str(CONFIGS / "testbench.ini")
@@ -97,6 +103,44 @@ def test_simulate_trace_csv(tmp_path, capsys):
     for raw in rows[1:]:
         row = dict(zip(CSV_HEADER, raw))
         assert (row["remaining_ms"] != "") == (row["action"] == "resync")
+
+
+def test_simulate_csv_quotes_device_names_like_csv_writer(tmp_path, capsys, monkeypatch):
+    # device names are free text; a config can't carry a leading space,
+    # so the scenario is built here and handed to the CLI
+    bench = load_scenario(BENCH)
+    feather, ttgo = bench.devices
+    devices = (
+        dataclasses.replace(feather, name="a,b"),
+        dataclasses.replace(ttgo, name='say "hi"'),
+        dataclasses.replace(ttgo, name=" lead"),
+    )
+    sc = dataclasses.replace(bench, duration_s=2 * bench.duration_s, devices=devices)
+    monkeypatch.setattr(cli, "load_scenario", lambda path: sc)
+    out_file = tmp_path / "trace.csv"
+    assert _run(capsys, "simulate", "scenario.ini", "--out", str(out_file))[0] == 0
+
+    _, rows = run(sc)
+    assert len(rows) > cli._CSV_CHUNK_ROWS  # more than one chunk
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([
+            r.frame_index,
+            r.device_id,
+            fmt_ms(r.true_time_ns),
+            fmt_ms(r.arrival_position_ns),
+            fmt_ms(r.signed_drift_ns),
+            int(r.in_sync),
+            r.action,
+            "" if r.remaining_ms is None else r.remaining_ms,
+            r.strategy,
+        ])
+    assert out_file.read_bytes() == ref.getvalue().encode("utf-8")
+    with open(out_file, newline="", encoding="utf-8") as fh:
+        names = {row[1] for row in list(csv.reader(fh))[1:]}
+    assert names == {"a,b", 'say "hi"', " lead"}
 
 
 def test_simulate_csv_is_deterministic(tmp_path, capsys):

@@ -107,6 +107,35 @@ def test_random_walk_composition_across_boundaries():
     assert stepper.local_time(t) == jumper.local_time(t)
 
 
+def test_random_walk_steps_are_gauss_draws():
+    # the walk draws rng.gauss(0.0, std) inline; its steps must stay those
+    # draws bit for bit when a query splits a Box-Muller pair and after a
+    # step that leaves the ppm range (that query raises, the next draws on)
+    step_ns, std, seed = 60 * NS_PER_S, 300_000.0, 11
+    c = SimClock(RandomWalk(step_interval_s=60.0, step_std_ppm=std, initial_ppm=0.0, seed=seed))
+    ref = random.Random(seed)
+    ppms = [0.0]
+    jumps = random.Random(2)
+    t = errors = 0
+    for _ in range(60):
+        t += jumps.randrange(1, 4) * step_ns
+        while True:
+            # the steps rng.gauss gives, up to the first out-of-range one
+            while len(ppms) * step_ns <= t:
+                ppm = ppms[-1] + ref.gauss(0.0, std)
+                if not abs(ppm) < 1_000_000:
+                    break
+                ppms.append(ppm)
+            else:
+                break
+            errors += 1
+            with pytest.raises(ParamError):
+                c.local_time(t)
+        drawn = Piecewise(tuple((k * 60.0, ppm) for k, ppm in enumerate(ppms)))
+        assert c.local_time(t) == SimClock(drawn).local_time(t)
+    assert errors > 0
+
+
 def test_monotone_query_enforced():
     c = SimClock(ConstantPpm(10.0))
     c.local_time(10**9)

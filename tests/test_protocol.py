@@ -12,7 +12,6 @@ from lorasync import (
     NetworkServerState,
     SimClock,
     SlotConfig,
-    SyncAck,
     TimelineRef,
     UsageError,
     ed_next_tx_time,
@@ -52,13 +51,12 @@ def test_in_sync_uplink_gets_empty_ack():
 def test_out_of_sync_uplink_gets_remaining_time():
     s = _server()
     # arrival at absolute 4000 ms: position 486 ms, drift -180 ms (late)
-    plan = ns_on_uplink_end(s, dev_addr=7, arrival_true_ns=ms_to_ns(4000), fcnt=12)
+    plan = ns_on_uplink_end(s, dev_addr=7, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms == 1271
     rec = s.records[7]
     assert rec.resync_count == 1
     assert rec.out_sync_count == 1
     assert rec.last_signed_drift_ns == -ms_to_ns(180)
-    assert rec.last_seen_fcnt == 12
 
 
 def test_arrival_before_reference_rejected():
@@ -125,7 +123,7 @@ def test_resync_example():
     # instant, ACK itself ended 1091 ms later
     d = _device()
     ed_mark_transmitting(d, ms_to_ns(4694))
-    ed_on_ack(d, ms_to_ns(5000), ms_to_ns(6091), SyncAck(1, 1, remaining_ms=1271))
+    ed_on_ack(d, ms_to_ns(5000), ms_to_ns(6091), remaining_ms=1271)
     assert d.slot_start_local_ns == ms_to_ns(6091 + 1271 - 1091)  # 6271
 
 
@@ -134,7 +132,7 @@ def test_resync_with_elapsed_past_the_boundary():
     # t goes negative and wraps into the following slot
     d = _device()
     ed_mark_transmitting(d, 0)
-    ed_on_ack(d, ms_to_ns(5000), ms_to_ns(6500), SyncAck(1, 1, remaining_ms=1200))
+    ed_on_ack(d, ms_to_ns(5000), ms_to_ns(6500), remaining_ms=1200)
     # t = 1200 - 1500 = -300 -> +1457 into the next slot
     assert d.slot_start_local_ns == ms_to_ns(6500 + 1457)
 
@@ -143,10 +141,10 @@ def test_empty_ack_changes_nothing():
     d = _device()
     ed_mark_transmitting(d, ms_to_ns(100))
     before = d.slot_start_local_ns
-    ed_on_ack(d, ms_to_ns(406), ms_to_ns(1497), SyncAck(1, 1))
+    ed_on_ack(d, ms_to_ns(406), ms_to_ns(1497), None)
     assert d.slot_start_local_ns == before
     with pytest.raises(UsageError):
-        ed_on_ack(d, ms_to_ns(1000), ms_to_ns(999), SyncAck(1, 1))
+        ed_on_ack(d, ms_to_ns(1000), ms_to_ns(999), None)
 
 
 def test_period_rounds_up_to_grid_multiple():
@@ -174,7 +172,7 @@ def test_server_correction_lands_device_on_grid():
         if plan.remaining_ms is None:
             continue  # got lucky, already inside the guards
         ack_end = plan.scheduled_tx_true_time_ns + CFG.t_rx_ns
-        ed_on_ack(d, end, ack_end, SyncAck(trial, 0, plan.remaining_ms))
+        ed_on_ack(d, end, ack_end, plan.remaining_ms)
         # remaining_ms is whole milliseconds and all inputs are whole ms
         # here, so the reconstructed grid must sit exactly on the server's
         assert d.slot_start_local_ns % T_SLOT == 0

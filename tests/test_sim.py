@@ -13,6 +13,7 @@ from lorasync import (
     ConstantPpm,
     DeviceSpec,
     GatewayMetrics,
+    SyncAck,
     Ideal,
     Metrics,
     ParamError,
@@ -20,10 +21,15 @@ from lorasync import (
     SlotConfig,
     duty_cycle_report,
     run,
+    NetworkServerState,
+    TimelineRef,
+    encode_ack,
+    ns_on_uplink_end,
     uplink_end_in_sync,
     validate_scenario,
 )
 from lorasync import testbench_scenario as bench_scenario
+from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import NS_PER_MS, ms_to_ns, s_to_ns
 
 CFG = SlotConfig(
@@ -380,3 +386,34 @@ def test_bench_gateway_stays_inside_duty_limit():
     m, _ = run(sc)
     assert duty_cycle_report(m, 3600) < sc.duty_cycle_limit
     assert m.gateway.duty_cycle_used_fraction < sc.duty_cycle_limit
+
+
+def test_remaining_time_fits_the_wire_field_at_the_largest_slot():
+    # the simulator hands remaining_ms to the device without encoding it,
+    # so every value it attaches must be one encode_ack accepts
+    cfg = SlotConfig(
+        t_tx_ns=ms_to_ns(306),
+        rx_delay_ns=ms_to_ns(MAX_SLOT_MS - 306 - 91 - 180 - 180),
+        t_rx_ns=ms_to_ns(91),
+        tb1_ns=ms_to_ns(180),
+        tb2_ns=ms_to_ns(180),
+    )
+    assert cfg.t_slot_ns == ms_to_ns(MAX_SLOT_MS)
+    devices = tuple(
+        DeviceSpec(name=f"d{i}", clock_model=ConstantPpm(ppm), tx_period_s=600.0)
+        for i, ppm in enumerate((-150.0, -40.0, 0.0, 25.0, 90.0, 200.0) * 3)
+    )
+    sc = Scenario(duration_s=6 * 3600.0, cfg=cfg, devices=devices, seed=4)
+    _, trace = run(sc)
+    attached = [r.remaining_ms for r in trace if r.remaining_ms is not None]
+    # the drifting devices fall out of sync after their correction too
+    assert len(attached) > len(devices)
+    for remaining_ms in attached:
+        assert 0 <= remaining_ms <= MAX_SLOT_MS
+        encode_ack(SyncAck(dev_addr=1, fcnt=0, remaining_ms=remaining_ms))
+    # the largest value: an uplink ending on, or just after, a boundary
+    server = NetworkServerState(TimelineRef(), cfg)
+    for arrival in (cfg.t_slot_ns, cfg.t_slot_ns + NS_PER_MS // 2 - 1):
+        plan = ns_on_uplink_end(server, 1, arrival)
+        assert plan.remaining_ms == MAX_SLOT_MS
+        encode_ack(SyncAck(dev_addr=1, fcnt=0, remaining_ms=plan.remaining_ms))

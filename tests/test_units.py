@@ -32,12 +32,28 @@ def test_fmt_ms_examples():
     assert fmt_ms(-1) == "-0.000001"
     assert fmt_ms(306_000_001) == "306.000001"
     assert fmt_ms(11_935_744_000) == "11935.744"
+    # under one millisecond, either sign
+    assert fmt_ms(10) == "0.00001"
+    assert fmt_ms(999_999) == "0.999999"
+    assert fmt_ms(-500_000) == "-0.5"
+    assert fmt_ms(-999_999) == "-0.999999"
+    # exact multiples of one millisecond
+    assert fmt_ms(1_000_000) == "1"
+    assert fmt_ms(-1_000_000) == "-1"
+    assert fmt_ms(-306_000_000) == "-306"
+    assert fmt_ms(10**18) == "1000000000000"
+    # the int64 extremes
+    assert fmt_ms(2**63 - 1) == "9223372036854.775807"
+    assert fmt_ms(-(2**63 - 1)) == "-9223372036854.775807"
 
 
 def test_fmt_ms_roundtrips_through_decimal():
     rng = random.Random(8)
-    for _ in range(5000):
-        ns = rng.randrange(-(10**15), 10**15)
+    edges = [0, 1, -1, 999_999, -999_999, 2**63 - 1, -(2**63 - 1)]
+    edges += [sign * k * NS_PER_MS for sign in (1, -1) for k in (1, 7, 10**6)]
+    draws = [rng.randrange(-(10**15), 10**15) for _ in range(5000)]
+    draws += [rng.randrange(-NS_PER_MS + 1, NS_PER_MS) for _ in range(1000)]
+    for ns in edges + draws:
         text = fmt_ms(ns)
         # parse back: the rendering must be exact, no precision loss
         neg = text.startswith("-")
