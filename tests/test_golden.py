@@ -5,7 +5,9 @@ and with 10% and 50% downlink loss, the sha256 of the trace CSV and of the
 `[summary]` block must match `data/golden.json`; so must the `[compare]`
 block of `compare configs/testbench.ini`, and the outputs of a small
 fixed-rate scenario built to make events tie on the nanosecond (see
-`_ties_config`).  A change that alters any of
+`_ties_config`) and of a scenario whose period windows hold from none
+to about two thousand slot starts (see `_slot_draw_config`).  A change
+that alters any of
 these bytes is a behaviour change: it re-pins the file and says why.
 
 Replay must also hold across interpreter processes: two different
@@ -118,6 +120,52 @@ def test_tied_events_keep_their_order(tmp_path, capsys, slot_pick):
         "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
     }
     assert got == GOLDEN["simulate"][f"ties/{slot_pick}"]
+
+
+def _slot_draw_config() -> str:
+    """Random slot picks over windows of every size, with drift and ACK loss.
+
+    The slot is 1757 ms.  A device picks one slot start inside each
+    period window, so the periods below give windows of at most one
+    slot start (1.75 s, shorter than a slot), one or two (2.5 s: a draw
+    from one choice still moves the generator on for the next), exactly
+    16 (28.112 s, a power of two) and 17 (29.869 s), and about 2050
+    (3600 s).  Each period runs on an ideal clock, a constant offset and
+    a random walk, so resyncs move the grid under the windows.
+    """
+    parts = [
+        "[scenario]\nduration_s = 14400\nseed = 11\nstrategy = adaptive\n"
+        "downlink_loss = 0.2\nslot_pick = random\n",
+        "[slot]\nt_tx_ms = 306\nt_rx_ms = 91\nrx_delay_ms = 1000\ntb1_ms = 180\ntb2_ms = 180\n",
+    ]
+    clocks = {
+        "ideal": "clock = ideal",
+        "offset": "clock = constant_ppm\noffset_ppm = -40",
+        "walk": "clock = feather-like",
+    }
+    for period in ("1.75", "2.5", "28.112", "29.869", "3600"):
+        for label, clock in clocks.items():
+            parts.append(f"[device p{period}-{label}]\n{clock}\ntx_period_s = {period}\n")
+    return "\n".join(parts)
+
+
+def test_slot_draws_are_pinned(tmp_path, capsys):
+    text = _slot_draw_config()
+    _, trace = run(parse_scenario(text))
+    frames = {}
+    for r in trace:
+        frames[r.device_id] = frames.get(r.device_id, 0) + 1
+    assert len(frames) == 15 and min(frames.values()) >= 3  # draws past the bootstrap
+
+    ini = tmp_path / "slot-draws.ini"
+    ini.write_text(text)
+    csv_path = tmp_path / "trace.csv"
+    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
+    got = {
+        "trace_csv": _sha256(csv_path.read_bytes()),
+        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
+    }
+    assert got == GOLDEN["simulate"]["slot-draws"]
 
 
 def test_compare_block_is_pinned(capsys):
