@@ -104,37 +104,43 @@ def _split_sections(text: str) -> list[_Section]:
 
 
 def _radio_from(sec: _Section) -> RadioParams:
-    params = RadioParams(
-        sf=sec.take("sf", int),
-        bw_hz=sec.take("bw_khz", int) * 1000,
-        cr=sec.take("cr", int),
-        pl_bytes=sec.take("payload_bytes", int),
-        n_preamble=sec.take("preamble", int, 8),
-        crc_on=sec.take("crc", _to_bool, True),
-        implicit_header=sec.take("implicit_header", _to_bool, False),
-        low_datarate_opt=sec.take("low_datarate_opt", _to_bool, False),
-    )
+    try:
+        params = RadioParams(
+            sf=sec.take("sf", int),
+            bw_hz=sec.take("bw_khz", int) * 1000,
+            cr=sec.take("cr", int),
+            pl_bytes=sec.take("payload_bytes", int),
+            n_preamble=sec.take("preamble", int, 8),
+            crc_on=sec.take("crc", _to_bool, True),
+            implicit_header=sec.take("implicit_header", _to_bool, False),
+            low_datarate_opt=sec.take("low_datarate_opt", _to_bool, False),
+        )
+    except ParamError as exc:
+        raise ConfigError(f"invalid [{sec.name}] parameters: {exc}", sec.line) from exc
     sec.finish()
     return params
 
 
 def _clock_from(sec: _Section) -> ClockModel:
     kind = sec.take("clock", str)
-    if kind == "ideal":
-        return Ideal()
-    if kind in ("feather-like", "ttgo-like"):
-        return preset(kind, sec.take("seed", int, None))
-    if kind == "constant_ppm":
-        return ConstantPpm(sec.take("offset_ppm", float))
-    if kind == "random_walk":
-        return RandomWalk(
-            step_interval_s=sec.take("step_interval_s", float),
-            step_std_ppm=sec.take("step_std_ppm", float),
-            initial_ppm=sec.take("initial_ppm", float),
-            seed=sec.take("seed", int, None),
-        )
-    if kind == "piecewise":
-        return Piecewise(sec.take("segments", _to_segments))
+    try:
+        if kind == "ideal":
+            return Ideal()
+        if kind in ("feather-like", "ttgo-like"):
+            return preset(kind, sec.take("seed", int, None))
+        if kind == "constant_ppm":
+            return ConstantPpm(sec.take("offset_ppm", float))
+        if kind == "random_walk":
+            return RandomWalk(
+                step_interval_s=sec.take("step_interval_s", float),
+                step_std_ppm=sec.take("step_std_ppm", float),
+                initial_ppm=sec.take("initial_ppm", float),
+                seed=sec.take("seed", int, None),
+            )
+        if kind == "piecewise":
+            return Piecewise(sec.take("segments", _to_segments))
+    except ParamError as exc:
+        raise ConfigError(f"device {sec.name}: invalid clock: {exc}", sec.line) from exc
     raise ConfigError(f"unknown clock model {kind!r}", sec.line)
 
 

@@ -10,6 +10,10 @@ ends within the run).  The only other events are the fixed-rate round
 boundaries, pushed before any uplink so that a boundary comes first at
 an equal instant.
 
+Per frame the device clock is read at the ACK end, where the next
+schedule starts, and also at the uplink end only for a correction the
+device applies: an empty or lost ACK changes nothing on the device.
+
 Handling RX1 and the ACK early keeps every outcome of a chain of
 separate events: every uplink lasts t_tx and RX1 and the ACK follow its
 end at fixed offsets, so uplinks end, and downlinks open, in the order
@@ -155,6 +159,8 @@ def validate_scenario(sc: Scenario):
         raise ConfigError(f"unknown strategy {sc.strategy!r}")
     if sc.strategy == FIXED_RATE and (sc.round_s is None or sc.round_s <= 0):
         raise ConfigError("fixed_rate strategy needs round_s > 0")
+    if sc.strategy == ADAPTIVE and sc.round_s is not None:
+        raise ConfigError("round_s applies only to the fixed_rate strategy")
     if not 0.0 <= sc.downlink_loss <= 1.0:
         raise ConfigError("downlink_loss must be in [0, 1]")
     if not 0.0 < sc.duty_cycle_limit <= 1.0:
@@ -249,41 +255,48 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     # sequence breaks ties, so devices are never compared
     heap: list = []
     seq = count()
-
-    def schedule_uplink(dev: _DeviceRt, tx_local_ns: int):
-        tx_true = dev.state.clock.true_time_at_local(tx_local_ns)
-        end = tx_true + t_tx
-        if end <= duration_ns:  # only complete frames
-            heapq.heappush(heap, (end, next(seq), _UPLINK_END, dev, tx_local_ns))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    pick_random = scenario.slot_pick == SLOT_PICK_RANDOM
 
     def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int):
+        """Pick the device's next uplink after now on its clock and push its end."""
         d = dev.state
-        if scenario.slot_pick == SLOT_PICK_RANDOM:
+        lo = dev.next_window_start_ns
+        hi = lo + dev.period_ns
+        dev.next_window_start_ns = hi
+        if pick_random:
             # uniform slot pick inside this device's next period window
-            lo = max(dev.next_window_start_ns, now_local_ns)
-            hi = dev.next_window_start_ns + dev.period_ns
-            dev.next_window_start_ns += dev.period_ns
+            if lo < now_local_ns:
+                lo = now_local_ns
+            t_slot = d.t_slot_ns
             s0 = d.slot_start_local_ns
-            k0 = -((s0 - lo) // d.t_slot_ns)
+            k0 = -((s0 - lo) // t_slot)
             if k0 < 0:
                 k0 = 0
-            first = s0 + k0 * d.t_slot_ns
-            if first >= hi:
-                nxt = first  # no grid point in the window: earliest after it
-            else:
-                n_slots = 1 + (hi - 1 - first) // d.t_slot_ns
-                nxt = first + dev.rng.randrange(n_slots) * d.t_slot_ns
+            # the window's first grid point; with none in it, the earliest after it
+            nxt = s0 + k0 * t_slot
+            if nxt < hi:
+                # dev.rng.randrange(n), drawn inline: the same getrandbits
+                # calls of the same width, rejected while out of range
+                n = 1 + (hi - 1 - nxt) // t_slot
+                k = n.bit_length()
+                getrandbits = dev.rng.getrandbits
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                nxt += r * t_slot
         else:
-            dev.next_window_start_ns += dev.period_ns
             nxt = ed_next_tx_time(d, now_local_ns)
-        schedule_uplink(dev, nxt)
+        end = d.clock.true_time_at_local(nxt) + t_tx
+        if end <= duration_ns:  # only complete frames, as at bootstrap
+            heappush(heap, (end, next(seq), _UPLINK_END, dev, nxt))
 
     # round boundaries go in first: at an equal instant they keep coming
     # before the uplink ends, bootstrap ones included
     if scenario.strategy == FIXED_RATE:
         round_ns = scenario.round_s * NS_PER_S
         for k in range(1, duration_ns // round_ns + 1):
-            heapq.heappush(heap, (k * round_ns, next(seq), _ROUND_BOUNDARY, None, None))
+            heappush(heap, (k * round_ns, next(seq), _ROUND_BOUNDARY, None, None))
 
     # bootstrap: each device first transmits at a uniform whole-millisecond
     # phase inside its first period window, on its own clock
@@ -291,7 +304,9 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         period_ms = max(1, dev.period_ns // NS_PER_MS)
         phase_local = dev.rng.randrange(period_ms) * NS_PER_MS
         dev.next_window_start_ns = phase_local + dev.period_ns
-        schedule_uplink(dev, phase_local)
+        end = dev.state.clock.true_time_at_local(phase_local) + t_tx
+        if end <= duration_ns:
+            heappush(heap, (end, next(seq), _UPLINK_END, dev, phase_local))
 
     gw = metrics.gateway
     downlinks = gw.downlink_starts
@@ -299,12 +314,13 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     adaptive = strategy == ADAPTIVE
     loss = scenario.downlink_loss
     collisions = 0
+    frames = 0
     # end times of in-flight uplinks; every uplink lasts t_tx, so they end
     # in the order they started and the deque stays sorted
     active_ends: deque[int] = deque()
 
     while heap:
-        t, _, kind, dev, tx_local = heapq.heappop(heap)
+        t, _, kind, dev, tx_local = heappop(heap)
         if t > duration_ns:
             break
 
@@ -317,7 +333,6 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             d = dev.state
             ed_mark_transmitting(d, tx_local)
 
-            beg_local = d.clock.local_time(t)
             _, remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.addr, t)
             if remaining_ms is None:
                 action = "none"
@@ -326,8 +341,9 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                 if adaptive:
                     gw.sync_overhead_bytes += ADAPTIVE_SYNC_BYTES
             trace.append(
-                TraceRow(len(trace), dev.name, t, pos, drift, in_sync, action, remaining_ms, strategy)
+                TraceRow(frames, dev.name, t, pos, drift, in_sync, action, remaining_ms, strategy)
             )
+            frames += 1
 
             # RX1 opens and the ACK ends at fixed offsets from the uplink
             # end, so handling both here keeps their order across devices
@@ -338,11 +354,17 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             delivered = loss == 0.0 or loss_rng.random() >= loss
             if t_ack > duration_ns:
                 continue
-            end_local = d.clock.local_time(t_ack)
-            if delivered:
+            clock = d.clock
+            if delivered and remaining_ms is not None:
+                # only a correction needs the uplink end on the device
+                # clock; it is read first, as the clock is read in time order
+                beg_local = clock.local_time(t)
+                end_local = clock.local_time(t_ack)
                 ed_on_ack(d, beg_local, end_local, remaining_ms)
-            # a lost ACK changes nothing: the device keeps its grid and
-            # simply schedules the next uplink
+            else:
+                # an empty or lost ACK changes nothing: the device keeps
+                # its grid and simply schedules the next uplink
+                end_local = clock.local_time(t_ack)
             schedule_next_uplink(dev, end_local)
 
         else:  # _ROUND_BOUNDARY
@@ -358,7 +380,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             dm.resync_count = rec.resync_count
             dm.out_sync_frames = dm.slot_violations = rec.out_sync_count
     metrics.collision_count = collisions
-    metrics.frames_total = len(trace)
+    metrics.frames_total = frames
     gw.downlink_count = len(downlinks)
     gw.downlink_airtime_ns = len(downlinks) * t_rx
     gw.duty_cycle_used_fraction = gw.downlink_airtime_ns / duration_ns

@@ -6,6 +6,7 @@ import pytest
 
 from lorasync import ConfigError, ConstantPpm, Ideal, Piecewise, RandomWalk
 from lorasync import testbench_scenario as bench_scenario
+from lorasync.cli import main
 from lorasync.config import load_scenario, parse_scenario
 from lorasync.units import ms_to_ns
 
@@ -149,6 +150,36 @@ def test_bad_slot_geometry_wrapped_as_config_error():
     with pytest.raises(ConfigError) as e:
         parse_scenario(bad)
     assert "slot geometry" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "text, header, words",
+    [
+        (
+            (CONFIGS / "radio-derived.ini").read_text().replace(
+                "[radio.uplink]\nsf = 7", "[radio.uplink]\nsf = 13"
+            ),
+            "[radio.uplink]",
+            ("[radio.uplink]", "sf must be in"),
+        ),
+        (
+            MINIMAL.replace("clock = ideal", "clock = constant_ppm\noffset_ppm = 2000000"),
+            "[device one]",
+            ("device one", "offset_ppm"),
+        ),
+    ],
+    ids=["radio-sf", "clock-ppm"],
+)
+def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, text, header, words):
+    line = text.splitlines().index(header) + 1
+    with pytest.raises(ConfigError) as e:
+        parse_scenario(text)
+    assert e.value.line == line
+    assert all(w in str(e.value) for w in words)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert main(["simulate", str(ini)]) == 1
+    assert f"error: line {line}: " in capsys.readouterr().err
 
 
 def test_bad_value_types_report_lines():

@@ -17,7 +17,9 @@ from lorasync import (
     Ideal,
     Metrics,
     ParamError,
+    RandomWalk,
     Scenario,
+    SimClock,
     SlotConfig,
     duty_cycle_report,
     run,
@@ -266,6 +268,7 @@ def test_scenario_validation():
         dict(devices=(dev, dev)),
         dict(strategy="sometimes"),
         dict(strategy=FIXED_RATE),  # missing round_s
+        dict(round_s=600),  # rounds under the adaptive strategy
         dict(downlink_loss=1.5),
         dict(duty_cycle_limit=0.0),
         dict(slot_pick="bursty"),
@@ -282,6 +285,20 @@ def test_scenario_validation():
     for overrides in cases:
         with pytest.raises(ConfigError):
             validate_scenario(dataclasses.replace(ok, **overrides))
+
+
+def test_uplink_end_is_not_read_when_the_ack_ends_past_the_run():
+    # the walk leaves the ppm range at its first step, 0.1 s in, so reading
+    # the clock at the end of an uplink sent at 0 fails
+    walk = RandomWalk(step_interval_s=0.1, step_std_ppm=1e7, initial_ppm=0.0, seed=1)
+    with pytest.raises(ParamError):
+        SimClock(walk).local_time(CFG.t_tx_ns)
+    # a 1 ms period puts the one uplink at local 0; it ends inside the run
+    # and its RX1 opens after it, so nothing ever reads the clock there
+    dev = DeviceSpec(name="a", clock_model=walk, tx_period_s=0.001)
+    m, trace = run(Scenario(duration_s=0.5, cfg=CFG, devices=(dev,)))
+    assert [r.true_time_ns for r in trace] == [CFG.t_tx_ns]
+    assert m.gateway.downlink_count == 0
 
 
 def test_explicit_dev_addr_coexists_with_auto():
