@@ -25,7 +25,6 @@ from .errors import (
     UsageError,
 )
 from .frame import SyncAck, UplinkFrame, decode_ack, decode_uplink, encode_ack, encode_uplink
-from .presets import DEFAULT_SEED, TESTBENCH_SLOT, testbench_scenario
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,

@@ -100,6 +100,10 @@ def _cmd_airtime(args) -> int:
     return 0
 
 
+def _resyncs_total(m: Metrics) -> int:
+    return sum(d.resync_count for d in m.per_device.values())
+
+
 def _summary_pairs(sc: Scenario, m: Metrics) -> list[tuple[str, str]]:
     cfg = sc.cfg
     pairs = [
@@ -117,7 +121,7 @@ def _summary_pairs(sc: Scenario, m: Metrics) -> list[tuple[str, str]]:
         ("duty_cycle_fraction", f"{m.gateway.duty_cycle_used_fraction:.6f}"),
         ("duty_cycle_limit", f"{sc.duty_cycle_limit:.6f}"),
         ("sync_overhead_bytes", str(m.gateway.sync_overhead_bytes)),
-        ("resyncs_total", str(sum(d.resync_count for d in m.per_device.values()))),
+        ("resyncs_total", str(_resyncs_total(m))),
     ]
     if m.strategy == FIXED_RATE:
         pairs.insert(1, ("round_s", str(sc.round_s)))
@@ -125,7 +129,8 @@ def _summary_pairs(sc: Scenario, m: Metrics) -> list[tuple[str, str]]:
         dm = m.per_device[name]
         pairs.append((f"device.{name}.resyncs", str(dm.resync_count)))
         pairs.append((f"device.{name}.out_sync_frames", str(dm.out_sync_frames)))
-        pairs.append((f"device.{name}.violations", str(dm.slot_violations)))
+        # out-of-sync frames are the slot violations; the key stays as pinned
+        pairs.append((f"device.{name}.violations", str(dm.out_sync_frames)))
     return pairs
 
 
@@ -144,7 +149,7 @@ def _print_summary(sc: Scenario, m: Metrics):
     for name in sorted(m.per_device):
         dm = m.per_device[name]
         print(f"  device {name:<10} resyncs {dm.resync_count}, "
-              f"out-of-sync {dm.out_sync_frames}, violations {dm.slot_violations}")
+              f"out-of-sync {dm.out_sync_frames}, violations {dm.out_sync_frames}")
     gw = m.gateway
     print(f"  gateway          {gw.downlink_count} acks, {gw.sync_overhead_bytes} sync bytes, "
           f"{fmt_ms(gw.downlink_airtime_ns)} ms downlink air-time")
@@ -184,18 +189,15 @@ def _cmd_compare(args) -> int:
     # keep only the metrics: a variant's trace is dropped as soon as it returns
     results = [(label, run(v)[0]) for label, v in variants]
 
-    base = results[0][1]
-    base_resyncs = sum(d.resync_count for d in base.per_device.values())
-    base_bytes = base.gateway.sync_overhead_bytes
+    resyncs = [_resyncs_total(m) for _, m in results]
+    out_sync = [str(sum(d.out_sync_frames for d in m.per_device.values())) for _, m in results]
+    base_bytes = results[0][1].gateway.sync_overhead_bytes
 
     labels = [label for label, _ in results]
     rows = [
-        ("resyncs", [str(sum(d.resync_count for d in m.per_device.values()))
-                     for _, m in results]),
-        ("out-of-sync frames", [str(sum(d.out_sync_frames for d in m.per_device.values()))
-                                for _, m in results]),
-        ("slot violations", [str(sum(d.slot_violations for d in m.per_device.values()))
-                             for _, m in results]),
+        ("resyncs", [str(r) for r in resyncs]),
+        ("out-of-sync frames", out_sync),
+        ("slot violations", out_sync),
         ("sync overhead bytes", [str(m.gateway.sync_overhead_bytes) for _, m in results]),
         ("downlink airtime ms", [fmt_ms(m.gateway.downlink_airtime_ns) for _, m in results]),
         ("duty-cycle fraction", [f"{m.gateway.duty_cycle_used_fraction:.6f}"
@@ -209,9 +211,8 @@ def _cmd_compare(args) -> int:
 
     overhead_ratios = ["-"]
     byte_ratios = ["-"]
-    for _, m in results[1:]:
-        overhead_ratios.append(
-            ratio(sum(d.resync_count for d in m.per_device.values()), base_resyncs))
+    for (_, m), total in zip(results[1:], resyncs[1:]):
+        overhead_ratios.append(ratio(total, resyncs[0]))
         byte_ratios.append(ratio(m.gateway.sync_overhead_bytes, base_bytes))
     rows.append(("overhead ratio", overhead_ratios))
     rows.append(("byte ratio", byte_ratios))
@@ -224,9 +225,9 @@ def _cmd_compare(args) -> int:
 
     print()
     print("[compare]")
-    for (label, m), oratio, bratio in zip(results, overhead_ratios, byte_ratios):
+    for (label, m), total, oratio, bratio in zip(results, resyncs, overhead_ratios, byte_ratios):
         key = label.replace(" s", "").replace(" ", "_")
-        print(f"{key}.resyncs={sum(d.resync_count for d in m.per_device.values())}")
+        print(f"{key}.resyncs={total}")
         print(f"{key}.sync_overhead_bytes={m.gateway.sync_overhead_bytes}")
         print(f"{key}.duty_cycle_fraction={m.gateway.duty_cycle_used_fraction:.6f}")
         if oratio != "-":

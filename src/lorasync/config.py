@@ -238,7 +238,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         downlink_loss=downlink_loss,
         slot_pick=slot_pick,
     )
-    validate_scenario(scenario)
+    try:
+        validate_scenario(scenario)
+    except ConfigError as exc:
+        # scenario-wide checks know no line; point at [scenario]
+        raise ConfigError(str(exc), sc.line) from exc
     return scenario
 
 

@@ -42,7 +42,6 @@ FIXED_RATE = "fixed_rate"
 class DeviceRecord:
     """What the server remembers about one device."""
 
-    last_signed_drift_ns: int | None = None
     resync_count: int = 0
     out_sync_count: int = 0
     resync_pending: bool = False  # fixed-rate strategy only
@@ -63,7 +62,6 @@ class AckPlan(NamedTuple):
     never judge a frame a second time.
     """
 
-    dev_addr: int
     remaining_ms: int | None
     scheduled_tx_true_time_ns: int
     arrival_position_ns: int
@@ -71,18 +69,11 @@ class AckPlan(NamedTuple):
     in_sync: bool
 
 
-@dataclass(frozen=True)
-class ResyncAction:
-    dev_addr: int
-    last_signed_drift_ns: int | None
-
-
 @dataclass
 class EndDeviceState:
     clock: SimClock
     tx_period_ns: int
     t_slot_ns: int
-    is_first_tx: bool = False
     slot_start_local_ns: int | None = None
     last_uplink_start_local_ns: int | None = None
 
@@ -102,7 +93,6 @@ def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int)
         rec = s.records[dev_addr] = DeviceRecord()
     pos = position_in_slot(arrival_true_ns, s.ref, s.cfg)
     in_sync, signed_drift = uplink_end_in_sync(pos, s.cfg)
-    rec.last_signed_drift_ns = signed_drift
     if not in_sync:
         rec.out_sync_count += 1
 
@@ -115,7 +105,6 @@ def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int)
         remaining_ms = ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, s.ref, s.cfg))
         rec.resync_pending = False
     return AckPlan(
-        dev_addr,
         remaining_ms,
         arrival_true_ns + s.cfg.rx_delay_ns,
         pos,
@@ -124,27 +113,23 @@ def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int)
     )
 
 
-def fixed_rate_round(s: NetworkServerState, round_s) -> list[ResyncAction]:
+def fixed_rate_round(s: NetworkServerState, round_s) -> int:
     """Round boundary of the fixed-rate baseline.
 
     Every registered device gets flagged for an unconditional resync on
-    its next uplink; its drift at round end is reported for logging.
+    its next uplink; returns the number of devices flagged.
     """
     if round_s <= 0:
         raise UsageError("round length must be positive")
-    actions = []
-    for dev_addr in sorted(s.records):
-        rec = s.records[dev_addr]
+    for rec in s.records.values():
         rec.resync_count += 1
         rec.resync_pending = True
-        actions.append(ResyncAction(dev_addr, rec.last_signed_drift_ns))
-    return actions
+    return len(s.records)
 
 
 def ed_mark_transmitting(d: EndDeviceState, tx_start_local_ns: int):
     """Record an uplink start; the first one bootstraps the local grid."""
-    if not d.is_first_tx:
-        d.is_first_tx = True
+    if d.slot_start_local_ns is None:
         d.slot_start_local_ns = tx_start_local_ns
     d.last_uplink_start_local_ns = tx_start_local_ns
 
@@ -156,7 +141,7 @@ def ed_next_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
     the earliest grid point slot_start + k*t_slot at least one tx_period
     after the previous uplink (periods effectively round up to the grid).
     """
-    if not d.is_first_tx:
+    if d.slot_start_local_ns is None:
         return now_local_ns
     target = now_local_ns
     if d.last_uplink_start_local_ns is not None:

@@ -115,7 +115,6 @@ class TraceRow(NamedTuple):
 class DeviceMetrics:
     resync_count: int = 0
     out_sync_frames: int = 0
-    slot_violations: int = 0
 
 
 @dataclass
@@ -138,7 +137,6 @@ class Metrics:
     gateway: GatewayMetrics
     collision_count: int = 0
     frames_total: int = 0
-    round_log: list = field(default_factory=list)  # (true_ns, device, drift_ns|None)
 
 
 def validate_scenario(sc: Scenario):
@@ -239,7 +237,6 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         )
         devices.append(_DeviceRt(spec.name, addr, state, sched_rng, period_ns))
     loss_rng = random.Random(master.getrandbits(64))
-    name_of = {d.addr: d.name for d in devices}
 
     metrics = Metrics(
         duration_ns=duration_ns,
@@ -261,11 +258,10 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int):
         """Pick the device's next uplink after now on its clock and push its end."""
         d = dev.state
-        lo = dev.next_window_start_ns
-        hi = lo + dev.period_ns
-        dev.next_window_start_ns = hi
         if pick_random:
             # uniform slot pick inside this device's next period window
+            lo = dev.next_window_start_ns
+            hi = dev.next_window_start_ns = lo + dev.period_ns
             if lo < now_local_ns:
                 lo = now_local_ns
             t_slot = d.t_slot_ns
@@ -333,7 +329,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             d = dev.state
             ed_mark_transmitting(d, tx_local)
 
-            _, remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.addr, t)
+            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.addr, t)
             if remaining_ms is None:
                 action = "none"
             else:
@@ -368,17 +364,15 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             schedule_next_uplink(dev, end_local)
 
         else:  # _ROUND_BOUNDARY
-            actions = fixed_rate_round(server, scenario.round_s)
-            for a in actions:
-                metrics.round_log.append((t, name_of[a.dev_addr], a.last_signed_drift_ns))
-            gw.sync_overhead_bytes += FIXED_RATE_SYNC_BYTES * len(actions)
+            flagged = fixed_rate_round(server, scenario.round_s)
+            gw.sync_overhead_bytes += FIXED_RATE_SYNC_BYTES * flagged
 
     for dev in devices:
         rec = server.records.get(dev.addr)
         if rec is not None:
             dm = metrics.per_device[dev.name]
             dm.resync_count = rec.resync_count
-            dm.out_sync_frames = dm.slot_violations = rec.out_sync_count
+            dm.out_sync_frames = rec.out_sync_count
     metrics.collision_count = collisions
     metrics.frames_total = frames
     gw.downlink_count = len(downlinks)

@@ -1,14 +1,32 @@
 """Shared fixtures.
 
+``bench_scenario`` builds the shipped two-device bench scenario from
+configs/testbench.ini, with any scenario fields replaced.
+
 The acceptance tests register one line per criterion through the
 ``criterion`` fixture; the terminal summary hook prints them in a single
 block at the end of the run so the pass/fail status of every criterion
 is visible at a glance even inside a large pytest run.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from lorasync.config import load_scenario
+
+TESTBENCH_INI = Path(__file__).parent.parent / "configs" / "testbench.ini"
+
 _RESULTS: list[tuple[str, bool, str]] = []
+
+
+@pytest.fixture
+def bench_scenario():
+    def make(**overrides):
+        return replace(load_scenario(TESTBENCH_INI), **overrides)
+
+    return make
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from lorasync import (
     time_on_air,
     uplink_end_in_sync,
 )
-from lorasync import testbench_scenario as bench_scenario
 from lorasync.frame import MAX_FRAME_BYTES
 from lorasync.slot import MAX_SLOT_MS, TimelineRef
 from lorasync.units import ms_to_ns
@@ -143,7 +142,7 @@ def test_a5_single_correction_is_exact(criterion):
     )
 
 
-def test_a6_fixed_rate_resync_counts(criterion):
+def test_a6_fixed_rate_resync_counts(criterion, bench_scenario):
     """Unconditional resync once per round: 6.5 h bench crosses 6 hourly
     boundaries and exactly 13 half-hourly ones, two devices each."""
     m1, _ = run(bench_scenario(strategy=FIXED_RATE, round_s=3600))
@@ -157,7 +156,7 @@ def test_a6_fixed_rate_resync_counts(criterion):
     )
 
 
-def test_a7_adaptive_vs_fixed_overhead(criterion):
+def test_a7_adaptive_vs_fixed_overhead(criterion, bench_scenario):
     """Drift-triggered resync on the 6.5 h bench: a handful of corrections
     against the fixed-rate dozens, each run finishing promptly."""
     sc = bench_scenario()
@@ -198,7 +197,7 @@ def test_a7_adaptive_vs_fixed_overhead(criterion):
     )
 
 
-def test_a8_protocol_invariants(criterion):
+def test_a8_protocol_invariants(criterion, bench_scenario):
     """Property sweep: codec round-trips, slot arithmetic identities,
     replay determinism, strict guard edges."""
     t0 = time.monotonic()

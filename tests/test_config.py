@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 from lorasync import ConfigError, ConstantPpm, Ideal, Piecewise, RandomWalk
-from lorasync import testbench_scenario as bench_scenario
 from lorasync.cli import main
 from lorasync.config import load_scenario, parse_scenario
 from lorasync.units import ms_to_ns
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 MINIMAL = """
 [scenario]
@@ -27,11 +27,6 @@ tb2_ms = 180
 clock = ideal
 tx_period_s = 30
 """
-
-
-def test_shipped_testbench_config_matches_preset():
-    sc = load_scenario(CONFIGS / "testbench.ini")
-    assert sc == bench_scenario()
 
 
 def test_shipped_radio_derived_config():
@@ -167,8 +162,18 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             "[device one]",
             ("device one", "offset_ppm"),
         ),
+        (
+            MINIMAL.replace("duration_s = 600", "duration_s = 600\nstrategy = bogus"),
+            "[scenario]",
+            ("unknown strategy 'bogus'",),
+        ),
+        (
+            MINIMAL.replace("duration_s = 600", "duration_s = 600\ndownlink_loss = 2"),
+            "[scenario]",
+            ("downlink_loss must be in [0, 1]",),
+        ),
     ],
-    ids=["radio-sf", "clock-ppm"],
+    ids=["radio-sf", "clock-ppm", "strategy", "downlink-loss"],
 )
 def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, text, header, words):
     line = text.splitlines().index(header) + 1
@@ -180,6 +185,17 @@ def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, t
     ini.write_text(text)
     assert main(["simulate", str(ini)]) == 1
     assert f"error: line {line}: " in capsys.readouterr().err
+
+
+def test_readme_config_example_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```ini\n") + len("```ini\n")
+    example = readme[start:readme.index("```", start)]
+    sc = parse_scenario(example)
+    assert sc.strategy == "adaptive"
+    assert sc.downlink_loss == 0.0
+    assert sc.slot_pick == "random"
+    assert [d.name for d in sc.devices] == ["feather"]
 
 
 def test_bad_value_types_report_lines():

@@ -45,7 +45,7 @@ def test_in_sync_uplink_gets_empty_ack():
     rec = s.records[7]
     assert rec.resync_count == 0
     assert rec.out_sync_count == 0
-    assert rec.last_signed_drift_ns == 0
+    assert plan.signed_drift_ns == 0
 
 
 def test_out_of_sync_uplink_gets_remaining_time():
@@ -56,7 +56,7 @@ def test_out_of_sync_uplink_gets_remaining_time():
     rec = s.records[7]
     assert rec.resync_count == 1
     assert rec.out_sync_count == 1
-    assert rec.last_signed_drift_ns == -ms_to_ns(180)
+    assert plan.signed_drift_ns == -ms_to_ns(180)
 
 
 def test_arrival_before_reference_rejected():
@@ -70,12 +70,11 @@ def test_fixed_rate_holds_correction_until_round():
     # out-of-sync frame: fixed-rate still answers with an empty ACK
     plan = ns_on_uplink_end(s, dev_addr=3, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms is None
+    assert plan.signed_drift_ns == -ms_to_ns(180)
     assert s.records[3].resync_count == 0
     assert s.records[3].out_sync_count == 1
 
-    actions = fixed_rate_round(s, 3600)
-    assert [a.dev_addr for a in actions] == [3]
-    assert actions[0].last_signed_drift_ns == -ms_to_ns(180)
+    assert fixed_rate_round(s, 3600) == 1
     assert s.records[3].resync_count == 1
     assert s.records[3].resync_pending
 
@@ -93,8 +92,11 @@ def test_fixed_rate_round_covers_all_devices_sorted():
     s = _server(FIXED_RATE)
     for addr in (9, 2, 5):
         ns_on_uplink_end(s, dev_addr=addr, arrival_true_ns=5 * T_SLOT + CFG.t_tx_ns)
-    actions = fixed_rate_round(s, 1800)
-    assert [a.dev_addr for a in actions] == [2, 5, 9]
+    assert fixed_rate_round(s, 1800) == 3
+    assert sorted(s.records) == [2, 5, 9]
+    for rec in s.records.values():
+        assert rec.resync_pending
+        assert rec.resync_count == 1
     with pytest.raises(UsageError):
         fixed_rate_round(s, 0)
 
@@ -181,4 +183,4 @@ def test_server_correction_lands_device_on_grid():
         assert (nxt + CFG.t_tx_ns) % T_SLOT == CFG.t_tx_ns
         plan2 = ns_on_uplink_end(s, dev_addr=trial, arrival_true_ns=nxt + CFG.t_tx_ns)
         assert plan2.remaining_ms is None
-        assert s.records[trial].last_signed_drift_ns == 0
+        assert plan2.signed_drift_ns == 0
