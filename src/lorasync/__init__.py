@@ -42,6 +42,7 @@ from .sim import (
     GatewayMetrics,
     Metrics,
     Scenario,
+    Trace,
     TraceRow,
     duty_cycle_report,
     run,

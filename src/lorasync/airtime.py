@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParamError
-from .units import NS_PER_US, ns_to_ms_round
+from .units import ns_to_ms_round
 
 BANDWIDTHS_HZ = (125_000, 250_000, 500_000)
 SF_MIN = 5
@@ -63,20 +63,6 @@ class AirTime:
     def t_packet_ns(self) -> int:
         return self.t_preamble_ns + self.t_payload_ns
 
-    # Presentation accessors. Exact: symbol periods at the LoRaWAN
-    # bandwidths are multiples of 4 us, so these divisions never truncate.
-    @property
-    def t_preamble_us(self) -> int:
-        return self.t_preamble_ns // NS_PER_US
-
-    @property
-    def t_payload_us(self) -> int:
-        return self.t_payload_ns // NS_PER_US
-
-    @property
-    def t_packet_us(self) -> int:
-        return self.t_packet_ns // NS_PER_US
-
     @property
     def t_packet_ms(self) -> int:
         """Whole milliseconds, round-half-up."""
@@ -86,10 +72,6 @@ class AirTime:
 def symbol_duration_ns(p: RadioParams) -> int:
     # 10^9 / bw is exact for 125/250/500 kHz: 8000, 4000, 2000 ns.
     return (1 << p.sf) * (1_000_000_000 // p.bw_hz)
-
-
-def symbol_duration_us(p: RadioParams) -> int:
-    return symbol_duration_ns(p) // NS_PER_US
 
 
 def payload_symbol_count(p: RadioParams) -> int:

@@ -15,12 +15,13 @@ import csv
 import io
 import sys
 from dataclasses import replace
+from itertools import count
 
 from .airtime import RadioParams, remaining_time_bit_width, symbol_duration_ns, time_on_air
 from .config import load_scenario
 from .errors import ConfigError, LorasyncError, ParamError
 from .protocol import ADAPTIVE, FIXED_RATE
-from .sim import Metrics, Scenario, TraceRow, run
+from .sim import Metrics, Scenario, Trace, run
 from .units import fmt_ms, ns_to_ms_round
 
 CSV_HEADER = [
@@ -42,33 +43,33 @@ WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255)
 _CSV_CHUNK_ROWS = 4096
 
 
-class _CsvFields(dict):
-    """Each distinct string field as csv.writer renders it inside a row."""
-
-    def __missing__(self, value: str) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([value, 0])
-        text = self[value] = buf.getvalue()[: -len(",0\n")]
-        return text
+def _csv_field(value: str) -> str:
+    """One string field as csv.writer renders it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, 0])
+    return buf.getvalue()[: -len(",0\n")]
 
 
-def write_trace_csv(path, rows: list[TraceRow]):
-    """The trace as CSV, byte for byte what csv.writer makes of it.
+def write_trace_csv(path, rows: Trace):
+    """The trace as CSV, byte for byte what csv.writer makes of its rows.
 
     Only device_id and strategy are free text, so only they go through
-    csv.writer, once per distinct value; every other field is a number,
-    "none" or "resync", which csv.writer never quotes.
+    csv.writer, once per trace; every other field is a number, "none"
+    or "resync", which csv.writer never quotes.  Rows are rendered
+    straight from the trace's columns, a chunk at a time.
     """
-    quoted = _CsvFields()
+    names = [_csv_field(name) for name in rows.device_names]
+    strategy = _csv_field(rows.strategy)
+    columns = rows.columns()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
         for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = slice(lo, lo + _CSV_CHUNK_ROWS)
             fh.write("".join([
-                f"{i},{quoted[dev]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},"
-                f"{1 if in_sync else 0},{action},{'' if rem is None else rem},"
-                f"{quoted[strategy]}\n"
-                for i, dev, t, pos, drift, in_sync, action, rem, strategy
-                in rows[lo:lo + _CSV_CHUNK_ROWS]
+                f"{i},{names[dev]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},{in_sync},"
+                f"{'none,' if rem < 0 else f'resync,{rem}'},{strategy}\n"
+                for i, dev, t, pos, drift, in_sync, rem
+                in zip(count(lo), *(col[chunk] for col in columns))
             ]))
 
 
@@ -149,7 +150,7 @@ def _print_summary(sc: Scenario, m: Metrics):
     for name in sorted(m.per_device):
         dm = m.per_device[name]
         print(f"  device {name:<10} resyncs {dm.resync_count}, "
-              f"out-of-sync {dm.out_sync_frames}, violations {dm.out_sync_frames}")
+              f"out-of-sync {dm.out_sync_frames}")
     gw = m.gateway
     print(f"  gateway          {gw.downlink_count} acks, {gw.sync_overhead_bytes} sync bytes, "
           f"{fmt_ms(gw.downlink_airtime_ns)} ms downlink air-time")
@@ -197,7 +198,6 @@ def _cmd_compare(args) -> int:
     rows = [
         ("resyncs", [str(r) for r in resyncs]),
         ("out-of-sync frames", out_sync),
-        ("slot violations", out_sync),
         ("sync overhead bytes", [str(m.gateway.sync_overhead_bytes) for _, m in results]),
         ("downlink airtime ms", [fmt_ms(m.gateway.downlink_airtime_ns) for _, m in results]),
         ("duty-cycle fraction", [f"{m.gateway.duty_cycle_used_fraction:.6f}"

@@ -75,7 +75,6 @@ class EndDeviceState:
     tx_period_ns: int
     t_slot_ns: int
     slot_start_local_ns: int | None = None
-    last_uplink_start_local_ns: int | None = None
 
 
 def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int) -> AckPlan:
@@ -113,39 +112,32 @@ def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int)
     )
 
 
-def fixed_rate_round(s: NetworkServerState, round_s) -> int:
+def fixed_rate_round(s: NetworkServerState) -> int:
     """Round boundary of the fixed-rate baseline.
 
     Every registered device gets flagged for an unconditional resync on
     its next uplink; returns the number of devices flagged.
     """
-    if round_s <= 0:
-        raise UsageError("round length must be positive")
     for rec in s.records.values():
         rec.resync_count += 1
         rec.resync_pending = True
     return len(s.records)
 
 
-def ed_mark_transmitting(d: EndDeviceState, tx_start_local_ns: int):
-    """Record an uplink start; the first one bootstraps the local grid."""
-    if d.slot_start_local_ns is None:
-        d.slot_start_local_ns = tx_start_local_ns
-    d.last_uplink_start_local_ns = tx_start_local_ns
-
-
-def ed_next_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
+def ed_next_tx_time(
+    d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int | None
+) -> int:
     """Next transmission instant on the device's local clock.
 
-    Before the first transmission that is simply now.  Afterwards it is
-    the earliest grid point slot_start + k*t_slot at least one tx_period
-    after the previous uplink (periods effectively round up to the grid).
+    Before the device has a grid that is simply now.  Afterwards it is
+    the earliest grid point slot_start + k*t_slot, not before now, at
+    least one tx_period after the previous uplink's local start
+    last_tx_local_ns (periods effectively round up to the grid).  The
+    first uplink's start is the grid's origin.
     """
     if d.slot_start_local_ns is None:
         return now_local_ns
-    target = now_local_ns
-    if d.last_uplink_start_local_ns is not None:
-        target = max(target, d.last_uplink_start_local_ns + d.tx_period_ns)
+    target = max(now_local_ns, last_tx_local_ns + d.tx_period_ns)
     k = -((d.slot_start_local_ns - target) // d.t_slot_ns)
     if k < 0:
         k = 0

@@ -34,6 +34,10 @@ format.
 The medium is lossless by default: collisions are counted as time
 overlaps between uplinks but do not destroy frames.  An optional uniform
 downlink loss exercises the protocol's self-correction.
+
+`run` returns the metrics and a `Trace`: a read-only sequence of
+`TraceRow`s, one per frame in time order, held in typed columns of
+about 37 bytes a frame.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Sequence
 from itertools import count
+from operator import eq
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -54,7 +60,6 @@ from .protocol import (
     FIXED_RATE,
     EndDeviceState,
     NetworkServerState,
-    ed_mark_transmitting,
     ed_next_tx_time,
     ed_on_ack,
     fixed_rate_round,
@@ -109,6 +114,81 @@ class TraceRow(NamedTuple):
     action: str  # "none" | "resync"
     remaining_ms: int | None
     strategy: str
+
+
+class Trace(Sequence):
+    """The frames of one run, in time order: a read-only sequence of TraceRow.
+
+    Each field is one typed column, a row per frame.  The device names
+    and the strategy are held once per trace, frame_index is the row
+    number, and action is "resync" exactly when remaining_ms is attached
+    (-1 in its column when it is not).  Rows are built when they are
+    read; a slice reads as a list of rows.
+    """
+
+    __slots__ = (
+        "device_names",
+        "strategy",
+        "device_index",
+        "true_time_ns",
+        "arrival_position_ns",
+        "signed_drift_ns",
+        "in_sync",
+        "remaining_ms",
+    )
+
+    def __init__(self, device_names, strategy: str):
+        self.device_names = tuple(device_names)
+        self.strategy = strategy
+        self.device_index = array("I")  # into device_names
+        self.true_time_ns = array("q")
+        self.arrival_position_ns = array("q")
+        self.signed_drift_ns = array("q")
+        self.in_sync = bytearray()  # 0 or 1
+        self.remaining_ms = array("i")  # -1: no correction attached
+
+    def columns(self) -> tuple:
+        """The per-frame columns: the device index, then the TraceRow fields they hold."""
+        return (
+            self.device_index,
+            self.true_time_ns,
+            self.arrival_position_ns,
+            self.signed_drift_ns,
+            self.in_sync,
+            self.remaining_ms,
+        )
+
+    def _row(self, i, dev, t, pos, drift, in_sync, rem) -> TraceRow:
+        resync = rem >= 0
+        return TraceRow(
+            i,
+            self.device_names[dev],
+            t,
+            pos,
+            drift,
+            in_sync == 1,
+            "resync" if resync else "none",
+            rem if resync else None,
+            self.strategy,
+        )
+
+    def __len__(self) -> int:
+        return len(self.true_time_ns)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = range(len(self))[key]
+            return list(map(self._row, rows, *(col[key] for col in self.columns())))
+        i = range(len(self))[key]  # negative indices count from the end
+        return self._row(i, *(col[i] for col in self.columns()))
+
+    def __iter__(self):
+        return map(self._row, count(), *self.columns())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass
@@ -188,6 +268,7 @@ class _DeviceRt:
     """Mutable per-device simulation state."""
 
     __slots__ = (
+        "index",
         "name",
         "addr",
         "state",
@@ -196,7 +277,8 @@ class _DeviceRt:
         "next_window_start_ns",
     )
 
-    def __init__(self, name, addr, state, rng, period_ns):
+    def __init__(self, index, name, addr, state, rng, period_ns):
+        self.index = index
         self.name = name
         self.addr = addr
         self.state = state
@@ -205,8 +287,8 @@ class _DeviceRt:
         self.next_window_start_ns = 0
 
 
-def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
-    """Execute one scenario; returns (metrics, trace rows in time order)."""
+def run(scenario: Scenario) -> tuple[Metrics, Trace]:
+    """Execute one scenario; returns (metrics, the Trace of its frames)."""
     validate_scenario(scenario)
     cfg = scenario.cfg
     duration_ns = s_to_ns(scenario.duration_s)
@@ -235,7 +317,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         state = EndDeviceState(
             clock=SimClock(model), tx_period_ns=period_ns, t_slot_ns=cfg.t_slot_ns
         )
-        devices.append(_DeviceRt(spec.name, addr, state, sched_rng, period_ns))
+        devices.append(_DeviceRt(len(devices), spec.name, addr, state, sched_rng, period_ns))
     loss_rng = random.Random(master.getrandbits(64))
 
     metrics = Metrics(
@@ -244,7 +326,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         per_device={d.name: DeviceMetrics() for d in devices},
         gateway=GatewayMetrics(downlink_length_ns=cfg.t_rx_ns),
     )
-    trace: list[TraceRow] = []
+    trace = Trace([d.name for d in devices], scenario.strategy)
 
     t_tx = cfg.t_tx_ns
     t_rx = cfg.t_rx_ns
@@ -255,7 +337,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
     heappush, heappop = heapq.heappush, heapq.heappop
     pick_random = scenario.slot_pick == SLOT_PICK_RANDOM
 
-    def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int):
+    def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int, last_tx_local_ns: int):
         """Pick the device's next uplink after now on its clock and push its end."""
         d = dev.state
         if pick_random:
@@ -282,7 +364,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                     r = getrandbits(k)
                 nxt += r * t_slot
         else:
-            nxt = ed_next_tx_time(d, now_local_ns)
+            nxt = ed_next_tx_time(d, now_local_ns, last_tx_local_ns)
         end = d.clock.true_time_at_local(nxt) + t_tx
         if end <= duration_ns:  # only complete frames, as at bootstrap
             heappush(heap, (end, next(seq), _UPLINK_END, dev, nxt))
@@ -300,17 +382,22 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
         period_ms = max(1, dev.period_ns // NS_PER_MS)
         phase_local = dev.rng.randrange(period_ms) * NS_PER_MS
         dev.next_window_start_ns = phase_local + dev.period_ns
+        dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
         end = dev.state.clock.true_time_at_local(phase_local) + t_tx
         if end <= duration_ns:
             heappush(heap, (end, next(seq), _UPLINK_END, dev, phase_local))
 
     gw = metrics.gateway
     downlinks = gw.downlink_starts
-    strategy = scenario.strategy
-    adaptive = strategy == ADAPTIVE
+    adaptive = scenario.strategy == ADAPTIVE
     loss = scenario.downlink_loss
     collisions = 0
-    frames = 0
+    add_device = trace.device_index.append
+    add_time = trace.true_time_ns.append
+    add_position = trace.arrival_position_ns.append
+    add_drift = trace.signed_drift_ns.append
+    add_in_sync = trace.in_sync.append
+    add_remaining = trace.remaining_ms.append
     # end times of in-flight uplinks; every uplink lasts t_tx, so they end
     # in the order they started and the deque stays sorted
     active_ends: deque[int] = deque()
@@ -326,20 +413,18 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                 active_ends.popleft()
             collisions += len(active_ends)  # one per overlapping pair
             active_ends.append(t)
-            d = dev.state
-            ed_mark_transmitting(d, tx_local)
-
             remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.addr, t)
+            add_device(dev.index)
+            add_time(t)
+            add_position(pos)
+            add_drift(drift)
+            add_in_sync(in_sync)
             if remaining_ms is None:
-                action = "none"
+                add_remaining(-1)
             else:
-                action = "resync"
+                add_remaining(remaining_ms)
                 if adaptive:
                     gw.sync_overhead_bytes += ADAPTIVE_SYNC_BYTES
-            trace.append(
-                TraceRow(frames, dev.name, t, pos, drift, in_sync, action, remaining_ms, strategy)
-            )
-            frames += 1
 
             # RX1 opens and the ACK ends at fixed offsets from the uplink
             # end, so handling both here keeps their order across devices
@@ -350,6 +435,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             delivered = loss == 0.0 or loss_rng.random() >= loss
             if t_ack > duration_ns:
                 continue
+            d = dev.state
             clock = d.clock
             if delivered and remaining_ms is not None:
                 # only a correction needs the uplink end on the device
@@ -361,10 +447,10 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
                 # an empty or lost ACK changes nothing: the device keeps
                 # its grid and simply schedules the next uplink
                 end_local = clock.local_time(t_ack)
-            schedule_next_uplink(dev, end_local)
+            schedule_next_uplink(dev, end_local, tx_local)
 
         else:  # _ROUND_BOUNDARY
-            flagged = fixed_rate_round(server, scenario.round_s)
+            flagged = fixed_rate_round(server)
             gw.sync_overhead_bytes += FIXED_RATE_SYNC_BYTES * flagged
 
     for dev in devices:
@@ -374,7 +460,7 @@ def run(scenario: Scenario) -> tuple[Metrics, list[TraceRow]]:
             dm.resync_count = rec.resync_count
             dm.out_sync_frames = rec.out_sync_count
     metrics.collision_count = collisions
-    metrics.frames_total = frames
+    metrics.frames_total = len(trace)
     gw.downlink_count = len(downlinks)
     gw.downlink_airtime_ns = len(downlinks) * t_rx
     gw.duty_cycle_used_fraction = gw.downlink_airtime_ns / duration_ns

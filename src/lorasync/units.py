@@ -7,7 +7,6 @@ files, the 2-byte wire field) and are produced with round-half-up.
 
 from __future__ import annotations
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 

@@ -19,7 +19,6 @@ from lorasync import (
     fixed_rate_round,
     ns_on_uplink_end,
 )
-from lorasync.protocol import ed_mark_transmitting
 from lorasync.units import ms_to_ns
 
 CFG = SlotConfig(
@@ -74,7 +73,7 @@ def test_fixed_rate_holds_correction_until_round():
     assert s.records[3].resync_count == 0
     assert s.records[3].out_sync_count == 1
 
-    assert fixed_rate_round(s, 3600) == 1
+    assert fixed_rate_round(s) == 1
     assert s.records[3].resync_count == 1
     assert s.records[3].resync_pending
 
@@ -92,30 +91,29 @@ def test_fixed_rate_round_covers_all_devices_sorted():
     s = _server(FIXED_RATE)
     for addr in (9, 2, 5):
         ns_on_uplink_end(s, dev_addr=addr, arrival_true_ns=5 * T_SLOT + CFG.t_tx_ns)
-    assert fixed_rate_round(s, 1800) == 3
+    assert fixed_rate_round(s) == 3
     assert sorted(s.records) == [2, 5, 9]
     for rec in s.records.values():
         assert rec.resync_pending
         assert rec.resync_count == 1
-    with pytest.raises(UsageError):
-        fixed_rate_round(s, 0)
 
 
-def _device():
+def _device(slot_start_ns=None):
+    """A device whose first uplink, if given, started at slot_start_ns: the grid's origin."""
     return EndDeviceState(
         clock=SimClock(Ideal()),
         tx_period_ns=ms_to_ns(30_000),
         t_slot_ns=T_SLOT,
+        slot_start_local_ns=slot_start_ns,
     )
 
 
 def test_first_tx_is_immediate_then_grid_locks():
     d = _device()
-    assert ed_next_tx_time(d, now_local_ns=ms_to_ns(1234)) == ms_to_ns(1234)
-    ed_mark_transmitting(d, ms_to_ns(1234))
-    assert d.slot_start_local_ns == ms_to_ns(1234)
+    assert ed_next_tx_time(d, now_local_ns=ms_to_ns(1234), last_tx_local_ns=None) == ms_to_ns(1234)
+    d = _device(slot_start_ns=ms_to_ns(1234))
     # next grid point at least one period later: 1234 + 18*1757 = 32860
-    nxt = ed_next_tx_time(d, now_local_ns=ms_to_ns(2000))
+    nxt = ed_next_tx_time(d, now_local_ns=ms_to_ns(2000), last_tx_local_ns=ms_to_ns(1234))
     assert nxt == ms_to_ns(1234) + 18 * T_SLOT
     assert nxt - ms_to_ns(1234) >= d.tx_period_ns
 
@@ -123,8 +121,7 @@ def test_first_tx_is_immediate_then_grid_locks():
 def test_resync_example():
     # uplink ended at local 5000 ms, ACK told us 1271 ms remained at that
     # instant, ACK itself ended 1091 ms later
-    d = _device()
-    ed_mark_transmitting(d, ms_to_ns(4694))
+    d = _device(slot_start_ns=ms_to_ns(4694))
     ed_on_ack(d, ms_to_ns(5000), ms_to_ns(6091), remaining_ms=1271)
     assert d.slot_start_local_ns == ms_to_ns(6091 + 1271 - 1091)  # 6271
 
@@ -132,16 +129,14 @@ def test_resync_example():
 def test_resync_with_elapsed_past_the_boundary():
     # ACK arrives after the boundary the remaining time pointed at:
     # t goes negative and wraps into the following slot
-    d = _device()
-    ed_mark_transmitting(d, 0)
+    d = _device(slot_start_ns=0)
     ed_on_ack(d, ms_to_ns(5000), ms_to_ns(6500), remaining_ms=1200)
     # t = 1200 - 1500 = -300 -> +1457 into the next slot
     assert d.slot_start_local_ns == ms_to_ns(6500 + 1457)
 
 
 def test_empty_ack_changes_nothing():
-    d = _device()
-    ed_mark_transmitting(d, ms_to_ns(100))
+    d = _device(slot_start_ns=ms_to_ns(100))
     before = d.slot_start_local_ns
     ed_on_ack(d, ms_to_ns(406), ms_to_ns(1497), None)
     assert d.slot_start_local_ns == before
@@ -150,12 +145,10 @@ def test_empty_ack_changes_nothing():
 
 
 def test_period_rounds_up_to_grid_multiple():
-    d = _device()
-    ed_mark_transmitting(d, 0)
-    t = ed_next_tx_time(d, 0)
+    d = _device(slot_start_ns=0)
+    t = ed_next_tx_time(d, 0, last_tx_local_ns=0)
     assert t == 18 * T_SLOT  # smallest multiple >= 30 s
-    ed_mark_transmitting(d, t)
-    assert ed_next_tx_time(d, t) == 36 * T_SLOT
+    assert ed_next_tx_time(d, t, last_tx_local_ns=t) == 36 * T_SLOT
 
 
 def test_server_correction_lands_device_on_grid():
@@ -166,9 +159,8 @@ def test_server_correction_lands_device_on_grid():
     for trial in range(300):
         # device booted with an arbitrary whole-ms phase (devices schedule
         # on millisecond ticks); ideal clock so local == true
-        d = _device()
         boot = ms_to_ns(rng.randrange(0, 10**7))
-        ed_mark_transmitting(d, boot)
+        d = _device(slot_start_ns=boot)
         end = boot + CFG.t_tx_ns
         plan = ns_on_uplink_end(s, dev_addr=trial, arrival_true_ns=end)
         if plan.remaining_ms is None:
@@ -179,7 +171,7 @@ def test_server_correction_lands_device_on_grid():
         # here, so the reconstructed grid must sit exactly on the server's
         assert d.slot_start_local_ns % T_SLOT == 0
         # follow-up uplink ends exactly at the ideal in-slot offset
-        nxt = ed_next_tx_time(d, ack_end)
+        nxt = ed_next_tx_time(d, ack_end, last_tx_local_ns=boot)
         assert (nxt + CFG.t_tx_ns) % T_SLOT == CFG.t_tx_ns
         plan2 = ns_on_uplink_end(s, dev_addr=trial, arrival_true_ns=nxt + CFG.t_tx_ns)
         assert plan2.remaining_ms is None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -21,17 +22,21 @@ from lorasync import (
     Scenario,
     SimClock,
     SlotConfig,
+    Trace,
+    TraceRow,
     duty_cycle_report,
     run,
     NetworkServerState,
     TimelineRef,
     encode_ack,
     ns_on_uplink_end,
+    position_in_slot,
+    remaining_to_next_slot,
     uplink_end_in_sync,
     validate_scenario,
 )
 from lorasync.slot import MAX_SLOT_MS
-from lorasync.units import NS_PER_MS, ms_to_ns, s_to_ns
+from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round, s_to_ns
 
 CFG = SlotConfig(
     t_tx_ns=ms_to_ns(306),
@@ -82,6 +87,75 @@ def test_trace_invariants(bench_scenario):
         assert row.action == ("none" if row.in_sync else "resync")
         assert (row.remaining_ms is not None) == (row.action == "resync")
         assert row.strategy == ADAPTIVE
+
+
+def test_trace_reads_as_a_sequence_of_rows(bench_scenario):
+    m, trace = run(bench_scenario(duration_s=3600.0))
+    assert isinstance(trace, Trace)
+    rows = list(trace)
+    assert len(trace) == len(rows) == m.frames_total > 10
+    assert all(type(r) is TraceRow for r in rows)
+    assert trace[0] == rows[0] and trace[0].frame_index == 0
+    assert trace[-1] == rows[-1] and trace[-1].frame_index == len(rows) - 1
+    assert trace[-len(rows)] == rows[0]
+    for bad in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            trace[bad]
+    for key in (slice(2, 5), slice(None, None, 7), slice(-3, None), slice(5, 2), slice(None)):
+        assert trace[key] == rows[key]
+    assert [r.frame_index for r in trace[3:9:2]] == [3, 5, 7]
+    assert trace == rows and rows == trace and trace == tuple(rows)
+    assert trace != rows[:-1] and trace != rows[:-1] + rows[:1]
+    assert trace != [] and trace != 0
+    assert trace == run(bench_scenario(duration_s=3600.0))[1]
+    _, empty = run(bench_scenario(duration_s=0.2))
+    assert len(empty) == 0 and empty == [] and list(empty) == [] and empty[:] == []
+
+
+def test_trace_rows_match_an_independent_judgement(bench_scenario):
+    sc = bench_scenario(strategy=FIXED_RATE, round_s=600, downlink_loss=0.3, duration_s=7200.0)
+    m, trace = run(sc)
+    cfg, ref = sc.cfg, TimelineRef(0)
+    names = {d.name for d in sc.devices}
+    for i, row in enumerate(trace):
+        assert row.frame_index == i
+        assert row.device_id in names and row.strategy == FIXED_RATE
+        pos = position_in_slot(row.true_time_ns, ref, cfg)
+        assert row.arrival_position_ns == pos
+        assert (row.in_sync, row.signed_drift_ns) == uplink_end_in_sync(pos, cfg)
+        assert type(row.in_sync) is bool
+        if row.action == "resync":
+            want = ns_to_ms_round(remaining_to_next_slot(row.true_time_ns, ref, cfg))
+            assert row.remaining_ms == want
+        else:
+            assert row.action == "none" and row.remaining_ms is None
+    # both outcomes and both actions occur, so every branch above ran
+    assert {r.in_sync for r in trace} == {True, False}
+    assert {r.action for r in trace} == {"none", "resync"}
+    assert sum(r.action == "resync" for r in trace) <= sum(
+        d.resync_count for d in m.per_device.values()
+    )
+
+
+def _retained_bytes(sc) -> tuple[int, int]:
+    """Bytes still allocated once run returns, with its result held; and its frames."""
+    tracemalloc.start()
+    try:
+        m, trace = run(sc)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current, m.frames_total
+
+
+def test_run_retains_under_64_bytes_per_frame(bench_scenario):
+    # the trace and the downlink log grow with the run; nothing else may
+    short = bench_scenario(duration_s=43200.0)
+    run(short)  # anything set up once per process is in place before measuring
+    small, frames = _retained_bytes(short)
+    large, frames2 = _retained_bytes(bench_scenario(duration_s=86400.0))
+    assert frames2 - frames > 2500
+    assert (large - small) / (frames2 - frames) <= 64
 
 
 def test_uplinks_all_answered_and_accounted():
@@ -241,6 +315,16 @@ def test_aligned_slot_pick_is_periodic():
         gaps = {b - a for a, b in zip(times[1:], times[2:])}  # after lock-in
         # aligned pick: always the first grid point one period out
         assert gaps <= {18 * CFG.t_slot_ns}
+    # no ACK arrives, so the grid never moves from its origin, the first
+    # uplink's start, and every uplink sits a whole number of slots after it
+    sc = _ideal_scenario(seed=4, duration_s=600.0, slot_pick="aligned", downlink_loss=1.0)
+    _, trace = run(sc)
+    per_dev = {}
+    for r in trace:
+        per_dev.setdefault(r.device_id, []).append(r.true_time_ns)
+    for times in per_dev.values():
+        assert len(times) > 2
+        assert {b - a for a, b in zip(times, times[1:])} == {18 * CFG.t_slot_ns}
 
 
 def test_short_run_produces_no_frames():
