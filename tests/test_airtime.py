@@ -69,9 +69,6 @@ def test_worst_case_packet_is_11936_ms():
 
 def test_uplink_and_downlink_reference_airtimes():
     up = time_on_air(RadioParams(sf=7, bw_hz=125_000, cr=1, pl_bytes=193))
-    # preamble: (8 + 4.25) symbols of 1.024 ms; payload: 288 of them
-    assert up.t_preamble_ns == 12_544_000
-    assert up.t_payload_ns == 294_912_000
     assert up.t_packet_ns == 307_456_000
     assert up.t_packet_ms == 307
     down = time_on_air(
@@ -79,6 +76,21 @@ def test_uplink_and_downlink_reference_airtimes():
     )
     assert down.t_packet_ns == 92_672_000
     assert down.t_packet_ms == 93
+
+
+def test_airtime_microsecond_views_are_exact():
+    at = time_on_air(RadioParams(sf=7, bw_hz=125_000, cr=1, pl_bytes=193))
+    # preamble: (8 + 4.25) symbols of 1024 us; payload: 288 of them
+    assert divmod(at.t_preamble_ns, 1000) == (12_544, 0)
+    assert divmod(at.t_payload_ns, 1000) == (294_912, 0)
+    assert divmod(at.t_packet_ns, 1000) == (307_456, 0)
+    # every air time on the SF/BW grid is a whole number of microseconds
+    for sf in range(5, 13):
+        for bw in (125_000, 250_000, 500_000):
+            t = time_on_air(RadioParams(sf=sf, bw_hz=bw, cr=1, pl_bytes=10))
+            assert t.t_preamble_ns % 1000 == 0
+            assert t.t_payload_ns % 1000 == 0
+            assert t.t_packet_ns % 1000 == 0
 
 
 def test_preamble_quarter_symbol_never_truncates():
