@@ -44,7 +44,6 @@ from .sim import (
     Scenario,
     Trace,
     TraceRow,
-    duty_cycle_report,
     run,
     validate_scenario,
 )

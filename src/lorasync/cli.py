@@ -183,6 +183,8 @@ def _cmd_compare(args) -> int:
         raise ParamError(f"bad --rounds value: {exc}") from exc
     if not rounds or any(r <= 0 for r in rounds):
         raise ParamError("--rounds needs positive integers")
+    if len(set(rounds)) != len(rounds):
+        raise ParamError("--rounds values must be distinct")
 
     variants = [("adaptive", replace(sc, strategy=ADAPTIVE, round_s=None))]
     for r in rounds:

@@ -222,7 +222,6 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             clock_model=clock_model,
             tx_period_s=sec.take("tx_period_s", float),
             payload_bytes=sec.take("payload_bytes", int, 0),
-            dev_addr=sec.take("dev_addr", int, None),
         )
         sec.finish()
         specs.append(spec)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .clock import SimClock
 from .errors import UsageError
 from .slot import (
     SlotConfig,
@@ -71,7 +70,6 @@ class AckPlan(NamedTuple):
 
 @dataclass
 class EndDeviceState:
-    clock: SimClock
     tx_period_ns: int
     t_slot_ns: int
     slot_start_local_ns: int | None = None
@@ -112,16 +110,15 @@ def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int)
     )
 
 
-def fixed_rate_round(s: NetworkServerState) -> int:
+def fixed_rate_round(s: NetworkServerState):
     """Round boundary of the fixed-rate baseline.
 
-    Every registered device gets flagged for an unconditional resync on
-    its next uplink; returns the number of devices flagged.
+    Every registered device gets flagged, and counted, for an
+    unconditional resync on its next uplink.
     """
     for rec in s.records.values():
         rec.resync_count += 1
         rec.resync_pending = True
-    return len(s.records)
 
 
 def ed_next_tx_time(

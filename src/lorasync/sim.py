@@ -37,7 +37,7 @@ downlink loss exercises the protocol's self-correction.
 
 `run` returns the metrics and a `Trace`: a read-only sequence of
 `TraceRow`s, one per frame in time order, held in typed columns of
-about 37 bytes a frame.
+33 bytes a frame.
 """
 
 from __future__ import annotations
@@ -45,16 +45,15 @@ from __future__ import annotations
 import heapq
 import random
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Sequence
 from itertools import count
 from operator import eq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
-from .errors import ConfigError, ParamError
+from .errors import ConfigError
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,
@@ -86,7 +85,6 @@ class DeviceSpec:
     clock_model: ClockModel
     tx_period_s: float
     payload_bytes: int = 0
-    dev_addr: int | None = None
 
 
 @dataclass(frozen=True)
@@ -201,12 +199,8 @@ class DeviceMetrics:
 class GatewayMetrics:
     downlink_count: int = 0  # RX1 downlinks that opened within the run
     sync_overhead_bytes: int = 0  # 2 per adaptive resync, 8 per fixed-rate round resync
-    downlink_airtime_ns: int = 0  # downlink_count * downlink_length_ns
+    downlink_airtime_ns: int = 0  # downlink_count * t_rx
     duty_cycle_used_fraction: float = 0.0  # downlink air-time over the run length
-    # RX1 openings, reference ns, in time order; each downlink lasts
-    # downlink_length_ns, so downlink k is [start_k, start_k + length)
-    downlink_starts: array = field(default_factory=lambda: array("q"))
-    downlink_length_ns: int = 0
 
 
 @dataclass
@@ -230,9 +224,6 @@ def validate_scenario(sc: Scenario):
     names = [d.name for d in sc.devices]
     if len(set(names)) != len(names):
         raise ConfigError("device names must be unique")
-    fixed_addrs = [d.dev_addr for d in sc.devices if d.dev_addr is not None]
-    if len(set(fixed_addrs)) != len(fixed_addrs):
-        raise ConfigError("dev_addr values must be unique")
     if sc.strategy not in (ADAPTIVE, FIXED_RATE):
         raise ConfigError(f"unknown strategy {sc.strategy!r}")
     if sc.strategy == FIXED_RATE and (sc.round_s is None or sc.round_s <= 0):
@@ -252,8 +243,6 @@ def validate_scenario(sc: Scenario):
             raise ConfigError(
                 f"device {d.name}: payload_bytes must be in 0..{_MAX_UPLINK_PAYLOAD}"
             )
-        if d.dev_addr is not None and not 0 <= d.dev_addr < (1 << 32):
-            raise ConfigError(f"device {d.name}: dev_addr must fit in 32 bits")
         # a device's clock is asked for instants up to about two periods
         # past the horizon, and the inverse may draw a walk step past that
         step_s = d.clock_model.step_interval_s if isinstance(d.clock_model, RandomWalk) else 0
@@ -265,23 +254,14 @@ def validate_scenario(sc: Scenario):
 
 
 class _DeviceRt:
-    """Mutable per-device simulation state."""
+    """Mutable per-device simulation state; the server knows it by its index."""
 
-    __slots__ = (
-        "index",
-        "name",
-        "addr",
-        "state",
-        "rng",
-        "period_ns",
-        "next_window_start_ns",
-    )
+    __slots__ = ("index", "state", "clock", "rng", "period_ns", "next_window_start_ns")
 
-    def __init__(self, index, name, addr, state, rng, period_ns):
+    def __init__(self, index, state, clock, rng, period_ns):
         self.index = index
-        self.name = name
-        self.addr = addr
         self.state = state
+        self.clock = clock
         self.rng = rng
         self.period_ns = period_ns
         self.next_window_start_ns = 0
@@ -296,8 +276,6 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     master = random.Random(scenario.seed)
 
     devices: list[_DeviceRt] = []
-    used_addrs = {d.dev_addr for d in scenario.devices if d.dev_addr is not None}
-    next_auto = 1
     for spec in scenario.devices:
         # one master draw per device keeps clock realizations and phases
         # paired across strategy variants of the same scenario seed
@@ -307,26 +285,12 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         model = spec.clock_model
         if isinstance(model, RandomWalk) and model.seed is None:
             model = replace(model, seed=clock_seed)
-        addr = spec.dev_addr
-        if addr is None:
-            while next_auto in used_addrs:
-                next_auto += 1
-            addr = next_auto
-            used_addrs.add(addr)
         period_ns = s_to_ns(spec.tx_period_s)
-        state = EndDeviceState(
-            clock=SimClock(model), tx_period_ns=period_ns, t_slot_ns=cfg.t_slot_ns
-        )
-        devices.append(_DeviceRt(len(devices), spec.name, addr, state, sched_rng, period_ns))
+        state = EndDeviceState(tx_period_ns=period_ns, t_slot_ns=cfg.t_slot_ns)
+        devices.append(_DeviceRt(len(devices), state, SimClock(model), sched_rng, period_ns))
     loss_rng = random.Random(master.getrandbits(64))
 
-    metrics = Metrics(
-        duration_ns=duration_ns,
-        strategy=scenario.strategy,
-        per_device={d.name: DeviceMetrics() for d in devices},
-        gateway=GatewayMetrics(downlink_length_ns=cfg.t_rx_ns),
-    )
-    trace = Trace([d.name for d in devices], scenario.strategy)
+    trace = Trace([spec.name for spec in scenario.devices], scenario.strategy)
 
     t_tx = cfg.t_tx_ns
     t_rx = cfg.t_rx_ns
@@ -365,7 +329,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
                 nxt += r * t_slot
         else:
             nxt = ed_next_tx_time(d, now_local_ns, last_tx_local_ns)
-        end = d.clock.true_time_at_local(nxt) + t_tx
+        end = dev.clock.true_time_at_local(nxt) + t_tx
         if end <= duration_ns:  # only complete frames, as at bootstrap
             heappush(heap, (end, next(seq), _UPLINK_END, dev, nxt))
 
@@ -383,15 +347,13 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         phase_local = dev.rng.randrange(period_ms) * NS_PER_MS
         dev.next_window_start_ns = phase_local + dev.period_ns
         dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
-        end = dev.state.clock.true_time_at_local(phase_local) + t_tx
+        end = dev.clock.true_time_at_local(phase_local) + t_tx
         if end <= duration_ns:
             heappush(heap, (end, next(seq), _UPLINK_END, dev, phase_local))
 
-    gw = metrics.gateway
-    downlinks = gw.downlink_starts
-    adaptive = scenario.strategy == ADAPTIVE
     loss = scenario.downlink_loss
     collisions = 0
+    rx1_opened = 0
     add_device = trace.device_index.append
     add_time = trace.true_time_ns.append
     add_position = trace.arrival_position_ns.append
@@ -413,36 +375,30 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
                 active_ends.popleft()
             collisions += len(active_ends)  # one per overlapping pair
             active_ends.append(t)
-            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.addr, t)
+            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.index, t)
             add_device(dev.index)
             add_time(t)
             add_position(pos)
             add_drift(drift)
             add_in_sync(in_sync)
-            if remaining_ms is None:
-                add_remaining(-1)
-            else:
-                add_remaining(remaining_ms)
-                if adaptive:
-                    gw.sync_overhead_bytes += ADAPTIVE_SYNC_BYTES
+            add_remaining(-1 if remaining_ms is None else remaining_ms)
 
             # RX1 opens and the ACK ends at fixed offsets from the uplink
             # end, so handling both here keeps their order across devices
             if t_rx1 > duration_ns:
                 continue
             t_ack = t_rx1 + t_rx
-            downlinks.append(t_rx1)
+            rx1_opened += 1
             delivered = loss == 0.0 or loss_rng.random() >= loss
             if t_ack > duration_ns:
                 continue
-            d = dev.state
-            clock = d.clock
+            clock = dev.clock
             if delivered and remaining_ms is not None:
                 # only a correction needs the uplink end on the device
                 # clock; it is read first, as the clock is read in time order
                 beg_local = clock.local_time(t)
                 end_local = clock.local_time(t_ack)
-                ed_on_ack(d, beg_local, end_local, remaining_ms)
+                ed_on_ack(dev.state, beg_local, end_local, remaining_ms)
             else:
                 # an empty or lost ACK changes nothing: the device keeps
                 # its grid and simply schedules the next uplink
@@ -450,62 +406,30 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             schedule_next_uplink(dev, end_local, tx_local)
 
         else:  # _ROUND_BOUNDARY
-            flagged = fixed_rate_round(server)
-            gw.sync_overhead_bytes += FIXED_RATE_SYNC_BYTES * flagged
+            fixed_rate_round(server)
 
-    for dev in devices:
-        rec = server.records.get(dev.addr)
-        if rec is not None:
-            dm = metrics.per_device[dev.name]
-            dm.resync_count = rec.resync_count
-            dm.out_sync_frames = rec.out_sync_count
-    metrics.collision_count = collisions
-    metrics.frames_total = len(trace)
-    gw.downlink_count = len(downlinks)
-    gw.downlink_airtime_ns = len(downlinks) * t_rx
-    gw.duty_cycle_used_fraction = gw.downlink_airtime_ns / duration_ns
-    return metrics, trace
-
-
-def duty_cycle_report(m: Metrics, window_s) -> float:
-    """Worst sliding-window fraction of gateway downlink air-time.
-
-    Windows of the given length slide over the run; the maximum overlap
-    is always achieved with a window flush against some transmission
-    edge, so only those candidates are evaluated.  The downlinks are of
-    one length and time ordered (the simulator logs them that way).
-    """
-    window_ns = s_to_ns(window_s)
-    if window_ns <= 0:
-        raise ParamError("window_s must be positive")
-    starts = m.gateway.downlink_starts
-    if not starts:
-        return 0.0
-    length = m.gateway.downlink_length_ns
-    ends = [a + length for a in starts]
-    prefix_starts = [0]
-    for a in starts:
-        prefix_starts.append(prefix_starts[-1] + a)
-    prefix_ends = [0]
-    for b in ends:
-        prefix_ends.append(prefix_ends[-1] + b)
-
-    def overlap(w_start: int) -> int:
-        w_end = w_start + window_ns
-        i0 = bisect_right(ends, w_start)  # skip intervals ending at/before the window
-        i1 = bisect_left(starts, w_end)  # skip intervals starting at/after it
-        if i0 >= i1:
-            return 0
-        j_end = min(max(bisect_right(ends, w_end), i0), i1)
-        sum_min_end = (prefix_ends[j_end] - prefix_ends[i0]) + (i1 - j_end) * w_end
-        j_start = min(max(bisect_right(starts, w_start), i0), i1)
-        sum_max_start = (j_start - i0) * w_start + (
-            prefix_starts[i1] - prefix_starts[j_start]
+    # the server's records count every resync; a device it never heard from has none
+    per_device = {}
+    for i, spec in enumerate(scenario.devices):
+        rec = server.records.get(i)
+        per_device[spec.name] = (
+            DeviceMetrics(rec.resync_count, rec.out_sync_count) if rec else DeviceMetrics()
         )
-        return sum_min_end - sum_max_start
-
-    candidates = {0}
-    for a, b in zip(starts, ends):
-        candidates.add(a)
-        candidates.add(max(0, b - window_ns))
-    return max(overlap(c) for c in candidates) / window_ns
+    resyncs = sum(dm.resync_count for dm in per_device.values())
+    sync_bytes = ADAPTIVE_SYNC_BYTES if scenario.strategy == ADAPTIVE else FIXED_RATE_SYNC_BYTES
+    airtime_ns = rx1_opened * t_rx
+    gateway = GatewayMetrics(
+        downlink_count=rx1_opened,
+        sync_overhead_bytes=sync_bytes * resyncs,
+        downlink_airtime_ns=airtime_ns,
+        duty_cycle_used_fraction=airtime_ns / duration_ns,
+    )
+    metrics = Metrics(
+        duration_ns=duration_ns,
+        strategy=scenario.strategy,
+        per_device=per_device,
+        gateway=gateway,
+        collision_count=collisions,
+        frames_total=len(trace),
+    )
+    return metrics, trace

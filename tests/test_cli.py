@@ -10,7 +10,7 @@ import pytest
 from lorasync import cli
 from lorasync.cli import CSV_HEADER, main
 from lorasync.config import load_scenario
-from lorasync.sim import run
+from lorasync.sim import DeviceMetrics, run
 from lorasync.units import fmt_ms
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -244,3 +244,61 @@ def test_compare_bad_rounds(capsys):
     assert "rounds" in err
     code, _, _ = _run(capsys, "compare", BENCH, "--rounds", "-5")
     assert code == 1
+
+
+def test_compare_rejects_duplicate_rounds(capsys):
+    # a repeated round length would run one variant twice and print its keys twice
+    code, out, err = _run(capsys, "compare", BENCH, "--rounds", "600,600")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "distinct" in err
+
+
+_QUIET_PAIR = """\
+[scenario]
+duration_s = 600
+{strategy}
+
+[slot]
+t_tx_ms = 306
+t_rx_ms = 91
+rx_delay_ms = 1000
+tb1_ms = 180
+tb2_ms = 180
+
+[device busy]
+clock = constant_ppm
+offset_ppm = 200
+tx_period_s = 30
+
+[device quiet]
+clock = ideal
+tx_period_s = 1000000
+"""
+
+
+@pytest.mark.parametrize(
+    "strategy", ["strategy = adaptive", "strategy = fixed_rate\nround_s = 300"]
+)
+def test_device_never_heard_is_reported_with_zero_counts(capsys, tmp_path, strategy):
+    path = tmp_path / "quiet.ini"
+    path.write_text(_QUIET_PAIR.format(strategy=strategy))
+    m, trace = run(load_scenario(path))
+    # the quiet device's first uplink, at a random phase inside its first
+    # 10^6 s, ends past the 600 s run: the server never hears from it
+    assert {r.device_id for r in trace} == {"busy"}
+    assert m.per_device["quiet"] == DeviceMetrics(resync_count=0, out_sync_frames=0)
+    assert m.per_device["busy"].resync_count > 0
+
+    code, out, _ = _run(capsys, "simulate", str(path))
+    assert code == 0
+    assert "device quiet      resyncs 0, out-of-sync 0" in out
+    kv = dict(
+        line.split("=", 1)
+        for line in out[out.index("[summary]"):].splitlines()
+        if "=" in line
+    )
+    assert kv["device.quiet.resyncs"] == "0"
+    assert kv["device.quiet.out_sync_frames"] == "0"
+    per_resync = 2 if m.strategy == "adaptive" else 8
+    assert int(kv["sync_overhead_bytes"]) == per_resync * int(kv["resyncs_total"]) > 0

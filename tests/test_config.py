@@ -51,7 +51,12 @@ def test_minimal_scenario_defaults():
     assert dev.name == "one"
     assert dev.clock_model == Ideal()
     assert dev.payload_bytes == 0
-    assert dev.dev_addr is None
+    # devices are known by their section; an address key is not accepted
+    bad = MINIMAL.replace("tx_period_s = 30", "tx_period_s = 30\ndev_addr = 7")
+    with pytest.raises(ConfigError) as e:
+        parse_scenario(bad)
+    assert "unknown key 'dev_addr' in [one]" in str(e.value)
+    assert e.value.line == bad.splitlines().index("dev_addr = 7") + 1
 
 
 def test_clock_model_forms():
