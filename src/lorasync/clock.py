@@ -9,13 +9,16 @@ interval since the segment start, so querying a clock in many small steps
 or one big step yields bit-identical local times (the simulator depends
 on that).
 
-Each segment is stored as its start on both clocks, so the offset at a
-segment start is their difference, and the inverse finds its segment
-with a bisection over the local starts.  The starts live in int64 arrays
-and the rates in a double array, which holds every float exactly: a
-segment costs 24 bytes, not three boxed objects.  Forward queries keep a
-cursor on their current segment, so a query inside it reads plain
-attributes and only a query past its end searches the arrays again.
+Each segment is held as its start on both clocks, so the offset at a
+segment start is their difference.  A clock keeps a window of segments
+in plain lists: its forward cursor's, the one before it (on a slow clock
+rounding can repeat a local reading across a segment start, and the
+inverse then answers in the earlier segment), and any drawn ahead.
+local_time() reads plain attributes inside the cursor's segment, searches
+the window from the cursor past its end, and drops what falls behind the
+window in batches: O(1) segments a clock, not its history.  The inverse
+bisects the window; a query behind it replays the clock from its model,
+which draws the same segments.
 
 Random-walk segments are drawn in time order and materialized only on
 demand: a forward query extends the walk to the segment holding its
@@ -26,14 +29,13 @@ whatever the query pattern.
 Times are int64 nanoseconds.  Reference instants must stay at or below
 REF_NS_MAX (~146 years); since |ppm| < 1e6 keeps local time below twice
 reference time, every local reading then fits too.  Models reject segment
-starts past it, and a clock raises ParamError for a query, or a drawn
-segment, beyond it.
+starts past it, and a clock raises ParamError for a query, a drawn
+segment or an inverse answer beyond it.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import cos, log, sin, sqrt, tau
@@ -47,6 +49,9 @@ _PPM_LIMIT = 1_000_000
 # latest reference instant whose local reading still fits in int64
 REF_NS_MAX = (2**63 - 1) // 2
 _RANGE_ERROR = f"clock time past {REF_NS_MAX} ns leaves the int64 nanosecond range"
+
+# segments a clock lets pile up behind its window before dropping them
+_BEHIND_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -128,26 +133,26 @@ class SimClock:
             raise ParamError("RandomWalk clock needs a concrete seed to run")
         self.model = model
         self._last_query_ns = 0
-        # materialized rate segments; grown lazily for random walks.  Each
+        # the window of rate segments; grown lazily for random walks.  Each
         # offset is round(dt * ppm / 1e6) over the whole interval dt since
         # its segment start: one rounding per (segment start, query) pair,
         # so step patterns telescope exactly within a segment
-        self._starts = array("q", [0])  # segment start, reference ns
-        self._local_starts = array("q", [0])  # the same instant on the local clock, ns
+        self._starts = [0]  # segment start, reference ns
+        self._local_starts = [0]  # the same instant on the local clock, ns
         self._next_boundary = None
         if isinstance(model, Ideal):
-            self._ppms = array("d", [0.0])
+            self._ppms = [0.0]
         elif isinstance(model, ConstantPpm):
-            self._ppms = array("d", [model.offset_ppm])
+            self._ppms = [model.offset_ppm]
         elif isinstance(model, RandomWalk):
-            self._ppms = array("d", [model.initial_ppm])
+            self._ppms = [model.initial_ppm]
             self._rng = random.Random(model.seed)
             self._step_ns = s_ns = round(model.step_interval_s * NS_PER_S)
             if s_ns <= 0:
                 raise ParamError("step_interval_s too small")
             self._next_boundary = s_ns
         else:  # Piecewise
-            self._ppms = array("d", [model.segments[0][1]])
+            self._ppms = [model.segments[0][1]]
             for t1, ppm in model.segments[1:]:
                 start = round(t1 * NS_PER_S)
                 dt = start - self._starts[-1]
@@ -156,6 +161,7 @@ class SimClock:
                 )
                 self._starts.append(start)
                 self._ppms.append(ppm)
+        self._cursor = 0  # index in the window of the forward cursor's segment
         self._seek(0)
 
     def _grow(self, true_time_ns: int, local_ns: int = 0):
@@ -198,29 +204,32 @@ class SimClock:
             boundary += step
         self._next_boundary, rng.gauss_next = boundary, z_next
 
-    def _segment(self, true_time_ns: int) -> int:
-        """Index of the segment holding true_time_ns, drawn if need be."""
+    def _seek(self, true_time_ns: int):
+        """Move the forward cursor to the segment holding true_time_ns,
+        drawn if need be; true_time_ns is never behind the cursor."""
         if true_time_ns > REF_NS_MAX:
             raise ParamError(_RANGE_ERROR)
         if self._next_boundary is not None and true_time_ns >= self._next_boundary:
             self._grow(true_time_ns)
-        return bisect_right(self._starts, true_time_ns) - 1
-
-    def _seek(self, true_time_ns: int):
-        """Move the forward cursor to the segment holding true_time_ns."""
         starts = self._starts
-        i = self._segment(true_time_ns)
+        # the cursor never moves back, so the search starts at it
+        i = bisect_right(starts, true_time_ns, self._cursor) - 1
+        # drop what lies behind the segment before the cursor's, which the
+        # inverse may still need, once enough has piled up
+        if i > _BEHIND_MAX + 1:
+            del starts[: i - 1], self._local_starts[: i - 1], self._ppms[: i - 1]
+            i = 1
+        self._cursor = i
         self._seg_start = starts[i]
         self._seg_local_start = self._local_starts[i]
         self._seg_ppm = self._ppms[i]
-        if i + 1 < len(starts):
-            end = starts[i + 1]
-        elif self._next_boundary is not None:
-            end = self._next_boundary
-        else:
-            end = REF_NS_MAX + 1
         # a query past REF_NS_MAX always seeks, and fails there
-        self._seg_end = min(end, REF_NS_MAX + 1)
+        if i + 1 < len(starts):
+            self._seg_end = starts[i + 1]
+        elif self._next_boundary is not None:
+            self._seg_end = min(self._next_boundary, REF_NS_MAX + 1)
+        else:
+            self._seg_end = REF_NS_MAX + 1
 
     def local_time(self, true_time_ns: int) -> int:
         if true_time_ns < self._last_query_ns:
@@ -236,15 +245,6 @@ class SimClock:
         dt = true_time_ns - self._seg_start
         return self._seg_local_start + dt + round(dt * self._seg_ppm / 1_000_000)
 
-    def peek_local(self, true_time_ns: int) -> int:
-        """local_time without the monotone-cursor side effect."""
-        if true_time_ns < 0:
-            raise UsageError("reference time precedes the common origin")
-        # an independent bisection, not the cursor: tests compare the two
-        i = self._segment(true_time_ns)
-        dt = true_time_ns - self._starts[i]
-        return self._local_starts[i] + dt + round(dt * self._ppms[i] / 1_000_000)
-
     def true_time_at_local(self, local_ns: int) -> int:
         """Earliest reference time whose local reading is >= local_ns.
 
@@ -259,23 +259,23 @@ class SimClock:
         # that one exists
         if self._next_boundary is not None and local_starts[-1] < local_ns:
             self._grow(-1, local_ns)
-        # segment 0 starts at local 0, so some segment starts before local_ns
         i = bisect_left(local_starts, local_ns) - 1
-        while True:
-            ppm = ppms[i]
-            rate = 1.0 + ppm / 1_000_000
-            target = local_ns - local_starts[i]
-            d = max(0, int(target / rate))
-            while d + round(d * ppm / 1_000_000) < target:
-                d += 1
-            while d > 0 and (d - 1) + round((d - 1) * ppm / 1_000_000) >= target:
-                d -= 1
-            t = starts[i] + d
-            # rounding can push the solution past the segment end; retry there
-            if i + 1 < len(starts) and t >= starts[i + 1]:
-                i += 1
-                continue
-            return t
+        if i < 0:  # only a query behind the forward cursor reaches past the window
+            return SimClock(self.model).true_time_at_local(local_ns)
+        # the earliest offset d into segment i that reads local_ns or more;
+        # segment i + 1 starts at such a reading, so d never passes its start
+        ppm = ppms[i]
+        target = local_ns - local_starts[i]
+        d = int(target / (1.0 + ppm / 1_000_000))
+        while d + round(d * ppm / 1_000_000) < target:
+            d += 1
+        while d > 0 and (d - 1) + round((d - 1) * ppm / 1_000_000) >= target:
+            d -= 1
+        t = starts[i] + d
+        # the last segment of a model that is not a walk never ends
+        if t > REF_NS_MAX:
+            raise ParamError(_RANGE_ERROR)
+        return t
 
 
 def preset(name: str, seed: int | None = None) -> ClockModel:

@@ -16,6 +16,7 @@ from lorasync import (
 )
 from lorasync.clock import REF_NS_MAX
 from lorasync.units import NS_PER_MS, NS_PER_S
+from reference_clock import ReferenceClock
 
 
 def test_ideal_clock_is_identity():
@@ -146,9 +147,11 @@ def test_monotone_query_enforced():
 
 
 def test_peek_does_not_move_cursor():
+    # looking ahead through the inverse leaves the forward cursor where it was
     c = SimClock(ConstantPpm(10.0))
-    c.peek_local(10**12)
+    t = c.true_time_at_local(10**12)
     assert c.local_time(0) == 0  # still allowed
+    assert c.local_time(t) == ReferenceClock(c.model).local_time(t)
 
 
 def test_true_time_at_local_inverse_property():
@@ -162,13 +165,29 @@ def test_true_time_at_local_inverse_property():
     ]
     for model in models:
         c = SimClock(model)
+        ref = ReferenceClock(model)
         for _ in range(400):
             local = rng.randrange(0, 300 * NS_PER_S)
             t = c.true_time_at_local(local)
             # earliest reference time whose local reading reaches the target
-            assert c.peek_local(t) >= local
+            assert ref.local_time(t) >= local
             if t > 0:
-                assert c.peek_local(t - 1) < local
+                assert ref.local_time(t - 1) < local
+
+
+def test_inverse_behind_the_window_replays_the_clock():
+    # local_time keeps a window of a few segments around its cursor; an
+    # inverse query behind it gets the answer a fresh clock gives
+    model = RandomWalk(step_interval_s=1.0, step_std_ppm=5.0, initial_ppm=-30.0, seed=8)
+    c = SimClock(model)
+    ref = ReferenceClock(model)
+    c.local_time(3600 * NS_PER_S)
+    assert len(c._starts) < 100  # of the 3601 segments drawn
+    for local in (1, NS_PER_S, 1800 * NS_PER_S + 7, 3590 * NS_PER_S):
+        t = c.true_time_at_local(local)
+        assert t == SimClock(model).true_time_at_local(local)
+        assert ref.local_time(t) >= local > ref.local_time(t - 1)
+    assert c.local_time(3600 * NS_PER_S) == ref.local_time(3600 * NS_PER_S)
 
 
 def test_random_walk_beyond_the_queried_horizon_is_not_drawn():
@@ -184,11 +203,23 @@ def test_random_walk_beyond_the_queried_horizon_is_not_drawn():
 def test_times_past_the_int64_range_raise_param_error():
     # the fastest clock still reads below 2**63 at the last valid instant
     c = SimClock(ConstantPpm(999_999.0))
-    assert c.local_time(REF_NS_MAX) < 2**63
+    top = c.local_time(REF_NS_MAX)
+    assert top < 2**63
     with pytest.raises(ParamError):
         c.local_time(REF_NS_MAX + 1)
+    # nor may the inverse answer past it, for any model
+    assert c.true_time_at_local(top) <= REF_NS_MAX
     with pytest.raises(ParamError):
-        c.peek_local(REF_NS_MAX + 1)
+        c.true_time_at_local(top + 1)
+    with pytest.raises(ParamError):
+        SimClock(ConstantPpm(-999_999.0)).true_time_at_local(10**15)
+    half_rate_tail = Piecewise(((0.0, 0.0), (1.0, -500_000.0)))
+    tail_top = ReferenceClock(half_rate_tail).local_time(REF_NS_MAX)
+    assert SimClock(half_rate_tail).true_time_at_local(tail_top) <= REF_NS_MAX
+    with pytest.raises(ParamError):
+        SimClock(half_rate_tail).true_time_at_local(tail_top + 1)
+    with pytest.raises(ParamError):
+        SimClock(half_rate_tail).true_time_at_local(REF_NS_MAX)
     # a half-rate walk with 4e18 ns steps: its second boundary (8e18 ns)
     # is past the limit, and only a local time beyond 2e18 ns needs it
     walk = SimClock(RandomWalk(step_interval_s=4e9, step_std_ppm=0.0,

@@ -1,10 +1,12 @@
 """Hypothesis properties of the clock inverse."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorasync import ConstantPpm, Piecewise, RandomWalk, SimClock
+from lorasync import ConstantPpm, Piecewise, RandomWalk, SimClock, clock
 from lorasync.units import NS_PER_S
+from reference_clock import ReferenceClock
 
 _PPM = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 _CLOCK_MODELS = st.one_of(
@@ -38,11 +40,12 @@ def test_true_time_at_local_is_exact_inverse_in_any_query_order(model, queries, 
     # and behind the segments materialized so far
     queries = sorted(queries) + order.sample(queries, len(queries))
     c = SimClock(model)
+    ref = ReferenceClock(model)
     for local in queries:
         t = c.true_time_at_local(local)
-        assert c.peek_local(t) >= local
+        assert ref.local_time(t) >= local
         if t > 0:
-            assert c.peek_local(t - 1) < local
+            assert ref.local_time(t - 1) < local
         # the answer does not depend on the clock's query history
         assert SimClock(model).true_time_at_local(local) == t
 
@@ -59,31 +62,52 @@ def _next_start(model, t):
 
 _FORWARD = st.tuples(
     st.sampled_from(["step", "segment start", "inverse"]),
-    st.one_of(st.integers(0, 10**9), st.integers(0, 900 * NS_PER_S)),
+    st.one_of(st.just(0), st.integers(0, 10**9), st.integers(0, 900 * NS_PER_S)),
     st.sampled_from([-1, 0, 1]),
 )
+
+# a half-rate clock with 2 ns segments reads the same local time at the
+# last nanosecond of each segment as at the start of the next one
+_HALF_RATE_2NS = RandomWalk(step_interval_s=2e-9, step_std_ppm=0.0,
+                            initial_ppm=-500_000.0, seed=0)
+
+
+def _no_replay(model):
+    raise AssertionError("a forward query replayed the clock")
 
 
 @settings(max_examples=100, deadline=None)
 @given(model=_CLOCK_MODELS, ops=st.lists(_FORWARD, min_size=10, max_size=40))
+# local_time(70) moves the cursor into segment 35 and drops the segments
+# before 34; the inverse at its local start (35) answers 69, in segment 34
+@example(model=_HALF_RATE_2NS, ops=[("segment start", 70, 0), ("inverse", 0, 0)])
 def test_forward_cursor_matches_bisection(model, ops):
-    # local_time walks a cursor forward; peek_local bisects the segments
-    # of a clock nothing else has queried.  Exact segment starts (and the
-    # nanoseconds around them), jumps past everything a random walk has
-    # drawn so far, and inverse calls that draw ahead must not tell them
-    # apart
+    # local_time walks a cursor forward through a window of segments; the
+    # reference bisects every segment from t=0.  Exact segment starts (and
+    # the nanoseconds around them), jumps past everything a random walk
+    # has drawn so far, and inverse calls that draw ahead must not tell
+    # them apart.  The inverse is asked, as the simulator asks it, for
+    # local times no earlier than the last reading, and the window must
+    # answer those without replaying the clock
     c = SimClock(model)
-    oracle = SimClock(model)
-    t = 0
-    for kind, x, nudge in ops:
-        if kind == "inverse":
-            c.true_time_at_local(x)
-            continue
-        if kind == "segment start":
-            start = _next_start(model, t + x)
-            if start is None:
+    ref = ReferenceClock(model)
+    t = reading = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clock, "SimClock", _no_replay)
+        for kind, x, nudge in ops:
+            if kind == "inverse":
+                local = reading + x
+                answer = c.true_time_at_local(local)
+                assert ref.local_time(answer) >= local
+                if answer > 0:
+                    assert ref.local_time(answer - 1) < local
                 continue
-            t = max(t, start + nudge)
-        else:
-            t += x
-        assert c.local_time(t) == oracle.peek_local(t)
+            if kind == "segment start":
+                start = _next_start(model, t + x)
+                if start is None:
+                    continue
+                t = max(t, start + nudge)
+            else:
+                t += x
+            reading = c.local_time(t)
+            assert reading == ref.local_time(t)

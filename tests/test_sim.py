@@ -132,15 +132,16 @@ def test_trace_rows_match_an_independent_judgement(bench_scenario):
     )
 
 
-def _retained_bytes(sc) -> tuple[int, int]:
-    """Bytes still allocated once run returns, with its result held; and its frames."""
+def _retained_bytes(sc) -> tuple[int, int, int]:
+    """Bytes still allocated once run returns, with its result held; the
+    peak allocated while it ran; and its frames."""
     tracemalloc.start()
     try:
         m, trace = run(sc)
-        current, _ = tracemalloc.get_traced_memory()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return current, m.frames_total
+    return current, peak, m.frames_total
 
 
 def test_run_retains_only_the_trace_per_frame(bench_scenario):
@@ -148,9 +149,28 @@ def test_run_retains_only_the_trace_per_frame(bench_scenario):
     # (4 + 8 + 8 + 8 + 1 + 4), and nothing else may add a per-frame record
     short = bench_scenario(duration_s=43200.0)
     run(short)  # anything set up once per process is in place before measuring
-    small, frames = _retained_bytes(short)
-    large, frames2 = _retained_bytes(bench_scenario(duration_s=86400.0))
+    small, _, frames = _retained_bytes(short)
+    large, _, frames2 = _retained_bytes(bench_scenario(duration_s=86400.0))
     assert frames2 - frames > 2500
+    assert (large - small) / (frames2 - frames) <= 38
+
+
+def test_run_peak_grows_only_by_the_trace():
+    # four crystals stepping every 10 s draw 8640 rate segments a day
+    # each; their clocks keep a window of them, not all, so even the peak
+    # of a run grows by no more than the trace's columns per added frame
+    def walkers(days):
+        devices = tuple(
+            DeviceSpec(name=f"w{i}", clock_model=RandomWalk(10.0, 0.02, ppm),
+                       tx_period_s=30.0, payload_bytes=193)
+            for i, ppm in enumerate((-17.5, -4.25, 6.0, 19.75))
+        )
+        return Scenario(duration_s=days * 86400.0, cfg=CFG, devices=devices, seed=3)
+
+    run(walkers(0.1))  # anything set up once per process is in place before measuring
+    _, small, frames = _retained_bytes(walkers(1))
+    _, large, frames2 = _retained_bytes(walkers(2))
+    assert frames2 - frames > 10_000
     assert (large - small) / (frames2 - frames) <= 38
 
 
