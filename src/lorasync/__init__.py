@@ -47,14 +47,7 @@ from .sim import (
     run,
     validate_scenario,
 )
-from .slot import (
-    SlotConfig,
-    TimelineRef,
-    position_in_slot,
-    remaining_to_next_slot,
-    slot_start,
-    uplink_end_in_sync,
-)
+from .slot import SlotConfig, position_in_slot, remaining_to_next_slot, uplink_end_in_sync
 from .units import ms_to_ns, ns_to_ms_round, s_to_ns
 
 __version__ = "0.1.0"

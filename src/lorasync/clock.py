@@ -30,7 +30,9 @@ Times are int64 nanoseconds.  Reference instants must stay at or below
 REF_NS_MAX (~146 years); since |ppm| < 1e6 keeps local time below twice
 reference time, every local reading then fits too.  Models reject segment
 starts past it, and a clock raises ParamError for a query, a drawn
-segment or an inverse answer beyond it.
+segment or an inverse answer beyond it.  Every segment that ends must
+advance local time by at least 1 ns, or the inverse could never pass it:
+models reject one that would not, and so does a walk as it draws.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ class RandomWalk:
             raise ParamError("step_std_ppm must be >= 0")
         if not abs(self.initial_ppm) < _PPM_LIMIT:
             raise ParamError(f"|initial_ppm| must be < {_PPM_LIMIT}")
+        step_ns = round(self.step_interval_s * NS_PER_S)
+        if step_ns + round(step_ns * self.initial_ppm / 1_000_000) <= 0:
+            raise ParamError(
+                "step_interval_s too small: a step at initial_ppm must advance local time"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,10 @@ class Piecewise:
             )
         if any(not abs(ppm) < _PPM_LIMIT for _, ppm in self.segments):
             raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
+        for (t0, ppm), (t1, _) in zip(self.segments, self.segments[1:]):
+            dt = round(t1 * NS_PER_S) - round(t0 * NS_PER_S)
+            if dt + round(dt * ppm / 1_000_000) <= 0:
+                raise ParamError(f"piecewise segment at {t0} s must advance local time")
 
 
 ClockModel = Ideal | ConstantPpm | RandomWalk | Piecewise
@@ -147,10 +158,7 @@ class SimClock:
         elif isinstance(model, RandomWalk):
             self._ppms = [model.initial_ppm]
             self._rng = random.Random(model.seed)
-            self._step_ns = s_ns = round(model.step_interval_s * NS_PER_S)
-            if s_ns <= 0:
-                raise ParamError("step_interval_s too small")
-            self._next_boundary = s_ns
+            self._step_ns = self._next_boundary = round(model.step_interval_s * NS_PER_S)
         else:  # Piecewise
             self._ppms = [model.segments[0][1]]
             for t1, ppm in model.segments[1:]:
@@ -174,11 +182,13 @@ class SimClock:
         starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
         local_start, ppm = local_starts[-1], ppms[-1]
         step, std = self._step_ns, self.model.step_std_ppm
+        # segments start at multiples of step, so each one lasts step; on
+        # the local clock the last one lasts this, never 0 ns
+        advance = step + round(step * ppm / 1_000_000)
         rng = self._rng
         uniform, z_next = rng.random, rng.gauss_next
-        # segments start at multiples of step, so each one lasts step
         while boundary <= true_time_ns or local_start < local_ns:
-            local_start += step + round(step * ppm / 1_000_000)
+            local_start += advance
             # each step is rng.gauss(0.0, std), drawn inline: the same
             # Box-Muller pair from two uniform draws, the same arithmetic,
             # and the pair's second value pending in rng.gauss_next
@@ -190,7 +200,8 @@ class SimClock:
             else:
                 ppm += 0.0 + z_next * std
                 z_next = None
-            if not abs(ppm) < _PPM_LIMIT:
+            # a segment must advance local time, or the inverse never passes it
+            if not abs(ppm) < _PPM_LIMIT or (advance := step + round(step * ppm / 1_000_000)) <= 0:
                 self._next_boundary, rng.gauss_next = boundary, z_next
                 raise ParamError("random walk left the valid ppm range")
             # only the inverse draws this far: a slow clock can need

@@ -1,10 +1,11 @@
 """Server-side monitoring and device-side resynchronization.
 
 The network server never initiates traffic.  It watches where each uplink
-ends inside the slot grid; while a device is in-sync the ACK stays empty,
-and the moment it is not, the ACK carries the remaining time to the next
-slot boundary (2 bytes).  The device reconstructs the boundary from that
-single number plus two local timestamps:
+ends inside its slot grid, which starts at reference time 0; while a
+device is in-sync the ACK stays empty, and the moment it is not, the ACK
+carries the remaining time to the next slot boundary (2 bytes).  The
+device reconstructs the boundary from that single number plus two local
+timestamps:
 
     beg      local time when its uplink ended
     end      local time when the ACK finished arriving
@@ -24,13 +25,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import UsageError
-from .slot import (
-    SlotConfig,
-    TimelineRef,
-    position_in_slot,
-    remaining_to_next_slot,
-    uplink_end_in_sync,
-)
+from .slot import SlotConfig, position_in_slot, uplink_end_in_sync
 from .units import NS_PER_MS, ns_to_ms_round
 
 ADAPTIVE = "adaptive"
@@ -48,7 +43,6 @@ class DeviceRecord:
 
 @dataclass
 class NetworkServerState:
-    ref: TimelineRef
     cfg: SlotConfig
     strategy: str = ADAPTIVE
     records: dict[int, DeviceRecord] = field(default_factory=dict)
@@ -75,35 +69,32 @@ class EndDeviceState:
     slot_start_local_ns: int | None = None
 
 
-def ns_on_uplink_end(s: NetworkServerState, dev_addr: int, arrival_true_ns: int) -> AckPlan:
-    """Judge one finished uplink and plan its ACK.
+def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: int) -> AckPlan:
+    """Judge one finished uplink of a device and plan its ACK.
 
     Unknown devices auto-register.  Under the adaptive strategy the
     remaining time is attached exactly when the frame is out-of-sync;
     under the fixed-rate baseline only when a round boundary flagged the
     device.
     """
-    if arrival_true_ns < s.ref.ref_ns:
-        raise UsageError("arrival precedes the timeline reference")
-    rec = s.records.get(dev_addr)
+    cfg = s.cfg
+    pos = position_in_slot(arrival_true_ns, cfg)
+    in_sync, signed_drift = uplink_end_in_sync(pos, cfg)
+    rec = s.records.get(device_index)
     if rec is None:
-        rec = s.records[dev_addr] = DeviceRecord()
-    pos = position_in_slot(arrival_true_ns, s.ref, s.cfg)
-    in_sync, signed_drift = uplink_end_in_sync(pos, s.cfg)
+        rec = s.records[device_index] = DeviceRecord()
     if not in_sync:
         rec.out_sync_count += 1
 
-    remaining_ms = None
     if s.strategy == ADAPTIVE:
-        if not in_sync:
-            remaining_ms = ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, s.ref, s.cfg))
-            rec.resync_count += 1
-    elif rec.resync_pending:
-        remaining_ms = ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, s.ref, s.cfg))
+        resync = not in_sync
+        rec.resync_count += resync
+    else:
+        resync = rec.resync_pending
         rec.resync_pending = False
     return AckPlan(
-        remaining_ms,
-        arrival_true_ns + s.cfg.rx_delay_ns,
+        ns_to_ms_round(cfg.t_slot_ns - pos) if resync else None,
+        arrival_true_ns + cfg.rx_delay_ns,
         pos,
         signed_drift,
         in_sync,

@@ -2,13 +2,16 @@
 
 Everything runs on virtual time.  Events are popped from a heap keyed by
 (time, insertion sequence), so identical (scenario, seed) pairs replay
-bit for bit.  A frame is one event, pushed at its uplink end.  Its
+bit for bit.  A frame is the only event, pushed at its uplink end.  Its
 handler counts the collisions of the uplink, judges it at the server,
 then opens RX1 (counted only if RX1 opens within the run) and applies
 the ACK and schedules the device's next transmission (only if the ACK
-ends within the run).  The only other events are the fixed-rate round
-boundaries, pushed before any uplink so that a boundary comes first at
-an equal instant.
+ends within the run).
+
+Fixed-rate round boundaries fall every round_s from 0 and need no
+events: before a frame is judged, every boundary at or before its end is
+applied, so a boundary comes first at an equal instant.  Those left
+after the last frame, up to the horizon, are applied after the loop.
 
 Per frame the device clock is read at the ACK end, where the next
 schedule starts, and also at the uplink end only for a correction the
@@ -64,7 +67,7 @@ from .protocol import (
     fixed_rate_round,
     ns_on_uplink_end,
 )
-from .slot import SlotConfig, TimelineRef
+from .slot import SlotConfig
 from .units import NS_PER_MS, NS_PER_S, s_to_ns
 
 SLOT_PICK_RANDOM = "random"
@@ -74,9 +77,6 @@ ADAPTIVE_SYNC_BYTES = 2
 FIXED_RATE_SYNC_BYTES = 8
 
 _MAX_UPLINK_PAYLOAD = 246  # 255-byte frame minus the 9-byte header
-
-_UPLINK_END = 0
-_ROUND_BOUNDARY = 1
 
 
 @dataclass(frozen=True)
@@ -256,14 +256,13 @@ def validate_scenario(sc: Scenario):
 class _DeviceRt:
     """Mutable per-device simulation state; the server knows it by its index."""
 
-    __slots__ = ("index", "state", "clock", "rng", "period_ns", "next_window_start_ns")
+    __slots__ = ("index", "state", "clock", "rng", "next_window_start_ns")
 
-    def __init__(self, index, state, clock, rng, period_ns):
+    def __init__(self, index, state, clock, rng):
         self.index = index
         self.state = state
         self.clock = clock
         self.rng = rng
-        self.period_ns = period_ns
         self.next_window_start_ns = 0
 
 
@@ -272,7 +271,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     validate_scenario(scenario)
     cfg = scenario.cfg
     duration_ns = s_to_ns(scenario.duration_s)
-    server = NetworkServerState(TimelineRef(0), cfg, strategy=scenario.strategy)
+    server = NetworkServerState(cfg, strategy=scenario.strategy)
     master = random.Random(scenario.seed)
 
     devices: list[_DeviceRt] = []
@@ -285,16 +284,15 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         model = spec.clock_model
         if isinstance(model, RandomWalk) and model.seed is None:
             model = replace(model, seed=clock_seed)
-        period_ns = s_to_ns(spec.tx_period_s)
-        state = EndDeviceState(tx_period_ns=period_ns, t_slot_ns=cfg.t_slot_ns)
-        devices.append(_DeviceRt(len(devices), state, SimClock(model), sched_rng, period_ns))
+        state = EndDeviceState(tx_period_ns=s_to_ns(spec.tx_period_s), t_slot_ns=cfg.t_slot_ns)
+        devices.append(_DeviceRt(len(devices), state, SimClock(model), sched_rng))
     loss_rng = random.Random(master.getrandbits(64))
 
     trace = Trace([spec.name for spec in scenario.devices], scenario.strategy)
 
     t_tx = cfg.t_tx_ns
     t_rx = cfg.t_rx_ns
-    # (time, insertion sequence, kind, device, local tx start); the
+    # (uplink end, insertion sequence, device, local tx start); the
     # sequence breaks ties, so devices are never compared
     heap: list = []
     seq = count()
@@ -307,7 +305,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         if pick_random:
             # uniform slot pick inside this device's next period window
             lo = dev.next_window_start_ns
-            hi = dev.next_window_start_ns = lo + dev.period_ns
+            hi = dev.next_window_start_ns = lo + d.tx_period_ns
             if lo < now_local_ns:
                 lo = now_local_ns
             t_slot = d.t_slot_ns
@@ -331,25 +329,18 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             nxt = ed_next_tx_time(d, now_local_ns, last_tx_local_ns)
         end = dev.clock.true_time_at_local(nxt) + t_tx
         if end <= duration_ns:  # only complete frames, as at bootstrap
-            heappush(heap, (end, next(seq), _UPLINK_END, dev, nxt))
-
-    # round boundaries go in first: at an equal instant they keep coming
-    # before the uplink ends, bootstrap ones included
-    if scenario.strategy == FIXED_RATE:
-        round_ns = scenario.round_s * NS_PER_S
-        for k in range(1, duration_ns // round_ns + 1):
-            heappush(heap, (k * round_ns, next(seq), _ROUND_BOUNDARY, None, None))
+            heappush(heap, (end, next(seq), dev, nxt))
 
     # bootstrap: each device first transmits at a uniform whole-millisecond
     # phase inside its first period window, on its own clock
     for dev in devices:
-        period_ms = max(1, dev.period_ns // NS_PER_MS)
-        phase_local = dev.rng.randrange(period_ms) * NS_PER_MS
-        dev.next_window_start_ns = phase_local + dev.period_ns
+        period_ns = dev.state.tx_period_ns
+        phase_local = dev.rng.randrange(max(1, period_ns // NS_PER_MS)) * NS_PER_MS
+        dev.next_window_start_ns = phase_local + period_ns
         dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
         end = dev.clock.true_time_at_local(phase_local) + t_tx
         if end <= duration_ns:
-            heappush(heap, (end, next(seq), _UPLINK_END, dev, phase_local))
+            heappush(heap, (end, next(seq), dev, phase_local))
 
     loss = scenario.downlink_loss
     collisions = 0
@@ -364,49 +355,58 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     # in the order they started and the deque stays sorted
     active_ends: deque[int] = deque()
 
+    if scenario.strategy == FIXED_RATE:
+        round_ns = next_round = scenario.round_s * NS_PER_S
+    else:
+        round_ns, next_round = 0, duration_ns + 1  # no boundary within the run
+
     while heap:
-        t, _, kind, dev, tx_local = heappop(heap)
-        if t > duration_ns:
-            break
-
-        if kind == _UPLINK_END:
-            start = t - t_tx
-            while active_ends and active_ends[0] <= start:
-                active_ends.popleft()
-            collisions += len(active_ends)  # one per overlapping pair
-            active_ends.append(t)
-            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.index, t)
-            add_device(dev.index)
-            add_time(t)
-            add_position(pos)
-            add_drift(drift)
-            add_in_sync(in_sync)
-            add_remaining(-1 if remaining_ms is None else remaining_ms)
-
-            # RX1 opens and the ACK ends at fixed offsets from the uplink
-            # end, so handling both here keeps their order across devices
-            if t_rx1 > duration_ns:
-                continue
-            t_ack = t_rx1 + t_rx
-            rx1_opened += 1
-            delivered = loss == 0.0 or loss_rng.random() >= loss
-            if t_ack > duration_ns:
-                continue
-            clock = dev.clock
-            if delivered and remaining_ms is not None:
-                # only a correction needs the uplink end on the device
-                # clock; it is read first, as the clock is read in time order
-                beg_local = clock.local_time(t)
-                end_local = clock.local_time(t_ack)
-                ed_on_ack(dev.state, beg_local, end_local, remaining_ms)
-            else:
-                # an empty or lost ACK changes nothing: the device keeps
-                # its grid and simply schedules the next uplink
-                end_local = clock.local_time(t_ack)
-            schedule_next_uplink(dev, end_local, tx_local)
-
-        else:  # _ROUND_BOUNDARY
+        t, _, dev, tx_local = heappop(heap)
+        # round boundaries up to this uplink's end come first, even at an
+        # equal instant: the server flags every device it has heard so far
+        while next_round <= t:
             fixed_rate_round(server)
+            next_round += round_ns
+
+        start = t - t_tx
+        while active_ends and active_ends[0] <= start:
+            active_ends.popleft()
+        collisions += len(active_ends)  # one per overlapping pair
+        active_ends.append(t)
+        remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.index, t)
+        add_device(dev.index)
+        add_time(t)
+        add_position(pos)
+        add_drift(drift)
+        add_in_sync(in_sync)
+        add_remaining(-1 if remaining_ms is None else remaining_ms)
+
+        # RX1 opens and the ACK ends at fixed offsets from the uplink
+        # end, so handling both here keeps their order across devices
+        if t_rx1 > duration_ns:
+            continue
+        t_ack = t_rx1 + t_rx
+        rx1_opened += 1
+        delivered = loss == 0.0 or loss_rng.random() >= loss
+        if t_ack > duration_ns:
+            continue
+        clock = dev.clock
+        if delivered and remaining_ms is not None:
+            # only a correction needs the uplink end on the device
+            # clock; it is read first, as the clock is read in time order
+            beg_local = clock.local_time(t)
+            end_local = clock.local_time(t_ack)
+            ed_on_ack(dev.state, beg_local, end_local, remaining_ms)
+        else:
+            # an empty or lost ACK changes nothing: the device keeps
+            # its grid and simply schedules the next uplink
+            end_local = clock.local_time(t_ack)
+        schedule_next_uplink(dev, end_local, tx_local)
+
+    # no frame follows the last boundaries; they still count a resync each
+    while next_round <= duration_ns:
+        fixed_rate_round(server)
+        next_round += round_ns
 
     # the server's records count every resync; a device it never heard from has none
     per_device = {}

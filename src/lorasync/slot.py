@@ -1,4 +1,4 @@
-"""Slot geometry and modular timeline arithmetic.
+"""Slot geometry and slot-grid arithmetic.
 
 A slot holds one uplink at its head, the class-A receive window, and two
 guard intervals at the tail:
@@ -9,6 +9,9 @@ tb1 absorbs early arrivals (fast device clocks), tb2 late ones.  The
 in-sync judgement looks at where an uplink *ends* inside the slot: the
 ideal end sits at offset t_tx, and the signed drift is how far before
 (+) or after (-) the ideal end the frame actually landed.
+
+The server's grid starts at reference time 0: slot n starts at
+n * t_slot, and times before 0 have no position in it.
 """
 
 from __future__ import annotations
@@ -57,32 +60,15 @@ class SlotConfig:
         return self._t_slot_ns
 
 
-@dataclass(frozen=True)
-class TimelineRef:
-    """Slot-grid origin, set once at server start."""
-
-    ref_ns: int = 0
-
-    def __post_init__(self):
-        if self.ref_ns < 0:
-            raise ParamError("ref_ns must be >= 0")
+def position_in_slot(time_ns: int, cfg: SlotConfig) -> int:
+    if time_ns < 0:
+        raise UsageError("time precedes the slot grid's origin")
+    return time_ns % cfg.t_slot_ns
 
 
-def slot_start(ref: TimelineRef, n: int, cfg: SlotConfig) -> int:
-    if n < 0:
-        raise UsageError("slot index must be >= 0")
-    return ref.ref_ns + n * cfg.t_slot_ns
-
-
-def position_in_slot(time_ns: int, ref: TimelineRef, cfg: SlotConfig) -> int:
-    if time_ns < ref.ref_ns:
-        raise UsageError("time precedes the timeline reference")
-    return (time_ns - ref.ref_ns) % cfg.t_slot_ns
-
-
-def remaining_to_next_slot(time_ns: int, ref: TimelineRef, cfg: SlotConfig) -> int:
+def remaining_to_next_slot(time_ns: int, cfg: SlotConfig) -> int:
     """Time until the next slot boundary; a full t_slot exactly on one."""
-    return cfg.t_slot_ns - position_in_slot(time_ns, ref, cfg)
+    return cfg.t_slot_ns - position_in_slot(time_ns, cfg)
 
 
 def uplink_end_in_sync(arrival_pos_ns: int, cfg: SlotConfig) -> tuple[bool, int]:

@@ -33,7 +33,7 @@ from lorasync import (
     uplink_end_in_sync,
 )
 from lorasync.frame import MAX_FRAME_BYTES
-from lorasync.slot import MAX_SLOT_MS, TimelineRef
+from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import ms_to_ns
 
 BENCH_CFG = SlotConfig(
@@ -221,12 +221,11 @@ def test_a8_protocol_invariants(criterion, bench_scenario):
         codec_ok = codec_ok and decode_ack(encode_ack(a)) == a
 
     # position + remaining == t_slot at every instant
-    ref = TimelineRef(0)
     ident_ok = True
     for _ in range(10_000):
         t = rng.randrange(0, 10**15)
-        pos = position_in_slot(t, ref, BENCH_CFG)
-        ident_ok = ident_ok and pos + remaining_to_next_slot(t, ref, BENCH_CFG) == BENCH_CFG.t_slot_ns
+        pos = position_in_slot(t, BENCH_CFG)
+        ident_ok = ident_ok and pos + remaining_to_next_slot(t, BENCH_CFG) == BENCH_CFG.t_slot_ns
 
     # bit-identical replay: same scenario, same seed, same trace hash
     def trace_hash(sc):

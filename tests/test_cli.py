@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +200,33 @@ def test_simulate_rejects_times_past_int64(capsys, tmp_path, duration_s, clock, 
     code, _, err = _run(capsys, "simulate", str(path))
     assert code == 1
     assert err.startswith("error:") and "int64" in err
+
+
+def test_simulate_rejects_a_walk_whose_step_cannot_advance_local_time(tmp_path):
+    # each 1 ns step at -600000 ppm adds 1 + round(-0.6) = 0 ns of local
+    # time: scheduling on this clock used to draw steps until killed.  It
+    # runs in a child, so a regression fails on the timeout, not hangs
+    path = tmp_path / "stuck.ini"
+    clock = "clock = random_walk\nstep_std_ppm = 0\ninitial_ppm = -600000\nstep_interval_s = 1e-9"
+    path.write_text(_ONE_DEVICE.format(duration_s=60, clock=clock, tx_period_s=30))
+    timed_main = (
+        "import sys, time\n"
+        "from lorasync.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - t0)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", timed_main, "simulate", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "device d:" in proc.stderr
+    assert "must advance local time" in proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_simulate_accepts_a_week(capsys, tmp_path):

@@ -236,6 +236,30 @@ def test_times_past_the_int64_range_raise_param_error():
         RandomWalk(step_interval_s=float("nan"), step_std_ppm=0.0, initial_ppm=0.0)
 
 
+def test_every_segment_advances_local_time():
+    # a segment that adds 0 ns of local time would let the inverse draw
+    # walk steps without end: 1 + round(-0.6) = 0 for 1 ns at -600000 ppm
+    with pytest.raises(ParamError, match="advance local time"):
+        RandomWalk(step_interval_s=1e-9, step_std_ppm=0.0, initial_ppm=-600_000.0)
+    with pytest.raises(ParamError, match="advance local time"):
+        RandomWalk(step_interval_s=4e-10, step_std_ppm=1.0, initial_ppm=0.0)  # rounds to 0 ns
+    assert SimClock(RandomWalk(1e-9, 0.0, -400_000.0, seed=1)).true_time_at_local(5) == 5
+    with pytest.raises(ParamError, match="at 0.0 s must advance local time"):
+        Piecewise(((0.0, -600_000.0), (1e-9, 0.0)))
+    with pytest.raises(ParamError, match="at 1.0 s must advance local time"):
+        Piecewise(((0.0, 0.0), (1.0, 5.0), (1.0 + 1e-10, 3.0)))  # both start at 1 s in ns
+    assert SimClock(Piecewise(((0.0, -400_000.0), (1e-9, 0.0)))).true_time_at_local(5) == 5
+    # a walk drawn into such a segment raises where it would draw it; at
+    # this seed the first step lands at -616884 ppm
+    walk = RandomWalk(step_interval_s=1e-9, step_std_ppm=100_000.0,
+                      initial_ppm=-499_000.0, seed=5)
+    assert 1 + round((walk.initial_ppm + random.Random(5).gauss(0.0, 100_000.0)) / 1e6) == 0
+    with pytest.raises(ParamError):
+        SimClock(walk).true_time_at_local(2)
+    with pytest.raises(ParamError):
+        SimClock(walk).local_time(1)
+
+
 def test_true_time_at_local_ideal_is_identity():
     c = SimClock(Ideal())
     for local in (0, 1, 12345, 10**14):

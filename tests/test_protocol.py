@@ -10,7 +10,6 @@ from lorasync import (
     EndDeviceState,
     NetworkServerState,
     SlotConfig,
-    TimelineRef,
     UsageError,
     ed_next_tx_time,
     ed_on_ack,
@@ -30,13 +29,13 @@ T_SLOT = CFG.t_slot_ns  # 1757 ms
 
 
 def _server(strategy=ADAPTIVE):
-    return NetworkServerState(ref=TimelineRef(), cfg=CFG, strategy=strategy)
+    return NetworkServerState(cfg=CFG, strategy=strategy)
 
 
 def test_in_sync_uplink_gets_empty_ack():
     s = _server()
     # frame ends exactly at the ideal offset of slot 2
-    plan = ns_on_uplink_end(s, dev_addr=7, arrival_true_ns=2 * T_SLOT + CFG.t_tx_ns)
+    plan = ns_on_uplink_end(s, device_index=7, arrival_true_ns=2 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms is None
     assert plan.scheduled_tx_true_time_ns == 2 * T_SLOT + CFG.t_tx_ns + CFG.rx_delay_ns
     rec = s.records[7]
@@ -48,7 +47,7 @@ def test_in_sync_uplink_gets_empty_ack():
 def test_out_of_sync_uplink_gets_remaining_time():
     s = _server()
     # arrival at absolute 4000 ms: position 486 ms, drift -180 ms (late)
-    plan = ns_on_uplink_end(s, dev_addr=7, arrival_true_ns=ms_to_ns(4000))
+    plan = ns_on_uplink_end(s, device_index=7, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms == 1271
     rec = s.records[7]
     assert rec.resync_count == 1
@@ -57,15 +56,17 @@ def test_out_of_sync_uplink_gets_remaining_time():
 
 
 def test_arrival_before_reference_rejected():
-    s = NetworkServerState(ref=TimelineRef(ref_ns=ms_to_ns(500)), cfg=CFG)
+    # the server's grid starts at reference time 0
+    s = _server()
     with pytest.raises(UsageError):
-        ns_on_uplink_end(s, dev_addr=1, arrival_true_ns=ms_to_ns(499))
+        ns_on_uplink_end(s, device_index=1, arrival_true_ns=-1)
+    assert s.records == {}
 
 
 def test_fixed_rate_holds_correction_until_round():
     s = _server(FIXED_RATE)
     # out-of-sync frame: fixed-rate still answers with an empty ACK
-    plan = ns_on_uplink_end(s, dev_addr=3, arrival_true_ns=ms_to_ns(4000))
+    plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms is None
     assert plan.signed_drift_ns == -ms_to_ns(180)
     assert s.records[3].resync_count == 0
@@ -76,11 +77,11 @@ def test_fixed_rate_holds_correction_until_round():
     assert s.records[3].resync_pending
 
     # next uplink carries the correction even though it is in-sync
-    plan = ns_on_uplink_end(s, dev_addr=3, arrival_true_ns=7 * T_SLOT + CFG.t_tx_ns)
+    plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=7 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms == 1451  # 1757 - 306
     assert not s.records[3].resync_pending
     # and the one after is empty again
-    plan = ns_on_uplink_end(s, dev_addr=3, arrival_true_ns=9 * T_SLOT + CFG.t_tx_ns)
+    plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=9 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms is None
     assert s.records[3].resync_count == 1
 
@@ -88,7 +89,7 @@ def test_fixed_rate_holds_correction_until_round():
 def test_fixed_rate_round_covers_all_devices_sorted():
     s = _server(FIXED_RATE)
     for addr in (9, 2, 5):
-        ns_on_uplink_end(s, dev_addr=addr, arrival_true_ns=5 * T_SLOT + CFG.t_tx_ns)
+        ns_on_uplink_end(s, device_index=addr, arrival_true_ns=5 * T_SLOT + CFG.t_tx_ns)
     fixed_rate_round(s)
     assert sorted(s.records) == [2, 5, 9]
     for rec in s.records.values():
@@ -159,7 +160,7 @@ def test_server_correction_lands_device_on_grid():
         boot = ms_to_ns(rng.randrange(0, 10**7))
         d = _device(slot_start_ns=boot)
         end = boot + CFG.t_tx_ns
-        plan = ns_on_uplink_end(s, dev_addr=trial, arrival_true_ns=end)
+        plan = ns_on_uplink_end(s, device_index=trial, arrival_true_ns=end)
         if plan.remaining_ms is None:
             continue  # got lucky, already inside the guards
         ack_end = plan.scheduled_tx_true_time_ns + CFG.t_rx_ns
@@ -170,6 +171,6 @@ def test_server_correction_lands_device_on_grid():
         # follow-up uplink ends exactly at the ideal in-slot offset
         nxt = ed_next_tx_time(d, ack_end, last_tx_local_ns=boot)
         assert (nxt + CFG.t_tx_ns) % T_SLOT == CFG.t_tx_ns
-        plan2 = ns_on_uplink_end(s, dev_addr=trial, arrival_true_ns=nxt + CFG.t_tx_ns)
+        plan2 = ns_on_uplink_end(s, device_index=trial, arrival_true_ns=nxt + CFG.t_tx_ns)
         assert plan2.remaining_ms is None
         assert plan2.signed_drift_ns == 0

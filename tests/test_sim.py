@@ -22,7 +22,6 @@ from lorasync import (
     TraceRow,
     run,
     NetworkServerState,
-    TimelineRef,
     encode_ack,
     ns_on_uplink_end,
     position_in_slot,
@@ -110,17 +109,17 @@ def test_trace_reads_as_a_sequence_of_rows(bench_scenario):
 def test_trace_rows_match_an_independent_judgement(bench_scenario):
     sc = bench_scenario(strategy=FIXED_RATE, round_s=600, downlink_loss=0.3, duration_s=7200.0)
     m, trace = run(sc)
-    cfg, ref = sc.cfg, TimelineRef(0)
+    cfg = sc.cfg
     names = {d.name for d in sc.devices}
     for i, row in enumerate(trace):
         assert row.frame_index == i
         assert row.device_id in names and row.strategy == FIXED_RATE
-        pos = position_in_slot(row.true_time_ns, ref, cfg)
+        pos = position_in_slot(row.true_time_ns, cfg)
         assert row.arrival_position_ns == pos
         assert (row.in_sync, row.signed_drift_ns) == uplink_end_in_sync(pos, cfg)
         assert type(row.in_sync) is bool
         if row.action == "resync":
-            want = ns_to_ms_round(remaining_to_next_slot(row.true_time_ns, ref, cfg))
+            want = ns_to_ms_round(remaining_to_next_slot(row.true_time_ns, cfg))
             assert row.remaining_ms == want
         else:
             assert row.action == "none" and row.remaining_ms is None
@@ -420,7 +419,7 @@ def test_remaining_time_fits_the_wire_field_at_the_largest_slot():
         assert 0 <= remaining_ms <= MAX_SLOT_MS
         encode_ack(SyncAck(dev_addr=1, fcnt=0, remaining_ms=remaining_ms))
     # the largest value: an uplink ending on, or just after, a boundary
-    server = NetworkServerState(TimelineRef(), cfg)
+    server = NetworkServerState(cfg)
     for arrival in (cfg.t_slot_ns, cfg.t_slot_ns + NS_PER_MS // 2 - 1):
         plan = ns_on_uplink_end(server, 1, arrival)
         assert plan.remaining_ms == MAX_SLOT_MS

@@ -1,0 +1,93 @@
+"""Hypothesis properties of the simulator's fixed-rate rounds.
+
+A round boundary at the same instant as an uplink end comes first: it
+flags every device the server has heard of, and the uplink it ties with
+carries the correction.  Drawn scenarios use the slot geometry of
+`test_golden._ties_config`, so uplinks end on whole seconds, and 1 s
+rounds make them land exactly on boundaries.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lorasync import FIXED_RATE, ConstantPpm, DeviceSpec, Ideal, Scenario, SlotConfig, run
+from lorasync.units import NS_PER_S, ms_to_ns
+
+# every field a whole number of half seconds and a 4 s grid: a resynced
+# ideal device ends its uplinks on whole seconds
+CFG = SlotConfig(
+    t_tx_ns=ms_to_ns(1000),
+    rx_delay_ns=ms_to_ns(1000),
+    t_rx_ns=ms_to_ns(1000),
+    tb1_ns=ms_to_ns(500),
+    tb2_ns=ms_to_ns(500),
+)
+
+_CLOCKS = st.one_of(
+    st.just(Ideal()),
+    st.builds(ConstantPpm, st.sampled_from([-300.0, -40.0, 25.0, 200.0])),
+)
+# a 1 ms period means a bootstrap phase of 0: the first uplink ends at
+# t_tx, exactly on the first boundary of 1 s rounds
+_PERIODS = st.sampled_from([0.001, 4.0, 5.0, 8.0, 30.0])
+
+_TIED = dict(
+    devices=[(Ideal(), 0.001), (ConstantPpm(-40.0), 0.001), (Ideal(), 4.0)],
+    round_s=1,
+    duration_s=60,
+    loss=0.3,
+    slot_pick="aligned",
+    seed=7,
+)
+
+
+def _boundaries(lo_ns: int, hi_ns: int, round_ns: int) -> int:
+    """Round boundaries k * round_ns, k >= 1, in (lo_ns, hi_ns]; lo_ns >= 0."""
+    return hi_ns // round_ns - lo_ns // round_ns
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    devices=st.lists(st.tuples(_CLOCKS, _PERIODS), min_size=1, max_size=6),
+    round_s=st.sampled_from([1, 1, 2, 3, 5]),
+    duration_s=st.integers(min_value=10, max_value=120),
+    loss=st.sampled_from([0.0, 0.3]),
+    slot_pick=st.sampled_from(["aligned", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(**_TIED)
+def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
+    devices, round_s, duration_s, loss, slot_pick, seed
+):
+    specs = tuple(
+        DeviceSpec(name=f"d{i}", clock_model=clock, tx_period_s=period)
+        for i, (clock, period) in enumerate(devices)
+    )
+    sc = Scenario(
+        duration_s=float(duration_s),
+        cfg=CFG,
+        devices=specs,
+        strategy=FIXED_RATE,
+        round_s=round_s,
+        seed=seed,
+        downlink_loss=loss,
+        slot_pick=slot_pick,
+    )
+    m, trace = run(sc)
+    round_ns = round_s * NS_PER_S
+
+    first: dict[str, int] = {}
+    previous: dict[str, int] = {}
+    for row in trace:
+        last = previous.get(row.device_id)
+        # a boundary at this uplink's end comes first and flags it; one at
+        # the previous end came before that uplink and was answered there
+        flagged = last is not None and _boundaries(last, row.true_time_ns, round_ns) > 0
+        assert (row.remaining_ms is not None) == flagged, row
+        first.setdefault(row.device_id, row.true_time_ns)
+        previous[row.device_id] = row.true_time_ns
+
+    for spec in specs:
+        heard = spec.name in first
+        want = _boundaries(first[spec.name], m.duration_ns, round_ns) if heard else 0
+        assert m.per_device[spec.name].resync_count == want, spec.name

@@ -1,4 +1,4 @@
-"""Slot geometry, modular timeline arithmetic, in-sync judgement."""
+"""Slot geometry, slot-grid arithmetic, in-sync judgement."""
 
 import random
 
@@ -7,11 +7,9 @@ import pytest
 from lorasync import (
     ParamError,
     SlotConfig,
-    TimelineRef,
     UsageError,
     position_in_slot,
     remaining_to_next_slot,
-    slot_start,
     uplink_end_in_sync,
 )
 from lorasync.units import NS_PER_MS, ms_to_ns
@@ -30,34 +28,25 @@ def test_slot_length_is_the_sum_of_parts():
     assert BENCH.t_slot_ns == ms_to_ns(1757)
 
 
-def test_slot_start_grid():
-    ref = TimelineRef()
-    assert slot_start(ref, 0, BENCH) == 0
-    assert slot_start(ref, 2, BENCH) == ms_to_ns(3514)
-    shifted = TimelineRef(ref_ns=ms_to_ns(100))
-    assert slot_start(shifted, 1, BENCH) == ms_to_ns(1857)
-    with pytest.raises(UsageError):
-        slot_start(ref, -1, BENCH)
-
-
 def test_position_and_remaining_examples():
-    ref = TimelineRef()
-    assert position_in_slot(ms_to_ns(4000), ref, BENCH) == ms_to_ns(486)
-    assert remaining_to_next_slot(ms_to_ns(4000), ref, BENCH) == ms_to_ns(1271)
+    assert position_in_slot(ms_to_ns(4000), BENCH) == ms_to_ns(486)
+    assert remaining_to_next_slot(ms_to_ns(4000), BENCH) == ms_to_ns(1271)
     # exactly on a boundary: position 0, a full slot remains
-    assert position_in_slot(ms_to_ns(3514), ref, BENCH) == 0
-    assert remaining_to_next_slot(ms_to_ns(3514), ref, BENCH) == ms_to_ns(1757)
-    with pytest.raises(UsageError):
-        position_in_slot(ms_to_ns(99), TimelineRef(ref_ns=ms_to_ns(100)), BENCH)
+    assert position_in_slot(ms_to_ns(3514), BENCH) == 0
+    assert remaining_to_next_slot(ms_to_ns(3514), BENCH) == ms_to_ns(1757)
+    # the grid starts at 0: earlier times have no position in it
+    assert position_in_slot(0, BENCH) == 0
+    for func in (position_in_slot, remaining_to_next_slot):
+        with pytest.raises(UsageError):
+            func(-1, BENCH)
 
 
 def test_position_plus_remaining_is_always_a_slot():
-    ref = TimelineRef(ref_ns=123_456_789)
     rng = random.Random(21)
     for _ in range(2000):
-        t = ref.ref_ns + rng.randrange(0, 10**14)
-        pos = position_in_slot(t, ref, BENCH)
-        rem = remaining_to_next_slot(t, ref, BENCH)
+        t = rng.randrange(0, 10**14)
+        pos = position_in_slot(t, BENCH)
+        rem = remaining_to_next_slot(t, BENCH)
         assert 0 <= pos < BENCH.t_slot_ns
         assert 0 < rem <= BENCH.t_slot_ns
         assert pos + rem == BENCH.t_slot_ns
