@@ -14,8 +14,9 @@ computed as exact integer nanoseconds; no floating point enters the math.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._record import Frozen
 from .errors import ParamError
 from .units import ns_to_ms_round
 
@@ -25,34 +26,39 @@ SF_MAX = 12
 MAX_PL_BYTES = 255
 
 
-@dataclass(frozen=True)
-class RadioParams:
+class RadioParams(Frozen):
     """Physical-layer parameter set for one LoRa transmission."""
 
-    sf: int
-    bw_hz: int
-    cr: int
-    pl_bytes: int
-    n_preamble: int = 8
-    crc_on: bool = True
-    implicit_header: bool = False
-    low_datarate_opt: bool = False
+    __slots__ = _fields = (
+        "sf", "bw_hz", "cr", "pl_bytes",
+        "n_preamble", "crc_on", "implicit_header", "low_datarate_opt",
+    )
 
-    def __post_init__(self):
-        if not SF_MIN <= self.sf <= SF_MAX:
-            raise ParamError(f"sf must be in {SF_MIN}..{SF_MAX}, got {self.sf}")
-        if self.bw_hz not in BANDWIDTHS_HZ:
-            raise ParamError(f"bw_hz must be one of {BANDWIDTHS_HZ}, got {self.bw_hz}")
-        if not 1 <= self.cr <= 4:
-            raise ParamError(f"cr must be in 1..4, got {self.cr}")
-        if not 0 <= self.pl_bytes <= MAX_PL_BYTES:
-            raise ParamError(f"pl_bytes must be in 0..{MAX_PL_BYTES}, got {self.pl_bytes}")
-        if self.n_preamble < 1:
-            raise ParamError(f"n_preamble must be >= 1, got {self.n_preamble}")
+    def __init__(
+        self,
+        sf: int,
+        bw_hz: int,
+        cr: int,
+        pl_bytes: int,
+        n_preamble: int = 8,
+        crc_on: bool = True,
+        implicit_header: bool = False,
+        low_datarate_opt: bool = False,
+    ):
+        if not SF_MIN <= sf <= SF_MAX:
+            raise ParamError(f"sf must be in {SF_MIN}..{SF_MAX}, got {sf}")
+        if bw_hz not in BANDWIDTHS_HZ:
+            raise ParamError(f"bw_hz must be one of {BANDWIDTHS_HZ}, got {bw_hz}")
+        if not 1 <= cr <= 4:
+            raise ParamError(f"cr must be in 1..4, got {cr}")
+        if not 0 <= pl_bytes <= MAX_PL_BYTES:
+            raise ParamError(f"pl_bytes must be in 0..{MAX_PL_BYTES}, got {pl_bytes}")
+        if n_preamble < 1:
+            raise ParamError(f"n_preamble must be >= 1, got {n_preamble}")
+        self._set(sf, bw_hz, cr, pl_bytes, n_preamble, crc_on, implicit_header, low_datarate_opt)
 
 
-@dataclass(frozen=True)
-class AirTime:
+class AirTime(NamedTuple):
     """Durations of one transmission, exact nanoseconds."""
 
     t_preamble_ns: int

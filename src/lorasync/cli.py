@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
 from itertools import count
 
 from .airtime import RadioParams, remaining_time_bit_width, symbol_duration_ns, time_on_air
@@ -164,7 +163,7 @@ def _print_summary(sc: Scenario, m: Metrics):
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.config)
     if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+        sc = sc._replace(seed=args.seed)
     metrics, trace = run(sc)
     if args.out:
         write_trace_csv(args.out, trace)
@@ -176,7 +175,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     sc = load_scenario(args.config)
     if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+        sc = sc._replace(seed=args.seed)
     try:
         rounds = [int(r) for r in args.rounds.split(",") if r.strip()]
     except ValueError as exc:
@@ -186,9 +185,9 @@ def _cmd_compare(args) -> int:
     if len(set(rounds)) != len(rounds):
         raise ParamError("--rounds values must be distinct")
 
-    variants = [("adaptive", replace(sc, strategy=ADAPTIVE, round_s=None))]
+    variants = [("adaptive", sc._replace(strategy=ADAPTIVE, round_s=None))]
     for r in rounds:
-        variants.append((f"fixed {r} s", replace(sc, strategy=FIXED_RATE, round_s=r)))
+        variants.append((f"fixed {r} s", sc._replace(strategy=FIXED_RATE, round_s=r)))
     # keep only the metrics: a variant's trace is dropped as soon as it returns
     results = [(label, run(v)[0]) for label, v in variants]
 

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from math import cos, log, sin, sqrt, tau
+from math import cos, isfinite, log, sin, sqrt, tau
 
+from ._record import Frozen
 from .errors import ParamError, UsageError
 from .units import NS_PER_S
 
@@ -56,63 +56,69 @@ _RANGE_ERROR = f"clock time past {REF_NS_MAX} ns leaves the int64 nanosecond ran
 _BEHIND_MAX = 8
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """Perfect oscillator, local time equals reference time."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ConstantPpm:
-    offset_ppm: float
 
-    def __post_init__(self):
-        if not abs(self.offset_ppm) < _PPM_LIMIT:
+class ConstantPpm(Frozen):
+    __slots__ = _fields = ("offset_ppm",)
+
+    def __init__(self, offset_ppm: float):
+        if not abs(offset_ppm) < _PPM_LIMIT:
             raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
+        self._set(offset_ppm)
 
 
-@dataclass(frozen=True)
-class RandomWalk:
+class RandomWalk(Frozen):
     """Piecewise-constant ppm that takes a Gaussian step every interval.
 
     seed=None means the simulator derives one from the scenario seed.
     """
 
-    step_interval_s: float
-    step_std_ppm: float
-    initial_ppm: float
-    seed: int | None = None
+    __slots__ = _fields = ("step_interval_s", "step_std_ppm", "initial_ppm", "seed")
 
-    def __post_init__(self):
-        if self.step_interval_s <= 0:
+    def __init__(
+        self,
+        step_interval_s: float,
+        step_std_ppm: float,
+        initial_ppm: float,
+        seed: int | None = None,
+    ):
+        if step_interval_s <= 0:
             raise ParamError("step_interval_s must be positive")
-        if not self.step_interval_s * NS_PER_S <= REF_NS_MAX:
+        if not step_interval_s * NS_PER_S <= REF_NS_MAX:
             raise ParamError(
                 f"step_interval_s must be at most {REF_NS_MAX // NS_PER_S} s, "
                 "the int64 nanosecond range"
             )
-        if self.step_std_ppm < 0:
+        if step_std_ppm < 0:
             raise ParamError("step_std_ppm must be >= 0")
-        if not abs(self.initial_ppm) < _PPM_LIMIT:
+        if not isfinite(step_std_ppm):
+            # NaN passes the check above; NaN or inf would fail only at the first draw
+            raise ParamError("step_std_ppm must be finite")
+        if not abs(initial_ppm) < _PPM_LIMIT:
             raise ParamError(f"|initial_ppm| must be < {_PPM_LIMIT}")
-        step_ns = round(self.step_interval_s * NS_PER_S)
-        if step_ns + round(step_ns * self.initial_ppm / 1_000_000) <= 0:
+        step_ns = round(step_interval_s * NS_PER_S)
+        if step_ns + round(step_ns * initial_ppm / 1_000_000) <= 0:
             raise ParamError(
                 "step_interval_s too small: a step at initial_ppm must advance local time"
             )
+        self._set(step_interval_s, step_std_ppm, initial_ppm, seed)
 
 
-@dataclass(frozen=True)
-class Piecewise:
+class Piecewise(Frozen):
     """Explicit (from_time_s, offset_ppm) segments, first at t=0."""
 
-    segments: tuple[tuple[float, float], ...]
+    __slots__ = _fields = ("segments",)
 
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: tuple[tuple[float, float], ...]):
+        if not segments:
             raise ParamError("piecewise model needs at least one segment")
-        if self.segments[0][0] != 0:
+        if segments[0][0] != 0:
             raise ParamError("first piecewise segment must start at t=0")
-        times = [t for t, _ in self.segments]
+        times = [t for t, _ in segments]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ParamError("piecewise segment times must strictly increase")
         if not all(t * NS_PER_S <= REF_NS_MAX for t in times):
@@ -120,12 +126,13 @@ class Piecewise:
                 f"piecewise segments must start by {REF_NS_MAX // NS_PER_S} s, "
                 "the int64 nanosecond range"
             )
-        if any(not abs(ppm) < _PPM_LIMIT for _, ppm in self.segments):
+        if any(not abs(ppm) < _PPM_LIMIT for _, ppm in segments):
             raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
-        for (t0, ppm), (t1, _) in zip(self.segments, self.segments[1:]):
+        for (t0, ppm), (t1, _) in zip(segments, segments[1:]):
             dt = round(t1 * NS_PER_S) - round(t0 * NS_PER_S)
             if dt + round(dt * ppm / 1_000_000) <= 0:
                 raise ParamError(f"piecewise segment at {t0} s must advance local time")
+        self._set(segments)
 
 
 ClockModel = Ideal | ConstantPpm | RandomWalk | Piecewise

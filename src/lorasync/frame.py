@@ -14,7 +14,6 @@ traffic runs on FPort 198.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DecodeError, EncodeError
@@ -27,8 +26,7 @@ _UPLINK_HEADER = 9  # MHDR + DevAddr + FCtrl + FCnt + FPort
 _ACK_BASE = 8  # MHDR + DevAddr + FCtrl + FCnt
 
 
-@dataclass(frozen=True)
-class UplinkFrame:
+class UplinkFrame(NamedTuple):
     dev_addr: int
     fcnt: int
     fport: int = SYNC_FPORT

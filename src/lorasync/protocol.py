@@ -21,7 +21,6 @@ every device once per round, unconditionally, at 8 bytes a piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -32,20 +31,31 @@ ADAPTIVE = "adaptive"
 FIXED_RATE = "fixed_rate"
 
 
-@dataclass
 class DeviceRecord:
     """What the server remembers about one device."""
 
-    resync_count: int = 0
-    out_sync_count: int = 0
-    resync_pending: bool = False  # fixed-rate strategy only
+    __slots__ = ("resync_count", "out_sync_count", "resync_pending")
+
+    def __init__(
+        self, resync_count: int = 0, out_sync_count: int = 0, resync_pending: bool = False
+    ):
+        self.resync_count = resync_count
+        self.out_sync_count = out_sync_count
+        self.resync_pending = resync_pending  # fixed-rate strategy only
 
 
-@dataclass
 class NetworkServerState:
-    cfg: SlotConfig
-    strategy: str = ADAPTIVE
-    records: dict[int, DeviceRecord] = field(default_factory=dict)
+    __slots__ = ("cfg", "strategy", "records")
+
+    def __init__(
+        self,
+        cfg: SlotConfig,
+        strategy: str = ADAPTIVE,
+        records: dict[int, DeviceRecord] | None = None,
+    ):
+        self.cfg = cfg
+        self.strategy = strategy
+        self.records = {} if records is None else records
 
 
 class AckPlan(NamedTuple):
@@ -62,11 +72,13 @@ class AckPlan(NamedTuple):
     in_sync: bool
 
 
-@dataclass
 class EndDeviceState:
-    tx_period_ns: int
-    t_slot_ns: int
-    slot_start_local_ns: int | None = None
+    __slots__ = ("tx_period_ns", "t_slot_ns", "slot_start_local_ns")
+
+    def __init__(self, tx_period_ns: int, t_slot_ns: int, slot_start_local_ns: int | None = None):
+        self.tx_period_ns = tx_period_ns
+        self.t_slot_ns = t_slot_ns
+        self.slot_start_local_ns = slot_start_local_ns
 
 
 def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: int) -> AckPlan:

@@ -52,11 +52,10 @@ from collections import deque
 from collections.abc import Sequence
 from itertools import count
 from operator import eq
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
-from .errors import ConfigError
+from .errors import ConfigError, ParamError
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,
@@ -79,16 +78,14 @@ FIXED_RATE_SYNC_BYTES = 8
 _MAX_UPLINK_PAYLOAD = 246  # 255-byte frame minus the 9-byte header
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(NamedTuple):
     name: str
     clock_model: ClockModel
     tx_period_s: float
     payload_bytes: int = 0
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     duration_s: float
     cfg: SlotConfig
     devices: tuple[DeviceSpec, ...]
@@ -189,22 +186,19 @@ class Trace(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-@dataclass
-class DeviceMetrics:
+class DeviceMetrics(NamedTuple):
     resync_count: int = 0
     out_sync_frames: int = 0
 
 
-@dataclass
-class GatewayMetrics:
+class GatewayMetrics(NamedTuple):
     downlink_count: int = 0  # RX1 downlinks that opened within the run
     sync_overhead_bytes: int = 0  # 2 per adaptive resync, 8 per fixed-rate round resync
     downlink_airtime_ns: int = 0  # downlink_count * t_rx
     duty_cycle_used_fraction: float = 0.0  # downlink air-time over the run length
 
 
-@dataclass
-class Metrics:
+class Metrics(NamedTuple):
     duration_ns: int
     strategy: str
     per_device: dict
@@ -283,7 +277,9 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         clock_seed = dev_master.getrandbits(64)
         model = spec.clock_model
         if isinstance(model, RandomWalk) and model.seed is None:
-            model = replace(model, seed=clock_seed)
+            model = RandomWalk(
+                model.step_interval_s, model.step_std_ppm, model.initial_ppm, clock_seed
+            )
         state = EndDeviceState(tx_period_ns=s_to_ns(spec.tx_period_s), t_slot_ns=cfg.t_slot_ns)
         devices.append(_DeviceRt(len(devices), state, SimClock(model), sched_rng))
     loss_rng = random.Random(master.getrandbits(64))
@@ -333,14 +329,17 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
 
     # bootstrap: each device first transmits at a uniform whole-millisecond
     # phase inside its first period window, on its own clock
-    for dev in devices:
-        period_ns = dev.state.tx_period_ns
-        phase_local = dev.rng.randrange(max(1, period_ns // NS_PER_MS)) * NS_PER_MS
-        dev.next_window_start_ns = phase_local + period_ns
-        dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
-        end = dev.clock.true_time_at_local(phase_local) + t_tx
-        if end <= duration_ns:
-            heappush(heap, (end, next(seq), dev, phase_local))
+    try:
+        for dev in devices:
+            period_ns = dev.state.tx_period_ns
+            phase_local = dev.rng.randrange(max(1, period_ns // NS_PER_MS)) * NS_PER_MS
+            dev.next_window_start_ns = phase_local + period_ns
+            dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
+            end = dev.clock.true_time_at_local(phase_local) + t_tx
+            if end <= duration_ns:
+                heappush(heap, (end, next(seq), dev, phase_local))
+    except ParamError as exc:  # only the device's clock raises it
+        raise ParamError(f"device {scenario.devices[dev.index].name}: {exc}") from exc
 
     loss = scenario.downlink_loss
     collisions = 0
@@ -360,48 +359,51 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     else:
         round_ns, next_round = 0, duration_ns + 1  # no boundary within the run
 
-    while heap:
-        t, _, dev, tx_local = heappop(heap)
-        # round boundaries up to this uplink's end come first, even at an
-        # equal instant: the server flags every device it has heard so far
-        while next_round <= t:
-            fixed_rate_round(server)
-            next_round += round_ns
+    try:
+        while heap:
+            t, _, dev, tx_local = heappop(heap)
+            # round boundaries up to this uplink's end come first, even at an
+            # equal instant: the server flags every device it has heard so far
+            while next_round <= t:
+                fixed_rate_round(server)
+                next_round += round_ns
 
-        start = t - t_tx
-        while active_ends and active_ends[0] <= start:
-            active_ends.popleft()
-        collisions += len(active_ends)  # one per overlapping pair
-        active_ends.append(t)
-        remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.index, t)
-        add_device(dev.index)
-        add_time(t)
-        add_position(pos)
-        add_drift(drift)
-        add_in_sync(in_sync)
-        add_remaining(-1 if remaining_ms is None else remaining_ms)
+            start = t - t_tx
+            while active_ends and active_ends[0] <= start:
+                active_ends.popleft()
+            collisions += len(active_ends)  # one per overlapping pair
+            active_ends.append(t)
+            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.index, t)
+            add_device(dev.index)
+            add_time(t)
+            add_position(pos)
+            add_drift(drift)
+            add_in_sync(in_sync)
+            add_remaining(-1 if remaining_ms is None else remaining_ms)
 
-        # RX1 opens and the ACK ends at fixed offsets from the uplink
-        # end, so handling both here keeps their order across devices
-        if t_rx1 > duration_ns:
-            continue
-        t_ack = t_rx1 + t_rx
-        rx1_opened += 1
-        delivered = loss == 0.0 or loss_rng.random() >= loss
-        if t_ack > duration_ns:
-            continue
-        clock = dev.clock
-        if delivered and remaining_ms is not None:
-            # only a correction needs the uplink end on the device
-            # clock; it is read first, as the clock is read in time order
-            beg_local = clock.local_time(t)
-            end_local = clock.local_time(t_ack)
-            ed_on_ack(dev.state, beg_local, end_local, remaining_ms)
-        else:
-            # an empty or lost ACK changes nothing: the device keeps
-            # its grid and simply schedules the next uplink
-            end_local = clock.local_time(t_ack)
-        schedule_next_uplink(dev, end_local, tx_local)
+            # RX1 opens and the ACK ends at fixed offsets from the uplink
+            # end, so handling both here keeps their order across devices
+            if t_rx1 > duration_ns:
+                continue
+            t_ack = t_rx1 + t_rx
+            rx1_opened += 1
+            delivered = loss == 0.0 or loss_rng.random() >= loss
+            if t_ack > duration_ns:
+                continue
+            clock = dev.clock
+            if delivered and remaining_ms is not None:
+                # only a correction needs the uplink end on the device
+                # clock; it is read first, as the clock is read in time order
+                beg_local = clock.local_time(t)
+                end_local = clock.local_time(t_ack)
+                ed_on_ack(dev.state, beg_local, end_local, remaining_ms)
+            else:
+                # an empty or lost ACK changes nothing: the device keeps
+                # its grid and simply schedules the next uplink
+                end_local = clock.local_time(t_ack)
+            schedule_next_uplink(dev, end_local, tx_local)
+    except ParamError as exc:  # only the device's clock raises it
+        raise ParamError(f"device {scenario.devices[dev.index].name}: {exc}") from exc
 
     # no frame follows the last boundaries; they still count a resync each
     while next_round <= duration_ns:

@@ -16,8 +16,7 @@ n * t_slot, and times before 0 have no position in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen
 from .errors import ParamError, UsageError
 from .units import NS_PER_MS
 
@@ -28,32 +27,30 @@ MAX_SLOT_MS = 65_535
 GUARD_HEADROOM_MS = 53_599
 
 
-@dataclass(frozen=True)
-class SlotConfig:
-    t_tx_ns: int
-    rx_delay_ns: int
-    t_rx_ns: int
-    tb1_ns: int
-    tb2_ns: int
+class SlotConfig(Frozen):
+    _fields = ("t_tx_ns", "rx_delay_ns", "t_rx_ns", "tb1_ns", "tb2_ns")
+    __slots__ = (*_fields, "_t_slot_ns")
 
-    def __post_init__(self):
-        for name in ("t_tx_ns", "rx_delay_ns", "t_rx_ns", "tb1_ns", "tb2_ns"):
-            if getattr(self, name) < 0:
+    def __init__(self, t_tx_ns: int, rx_delay_ns: int, t_rx_ns: int, tb1_ns: int, tb2_ns: int):
+        fields = (t_tx_ns, rx_delay_ns, t_rx_ns, tb1_ns, tb2_ns)
+        for name, value in zip(self._fields, fields):
+            if value < 0:
                 raise ParamError(f"{name} must be >= 0")
-        if self.t_tx_ns <= 0:
+        if t_tx_ns <= 0:
             raise ParamError("t_tx_ns must be positive")
-        if self.t_tx_ns <= self.tb1_ns:
+        if t_tx_ns <= tb1_ns:
             # keeps the in-sync window wrap-free around the ideal end
             raise ParamError("t_tx must exceed tb1")
-        t_slot = self.t_tx_ns + self.rx_delay_ns + self.t_rx_ns + self.tb1_ns + self.tb2_ns
-        # summed once: the simulator reads it for every frame
-        object.__setattr__(self, "_t_slot_ns", t_slot)
-        if 2 * self.tb1_ns >= t_slot or 2 * self.tb2_ns >= t_slot:
+        t_slot = t_tx_ns + rx_delay_ns + t_rx_ns + tb1_ns + tb2_ns
+        if 2 * tb1_ns >= t_slot or 2 * tb2_ns >= t_slot:
             raise ParamError("guards must stay below half a slot")
-        if (self.tb1_ns + self.tb2_ns) > GUARD_HEADROOM_MS * NS_PER_MS:
+        if (tb1_ns + tb2_ns) > GUARD_HEADROOM_MS * NS_PER_MS:
             raise ParamError(f"tb1 + tb2 must not exceed {GUARD_HEADROOM_MS} ms")
         if t_slot > MAX_SLOT_MS * NS_PER_MS:
             raise ParamError(f"t_slot must not exceed {MAX_SLOT_MS} ms")
+        self._set(*fields)
+        # summed once: the simulator reads it for every frame
+        object.__setattr__(self, "_t_slot_ns", t_slot)
 
     @property
     def t_slot_ns(self) -> int:

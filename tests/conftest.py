@@ -9,7 +9,6 @@ block at the end of the run so the pass/fail status of every criterion
 is visible at a glance even inside a large pytest run.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ _RESULTS: list[tuple[str, bool, str]] = []
 @pytest.fixture
 def bench_scenario():
     def make(**overrides):
-        return replace(load_scenario(TESTBENCH_INI), **overrides)
+        return load_scenario(TESTBENCH_INI)._replace(**overrides)
 
     return make
 

@@ -6,7 +6,6 @@ after the run, see conftest).  Tolerances are part of the criterion and
 are asserted as stated, not loosened.
 """
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -165,11 +164,11 @@ def test_a7_adaptive_vs_fixed_overhead(criterion, bench_scenario):
     t_ad = time.monotonic() - t0
 
     t0 = time.monotonic()
-    m_1h, _ = run(dataclasses.replace(sc, strategy=FIXED_RATE, round_s=3600))
+    m_1h, _ = run(sc._replace(strategy=FIXED_RATE, round_s=3600))
     t_1h = time.monotonic() - t0
 
     t0 = time.monotonic()
-    m_30m, _ = run(dataclasses.replace(sc, strategy=FIXED_RATE, round_s=1800))
+    m_30m, _ = run(sc._replace(strategy=FIXED_RATE, round_s=1800))
     t_30m = time.monotonic() - t0
 
     adaptive = sum(d.resync_count for d in m_ad.per_device.values())

@@ -1,7 +1,6 @@
 """Command-line front end: outputs, exit codes, CSV trace files."""
 
 import csv
-import dataclasses
 import io
 import os
 import subprocess
@@ -114,11 +113,11 @@ def test_simulate_csv_quotes_device_names_like_csv_writer(tmp_path, capsys, monk
     bench = load_scenario(BENCH)
     feather, ttgo = bench.devices
     devices = (
-        dataclasses.replace(feather, name="a,b"),
-        dataclasses.replace(ttgo, name='say "hi"'),
-        dataclasses.replace(ttgo, name=" lead"),
+        feather._replace(name="a,b"),
+        ttgo._replace(name='say "hi"'),
+        ttgo._replace(name=" lead"),
     )
-    sc = dataclasses.replace(bench, duration_s=2 * bench.duration_s, devices=devices)
+    sc = bench._replace(duration_s=2 * bench.duration_s, devices=devices)
     monkeypatch.setattr(cli, "load_scenario", lambda path: sc)
     out_file = tmp_path / "trace.csv"
     assert _run(capsys, "simulate", "scenario.ini", "--out", str(out_file))[0] == 0
@@ -227,6 +226,41 @@ def test_simulate_rejects_a_walk_whose_step_cannot_advance_local_time(tmp_path):
     assert proc.stderr.startswith("error:") and "device d:" in proc.stderr
     assert "must advance local time" in proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+_TWO_DEVICES = """\
+[scenario]
+duration_s = 600
+
+[slot]
+t_tx_ms = 306
+t_rx_ms = 91
+rx_delay_ms = 1000
+tb1_ms = 180
+tb2_ms = 180
+
+[device steady]
+clock = ideal
+tx_period_s = 30
+
+[device wobbly]
+clock = random_walk
+step_interval_s = {step_interval_s}
+step_std_ppm = 900000
+initial_ppm = 0
+tx_period_s = 30
+"""
+
+
+# with 1 ms steps the walk fails while the first uplinks are placed, with
+# 10 s steps while a later uplink is scheduled
+@pytest.mark.parametrize("step_interval_s", ["0.001", "10"], ids=["bootstrap", "event-loop"])
+def test_simulate_names_the_device_whose_clock_fails(capsys, tmp_path, step_interval_s):
+    path = tmp_path / "wobbly.ini"
+    path.write_text(_TWO_DEVICES.format(step_interval_s=step_interval_s))
+    code, _, err = _run(capsys, "simulate", str(path))
+    assert code == 1
+    assert err == "error: device wobbly: random walk left the valid ppm range\n"
 
 
 def test_simulate_accepts_a_week(capsys, tmp_path):

@@ -167,6 +167,18 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             "[device one]",
             ("device one", "offset_ppm"),
         ),
+        *(
+            (
+                MINIMAL.replace(
+                    "clock = ideal",
+                    "clock = random_walk\nstep_interval_s = 60\ninitial_ppm = 0\n"
+                    f"step_std_ppm = {std}",
+                ),
+                "[device one]",
+                ("device one", "step_std_ppm must be finite"),
+            )
+            for std in ("nan", "inf")
+        ),
         (
             MINIMAL.replace("duration_s = 600", "duration_s = 600\nstrategy = bogus"),
             "[scenario]",
@@ -178,7 +190,7 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             ("downlink_loss must be in [0, 1]",),
         ),
     ],
-    ids=["radio-sf", "clock-ppm", "strategy", "downlink-loss"],
+    ids=["radio-sf", "clock-ppm", "walk-std-nan", "walk-std-inf", "strategy", "downlink-loss"],
 )
 def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, text, header, words):
     line = text.splitlines().index(header) + 1

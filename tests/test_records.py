@@ -1,0 +1,109 @@
+"""Record types: read-only config, equality by fields, copies, cheap import."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lorasync import (
+    AirTime,
+    ConstantPpm,
+    DeviceMetrics,
+    DeviceSpec,
+    Ideal,
+    Piecewise,
+    RadioParams,
+    RandomWalk,
+    Scenario,
+    SlotConfig,
+    UplinkFrame,
+)
+from lorasync.config import load_scenario
+from lorasync.units import ms_to_ns
+
+ROOT = Path(__file__).parent.parent
+
+CFG = SlotConfig(
+    t_tx_ns=ms_to_ns(306),
+    rx_delay_ns=ms_to_ns(1000),
+    t_rx_ns=ms_to_ns(91),
+    tb1_ns=ms_to_ns(180),
+    tb2_ns=ms_to_ns(180),
+)
+WALK = RandomWalk(step_interval_s=60.0, step_std_ppm=4.0, initial_ppm=30.0, seed=5)
+SPEC = DeviceSpec(name="walker", clock_model=WALK, tx_period_s=30.0)
+
+CONFIG_RECORDS = [
+    CFG,
+    RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255),
+    Ideal(),
+    ConstantPpm(-12.5),
+    WALK,
+    Piecewise(((0.0, 50.0), (100.0, -50.0))),
+    SPEC,
+    Scenario(duration_s=600.0, cfg=CFG, devices=(SPEC,), seed=3),
+]
+VALUE_RECORDS = [
+    AirTime(1_000, 2_000, 8),
+    UplinkFrame(dev_addr=0x01020304, fcnt=7, payload=b"\x01"),
+    DeviceMetrics(resync_count=2, out_sync_frames=5),
+]
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda r: type(r).__name__)
+def test_config_records_are_read_only(record):
+    before = _fields(record)
+    # a record without fields takes no new attribute either
+    for name in record._fields or ("offset_ppm",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        if name in record._fields:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert _fields(record) == before
+
+
+@pytest.mark.parametrize(
+    "record", CONFIG_RECORDS + VALUE_RECORDS, ids=lambda r: type(r).__name__
+)
+def test_records_with_equal_fields_compare_equal(record):
+    twin = type(record)(*_fields(record))
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(twin) == repr(record)
+
+
+def test_records_of_different_fields_or_classes_differ():
+    assert ConstantPpm(2.0) != ConstantPpm(3.0)
+    assert Ideal() != ConstantPpm(0.0)
+    assert RadioParams(7, 125_000, 1, 10) != RadioParams(7, 125_000, 1, 10, crc_on=False)
+
+
+def test_copying_a_scenario_with_one_field_changed_keeps_the_original():
+    sc = load_scenario(ROOT / "configs" / "testbench.ini")
+    before = _fields(sc)
+    copy = sc._replace(seed=sc.seed + 7)
+    assert copy.seed == sc.seed + 7
+    assert _fields(sc) == before
+    assert [f for f in sc._fields if getattr(copy, f) != getattr(sc, f)] == ["seed"]
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # -S keeps site-packages hooks from importing anything on their own
+    code = "import lorasync.cli, sys; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

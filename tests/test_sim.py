@@ -1,6 +1,5 @@
 """Discrete-event simulator: determinism, conservation laws, baselines."""
 
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -242,7 +241,7 @@ def test_fixed_rate_lets_drift_grow_between_rounds():
     dev = DeviceSpec(name="hot", clock_model=ConstantPpm(80.0), tx_period_s=30.0)
     base = Scenario(duration_s=23_400.0, cfg=CFG, devices=(dev,), seed=1)
     m_ad, _ = run(base)
-    m_fx, _ = run(dataclasses.replace(base, strategy=FIXED_RATE, round_s=3600))
+    m_fx, _ = run(base._replace(strategy=FIXED_RATE, round_s=3600))
     viol_ad = sum(d.out_sync_frames for d in m_ad.per_device.values())
     viol_fx = sum(d.out_sync_frames for d in m_fx.per_device.values())
     assert viol_fx > viol_ad
@@ -372,7 +371,7 @@ def test_scenario_validation():
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
-            validate_scenario(dataclasses.replace(ok, **overrides))
+            validate_scenario(ok._replace(**overrides))
 
 
 def test_uplink_end_is_not_read_when_the_ack_ends_past_the_run():
