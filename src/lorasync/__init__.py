@@ -33,7 +33,7 @@ from .protocol import (
     NetworkServerState,
     ed_next_tx_time,
     ed_on_ack,
-    fixed_rate_round,
+    ns_on_run_end,
     ns_on_uplink_end,
 )
 from .sim import (

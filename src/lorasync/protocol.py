@@ -15,8 +15,11 @@ timestamps:
 No retransmission state is kept: a lost ACK just means the device shows
 up out-of-sync again and the next ACK corrects it.
 
-The fixed-rate baseline reuses the same machinery but resynchronizes
-every device once per round, unconditionally, at 8 bytes a piece.
+The fixed-rate baseline resynchronizes every device it has heard once
+per round, unconditionally, at 8 bytes a piece.  The server reaches a
+device only after its next uplink, which carries the correction when a
+round boundary k*R (k >= 1) falls in (previous uplink end, this end]:
+one correction, and one resync per boundary.  A first uplink counts none.
 """
 
 from __future__ import annotations
@@ -34,27 +37,27 @@ FIXED_RATE = "fixed_rate"
 class DeviceRecord:
     """What the server remembers about one device."""
 
-    __slots__ = ("resync_count", "out_sync_count", "resync_pending")
+    __slots__ = ("resync_count", "out_sync_count", "last_arrival_ns")
 
     def __init__(
-        self, resync_count: int = 0, out_sync_count: int = 0, resync_pending: bool = False
+        self, resync_count: int = 0, out_sync_count: int = 0, last_arrival_ns: int | None = None
     ):
         self.resync_count = resync_count
         self.out_sync_count = out_sync_count
-        self.resync_pending = resync_pending  # fixed-rate strategy only
+        self.last_arrival_ns = last_arrival_ns  # fixed-rate only: the last uplink end
 
 
 class NetworkServerState:
-    __slots__ = ("cfg", "strategy", "records")
+    __slots__ = ("cfg", "round_ns", "records")
 
     def __init__(
         self,
         cfg: SlotConfig,
-        strategy: str = ADAPTIVE,
+        round_ns: int | None = None,
         records: dict[int, DeviceRecord] | None = None,
     ):
         self.cfg = cfg
-        self.strategy = strategy
+        self.round_ns = round_ns  # fixed-rate round length; None: adaptive
         self.records = {} if records is None else records
 
 
@@ -86,8 +89,8 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
 
     Unknown devices auto-register.  Under the adaptive strategy the
     remaining time is attached exactly when the frame is out-of-sync;
-    under the fixed-rate baseline only when a round boundary flagged the
-    device.
+    under the fixed-rate baseline exactly when a round boundary fell in
+    (the device's previous uplink end, this one].
     """
     cfg = s.cfg
     pos = position_in_slot(arrival_true_ns, cfg)
@@ -98,12 +101,15 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
     if not in_sync:
         rec.out_sync_count += 1
 
-    if s.strategy == ADAPTIVE:
+    if s.round_ns is None:
         resync = not in_sync
         rec.resync_count += resync
     else:
-        resync = rec.resync_pending
-        rec.resync_pending = False
+        last = rec.last_arrival_ns
+        rec.last_arrival_ns = arrival_true_ns
+        boundaries = 0 if last is None else arrival_true_ns // s.round_ns - last // s.round_ns
+        rec.resync_count += boundaries
+        resync = boundaries > 0
     return AckPlan(
         ns_to_ms_round(cfg.t_slot_ns - pos) if resync else None,
         arrival_true_ns + cfg.rx_delay_ns,
@@ -113,15 +119,14 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
     )
 
 
-def fixed_rate_round(s: NetworkServerState):
-    """Round boundary of the fixed-rate baseline.
+def ns_on_run_end(s: NetworkServerState, end_true_ns: int):
+    """Charge each device heard the round boundaries in (its last uplink end, end_true_ns].
 
-    Every registered device gets flagged, and counted, for an
-    unconditional resync on its next uplink.
+    No uplink answers them; call it once, at the end of a run.  Adaptive has no rounds.
     """
-    for rec in s.records.values():
-        rec.resync_count += 1
-        rec.resync_pending = True
+    if s.round_ns is not None:
+        for rec in s.records.values():
+            rec.resync_count += end_true_ns // s.round_ns - rec.last_arrival_ns // s.round_ns
 
 
 def ed_next_tx_time(

@@ -9,9 +9,10 @@ the ACK and schedules the device's next transmission (only if the ACK
 ends within the run).
 
 Fixed-rate round boundaries fall every round_s from 0 and need no
-events: before a frame is judged, every boundary at or before its end is
-applied, so a boundary comes first at an equal instant.  Those left
-after the last frame, up to the horizon, are applied after the loop.
+events: the server counts those since a device's previous uplink when it
+judges the next one (a boundary at the uplink's own end included), and
+those after each device's last uplink, up to the horizon, once after
+the loop (`protocol` states the rule).
 
 Per frame the device clock is read at the ACK end, where the next
 schedule starts, and also at the uplink end only for a correction the
@@ -63,7 +64,7 @@ from .protocol import (
     NetworkServerState,
     ed_next_tx_time,
     ed_on_ack,
-    fixed_rate_round,
+    ns_on_run_end,
     ns_on_uplink_end,
 )
 from .slot import SlotConfig
@@ -90,7 +91,7 @@ class Scenario(NamedTuple):
     cfg: SlotConfig
     devices: tuple[DeviceSpec, ...]
     strategy: str = ADAPTIVE
-    round_s: int | None = None
+    round_s: float | None = None
     seed: int = 0
     duty_cycle_limit: float = 0.01
     downlink_loss: float = 0.0
@@ -220,8 +221,9 @@ def validate_scenario(sc: Scenario):
         raise ConfigError("device names must be unique")
     if sc.strategy not in (ADAPTIVE, FIXED_RATE):
         raise ConfigError(f"unknown strategy {sc.strategy!r}")
-    if sc.strategy == FIXED_RATE and (sc.round_s is None or sc.round_s <= 0):
-        raise ConfigError("fixed_rate strategy needs round_s > 0")
+    # rounds are whole int64 nanoseconds: nan, inf and 0 ns are rejected
+    if sc.strategy == FIXED_RATE and not 0.5 < (sc.round_s or 0) * NS_PER_S <= REF_NS_MAX:
+        raise ConfigError(f"fixed_rate strategy needs round_s of 1 ns to {max_s} s")
     if sc.strategy == ADAPTIVE and sc.round_s is not None:
         raise ConfigError("round_s applies only to the fixed_rate strategy")
     if not 0.0 <= sc.downlink_loss <= 1.0:
@@ -265,7 +267,8 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     validate_scenario(scenario)
     cfg = scenario.cfg
     duration_ns = s_to_ns(scenario.duration_s)
-    server = NetworkServerState(cfg, strategy=scenario.strategy)
+    round_ns = None if scenario.round_s is None else s_to_ns(scenario.round_s)
+    server = NetworkServerState(cfg, round_ns)
     master = random.Random(scenario.seed)
 
     devices: list[_DeviceRt] = []
@@ -327,20 +330,6 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         if end <= duration_ns:  # only complete frames, as at bootstrap
             heappush(heap, (end, next(seq), dev, nxt))
 
-    # bootstrap: each device first transmits at a uniform whole-millisecond
-    # phase inside its first period window, on its own clock
-    try:
-        for dev in devices:
-            period_ns = dev.state.tx_period_ns
-            phase_local = dev.rng.randrange(max(1, period_ns // NS_PER_MS)) * NS_PER_MS
-            dev.next_window_start_ns = phase_local + period_ns
-            dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
-            end = dev.clock.true_time_at_local(phase_local) + t_tx
-            if end <= duration_ns:
-                heappush(heap, (end, next(seq), dev, phase_local))
-    except ParamError as exc:  # only the device's clock raises it
-        raise ParamError(f"device {scenario.devices[dev.index].name}: {exc}") from exc
-
     loss = scenario.downlink_loss
     collisions = 0
     rx1_opened = 0
@@ -354,20 +343,20 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     # in the order they started and the deque stays sorted
     active_ends: deque[int] = deque()
 
-    if scenario.strategy == FIXED_RATE:
-        round_ns = next_round = scenario.round_s * NS_PER_S
-    else:
-        round_ns, next_round = 0, duration_ns + 1  # no boundary within the run
-
     try:
+        # bootstrap: each device first transmits at a uniform whole-millisecond
+        # phase inside its first period window, on its own clock
+        for dev in devices:
+            period_ns = dev.state.tx_period_ns
+            phase_local = dev.rng.randrange(max(1, period_ns // NS_PER_MS)) * NS_PER_MS
+            dev.next_window_start_ns = phase_local + period_ns
+            dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
+            end = dev.clock.true_time_at_local(phase_local) + t_tx
+            if end <= duration_ns:
+                heappush(heap, (end, next(seq), dev, phase_local))
+
         while heap:
             t, _, dev, tx_local = heappop(heap)
-            # round boundaries up to this uplink's end come first, even at an
-            # equal instant: the server flags every device it has heard so far
-            while next_round <= t:
-                fixed_rate_round(server)
-                next_round += round_ns
-
             start = t - t_tx
             while active_ends and active_ends[0] <= start:
                 active_ends.popleft()
@@ -406,9 +395,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         raise ParamError(f"device {scenario.devices[dev.index].name}: {exc}") from exc
 
     # no frame follows the last boundaries; they still count a resync each
-    while next_round <= duration_ns:
-        fixed_rate_round(server)
-        next_round += round_ns
+    ns_on_run_end(server, duration_ns)
 
     # the server's records count every resync; a device it never heard from has none
     per_device = {}

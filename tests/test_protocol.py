@@ -5,15 +5,13 @@ import random
 import pytest
 
 from lorasync import (
-    ADAPTIVE,
-    FIXED_RATE,
     EndDeviceState,
     NetworkServerState,
     SlotConfig,
     UsageError,
     ed_next_tx_time,
     ed_on_ack,
-    fixed_rate_round,
+    ns_on_run_end,
     ns_on_uplink_end,
 )
 from lorasync.units import ms_to_ns
@@ -28,8 +26,9 @@ CFG = SlotConfig(
 T_SLOT = CFG.t_slot_ns  # 1757 ms
 
 
-def _server(strategy=ADAPTIVE):
-    return NetworkServerState(cfg=CFG, strategy=strategy)
+def _server(round_ns=None):
+    """An adaptive server, or a fixed-rate one with rounds of round_ns."""
+    return NetworkServerState(cfg=CFG, round_ns=round_ns)
 
 
 def test_in_sync_uplink_gets_empty_ack():
@@ -64,7 +63,7 @@ def test_arrival_before_reference_rejected():
 
 
 def test_fixed_rate_holds_correction_until_round():
-    s = _server(FIXED_RATE)
+    s = _server(round_ns=ms_to_ns(10_000))
     # out-of-sync frame: fixed-rate still answers with an empty ACK
     plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms is None
@@ -72,29 +71,58 @@ def test_fixed_rate_holds_correction_until_round():
     assert s.records[3].resync_count == 0
     assert s.records[3].out_sync_count == 1
 
-    fixed_rate_round(s)
-    assert s.records[3].resync_count == 1
-    assert s.records[3].resync_pending
-
-    # next uplink carries the correction even though it is in-sync
+    # the boundary at 10 s falls before the next uplink, which carries the
+    # correction even though it is in-sync, and counts one resync
     plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=7 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms == 1451  # 1757 - 306
-    assert not s.records[3].resync_pending
-    # and the one after is empty again
+    assert s.records[3].resync_count == 1
+    # no boundary since (12605 ms, 16119 ms]: the one after is empty again
     plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=9 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms is None
     assert s.records[3].resync_count == 1
+    assert s.records[3].out_sync_count == 1
 
 
 def test_fixed_rate_round_covers_all_devices_sorted():
-    s = _server(FIXED_RATE)
+    s = _server(round_ns=ms_to_ns(10_000))
     for addr in (9, 2, 5):
         ns_on_uplink_end(s, device_index=addr, arrival_true_ns=5 * T_SLOT + CFG.t_tx_ns)
-    fixed_rate_round(s)
+    # device 2 is heard again after the boundary at 10 s and is answered
+    plan = ns_on_uplink_end(s, device_index=2, arrival_true_ns=7 * T_SLOT + CFG.t_tx_ns)
+    assert plan.remaining_ms == 1451
+    # the others are not heard again: the end of the run charges their
+    # boundary, and none twice
+    ns_on_run_end(s, ms_to_ns(15_000))
     assert sorted(s.records) == [2, 5, 9]
     for rec in s.records.values():
-        assert rec.resync_pending
         assert rec.resync_count == 1
+
+
+def test_fixed_rate_charges_every_boundary_between_two_uplinks():
+    s = _server(round_ns=ms_to_ns(1000))
+    # a first uplink is charged nothing, even one ending on a boundary
+    plan = ns_on_uplink_end(s, device_index=1, arrival_true_ns=ms_to_ns(4000))
+    assert plan.remaining_ms is None
+    assert s.records[1].resync_count == 0
+    # the boundaries at 5..9 s, the one at this uplink's own end included:
+    # one correction, five resyncs
+    plan = ns_on_uplink_end(s, device_index=1, arrival_true_ns=ms_to_ns(9000))
+    assert plan.remaining_ms == 1542  # 9000 ms is 215 ms into its slot
+    assert s.records[1].resync_count == 5
+    # none in (9 s, 9.5 s]
+    plan = ns_on_uplink_end(s, device_index=1, arrival_true_ns=ms_to_ns(9500))
+    assert plan.remaining_ms is None
+    assert s.records[1].resync_count == 5
+    # the boundaries at 10..12 s follow the last uplink
+    ns_on_run_end(s, ms_to_ns(12_000))
+    assert s.records[1].resync_count == 8
+
+
+def test_run_end_charges_nothing_under_adaptive():
+    s = _server()
+    ns_on_uplink_end(s, device_index=7, arrival_true_ns=ms_to_ns(4000))
+    ns_on_run_end(s, ms_to_ns(3_600_000))
+    assert s.records[7].resync_count == 1  # the out-of-sync frame's own
 
 
 def _device(slot_start_ns=None):

@@ -1,6 +1,10 @@
 """Discrete-event simulator: determinism, conservation laws, baselines."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +363,8 @@ def test_scenario_validation():
         dict(devices=(dev, dev)),
         dict(strategy="sometimes"),
         dict(strategy=FIXED_RATE),  # missing round_s
+        # round lengths the int64 nanosecond grid cannot hold
+        *(dict(strategy=FIXED_RATE, round_s=r) for r in (float("nan"), float("inf"), 5e-10, 1e10)),
         dict(round_s=600),  # rounds under the adaptive strategy
         dict(downlink_loss=1.5),
         dict(duty_cycle_limit=0.0),
@@ -372,6 +378,37 @@ def test_scenario_validation():
     for overrides in cases:
         with pytest.raises(ConfigError):
             validate_scenario(ok._replace(**overrides))
+
+
+def test_one_nanosecond_rounds_finish():
+    # a round costs the server O(1) per frame, whatever the number of
+    # boundaries; a subprocess makes a regression fail instead of hang
+    code = (
+        "import sys, time\n"
+        "from lorasync import FIXED_RATE, run\n"
+        "from lorasync.config import load_scenario\n"
+        "sc = load_scenario(sys.argv[1])._replace(\n"
+        "    duration_s=600.0, strategy=FIXED_RATE, round_s=1e-9)\n"
+        "t0 = time.perf_counter()\n"
+        "m, trace = run(sc)\n"
+        "elapsed = time.perf_counter() - t0\n"
+        "first = {}\n"
+        "for r in trace:\n"
+        "    first.setdefault(r.device_id, r.true_time_ns)\n"
+        "    assert (r.remaining_ms is None) == (first[r.device_id] == r.true_time_ns)\n"
+        "for name, dm in m.per_device.items():\n"
+        "    assert dm.resync_count == m.duration_ns - first[name], name\n"
+        "print(elapsed)\n"
+    )
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    ini = root / "configs" / "testbench.ini"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ini)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_uplink_end_is_not_read_when_the_ack_ends_past_the_run():

@@ -5,6 +5,10 @@ flags every device the server has heard of, and the uplink it ties with
 carries the correction.  Drawn scenarios use the slot geometry of
 `test_golden._ties_config`, so uplinks end on whole seconds, and 1 s
 rounds make them land exactly on boundaries.
+
+Each run is checked twice: by counting boundaries between uplink ends,
+and by replaying the rounds as events over the trace, one boundary at a
+time.
 """
 
 from hypothesis import example, given, settings
@@ -44,6 +48,36 @@ _TIED = dict(
 def _boundaries(lo_ns: int, hi_ns: int, round_ns: int) -> int:
     """Round boundaries k * round_ns, k >= 1, in (lo_ns, hi_ns]; lo_ns >= 0."""
     return hi_ns // round_ns - lo_ns // round_ns
+
+
+def _replay_rounds(trace, round_ns: int, horizon_ns: int):
+    """The rounds as events over the trace's rows, in time order.
+
+    Before the row at t, each boundary k * round_ns <= t not yet applied
+    flags and charges every device seen so far; a row clears its
+    device's flag.  Returns whether each row's device was flagged, and
+    the charges per device once the boundaries up to the horizon apply.
+    """
+    flagged: dict[str, bool] = {}  # every device seen so far
+    charged: dict[str, int] = {}
+    next_boundary = round_ns
+
+    def apply_boundaries(t_ns):
+        nonlocal next_boundary
+        while next_boundary <= t_ns:
+            for name in flagged:
+                flagged[name] = True
+                charged[name] += 1
+            next_boundary += round_ns
+
+    verdicts = []
+    for row in trace:
+        apply_boundaries(row.true_time_ns)
+        verdicts.append(flagged.get(row.device_id, False))
+        flagged[row.device_id] = False
+        charged.setdefault(row.device_id, 0)
+    apply_boundaries(horizon_ns)
+    return verdicts, charged
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,3 +125,9 @@ def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
         heard = spec.name in first
         want = _boundaries(first[spec.name], m.duration_ns, round_ns) if heard else 0
         assert m.per_device[spec.name].resync_count == want, spec.name
+
+    verdicts, charged = _replay_rounds(trace, round_ns, m.duration_ns)
+    for row, was_flagged in zip(trace, verdicts, strict=True):
+        assert (row.remaining_ms is not None) == was_flagged, row
+    for spec in specs:
+        assert m.per_device[spec.name].resync_count == charged.get(spec.name, 0), spec.name
