@@ -31,8 +31,10 @@ from .protocol import (
     AckPlan,
     EndDeviceState,
     NetworkServerState,
+    ed_first_tx_time,
     ed_next_tx_time,
     ed_on_ack,
+    ed_pick_tx_time,
     ns_on_run_end,
     ns_on_uplink_end,
 )

@@ -240,8 +240,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     try:
         validate_scenario(scenario)
     except ConfigError as exc:
-        # scenario-wide checks know no line; point at [scenario]
-        raise ConfigError(str(exc), sc.line) from exc
+        # the checks know no line; point at the device's section, or at [scenario]
+        line = sc.line if exc.device is None else devices[exc.device].line
+        raise ConfigError(str(exc), line) from exc
     return scenario
 
 

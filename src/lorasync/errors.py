@@ -28,8 +28,13 @@ class DecodeError(LorasyncError, ValueError):
 
 
 class ConfigError(LorasyncError, ValueError):
-    """Bad scenario configuration. `line` is set for file-derived errors."""
+    """Bad scenario configuration.
 
-    def __init__(self, message: str, line: int | None = None):
+    `line` is set for file-derived errors, `device` (an index into the
+    scenario's devices) for an error in one device's own settings.
+    """
+
+    def __init__(self, message: str, line: int | None = None, device: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+        self.device = device

@@ -23,6 +23,7 @@ MHDR_UPLINK = 0x40
 MHDR_DOWNLINK = 0x60
 MAX_FRAME_BYTES = 255
 _UPLINK_HEADER = 9  # MHDR + DevAddr + FCtrl + FCnt + FPort
+MAX_UPLINK_PAYLOAD = MAX_FRAME_BYTES - _UPLINK_HEADER
 _ACK_BASE = 8  # MHDR + DevAddr + FCtrl + FCnt
 
 
@@ -48,7 +49,7 @@ def encode_uplink(f: UplinkFrame) -> bytes:
     _check_u(f.dev_addr, 32, "dev_addr")
     _check_u(f.fcnt, 16, "fcnt")
     _check_u(f.fport, 8, "fport")
-    if _UPLINK_HEADER + len(f.payload) > MAX_FRAME_BYTES:
+    if len(f.payload) > MAX_UPLINK_PAYLOAD:
         raise EncodeError(
             f"frame would be {_UPLINK_HEADER + len(f.payload)} bytes, max {MAX_FRAME_BYTES}"
         )

@@ -1,4 +1,4 @@
-"""Server-side monitoring and device-side resynchronization.
+"""Server-side monitoring, device-side resynchronization and transmit schedule.
 
 The network server never initiates traffic.  It watches where each uplink
 ends inside its slot grid, which starts at reference time 0; while a
@@ -14,6 +14,14 @@ timestamps:
 
 No retransmission state is kept: a lost ACK just means the device shows
 up out-of-sync again and the next ACK corrects it.
+
+The device alone decides when it transmits, on its own clock.  It boots
+at a uniform whole-millisecond phase in its first period, its grid's
+origin, then transmits on grid points slot_start + k*t_slot: one drawn
+uniformly in each next period window (random, Slotted ALOHA), or the
+first one at least a period after its last start (aligned).  Only boot
+phases are whole milliseconds: a correction puts the grid at the uplink
+end's local reading plus remaining_ms.
 
 The fixed-rate baseline resynchronizes every device it has heard once
 per round, unconditionally, at 8 bytes a piece.  The server reaches a
@@ -76,12 +84,18 @@ class AckPlan(NamedTuple):
 
 
 class EndDeviceState:
-    __slots__ = ("tx_period_ns", "t_slot_ns", "slot_start_local_ns")
+    """One device's grid and transmit schedule, on its local clock."""
 
-    def __init__(self, tx_period_ns: int, t_slot_ns: int, slot_start_local_ns: int | None = None):
+    __slots__ = ("tx_period_ns", "t_slot_ns", "slot_start_local_ns", "rng", "window_start_local_ns")
+
+    def __init__(
+        self, tx_period_ns: int, t_slot_ns: int, slot_start_local_ns: int | None = None, rng=None
+    ):
         self.tx_period_ns = tx_period_ns
         self.t_slot_ns = t_slot_ns
         self.slot_start_local_ns = slot_start_local_ns
+        self.rng = rng  # a random.Random: the boot phase and random picks draw from it
+        self.window_start_local_ns = 0  # where the random pick's next period window opens
 
 
 def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: int) -> AckPlan:
@@ -129,24 +143,59 @@ def ns_on_run_end(s: NetworkServerState, end_true_ns: int):
             rec.resync_count += end_true_ns // s.round_ns - rec.last_arrival_ns // s.round_ns
 
 
+def _grid_point_at_or_after(d: EndDeviceState, t_local_ns: int) -> int:
+    """The earliest grid point slot_start + k*t_slot, k >= 0, not before t_local_ns."""
+    s0 = d.slot_start_local_ns
+    k = -((s0 - t_local_ns) // d.t_slot_ns)
+    if k < 0:
+        k = 0
+    return s0 + k * d.t_slot_ns
+
+
+def ed_first_tx_time(d: EndDeviceState) -> int:
+    """The boot uplink's local start, a whole-ms phase in the first period: the grid's origin."""
+    phase = d.rng.randrange(max(1, d.tx_period_ns // NS_PER_MS)) * NS_PER_MS
+    d.slot_start_local_ns = phase
+    d.window_start_local_ns = phase + d.tx_period_ns
+    return phase
+
+
+def ed_pick_tx_time(d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int) -> int:
+    """Random pick: a uniform grid point in [max(w, now), w + tx_period), the next window.
+
+    Each window opens where the previous one closed; with no grid point in
+    it, the pick is the first one after it.  last_tx_local_ns is unused.
+    """
+    lo = d.window_start_local_ns
+    hi = d.window_start_local_ns = lo + d.tx_period_ns
+    nxt = _grid_point_at_or_after(d, now_local_ns if lo < now_local_ns else lo)
+    if nxt < hi:
+        # d.rng.randrange(n), drawn inline: the same getrandbits
+        # calls of the same width, rejected while out of range
+        t_slot = d.t_slot_ns
+        n = 1 + (hi - 1 - nxt) // t_slot
+        k = n.bit_length()
+        getrandbits = d.rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        nxt += r * t_slot
+    return nxt
+
+
 def ed_next_tx_time(
     d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int | None
 ) -> int:
-    """Next transmission instant on the device's local clock.
+    """Aligned pick: the next transmission instant on the device's local clock.
 
     Before the device has a grid that is simply now.  Afterwards it is
     the earliest grid point slot_start + k*t_slot, not before now, at
     least one tx_period after the previous uplink's local start
-    last_tx_local_ns (periods effectively round up to the grid).  The
-    first uplink's start is the grid's origin.
+    last_tx_local_ns (periods effectively round up to the grid).
     """
     if d.slot_start_local_ns is None:
         return now_local_ns
-    target = max(now_local_ns, last_tx_local_ns + d.tx_period_ns)
-    k = -((d.slot_start_local_ns - target) // d.t_slot_ns)
-    if k < 0:
-        k = 0
-    return d.slot_start_local_ns + k * d.t_slot_ns
+    return _grid_point_at_or_after(d, max(now_local_ns, last_tx_local_ns + d.tx_period_ns))
 
 
 def ed_on_ack(

@@ -5,7 +5,7 @@ Everything runs on virtual time.  Events are popped from a heap keyed by
 bit for bit.  A frame is the only event, pushed at its uplink end.  Its
 handler counts the collisions of the uplink, judges it at the server,
 then opens RX1 (counted only if RX1 opens within the run) and applies
-the ACK and schedules the device's next transmission (only if the ACK
+the ACK and asks the device for its next transmission (only if the ACK
 ends within the run).
 
 Fixed-rate round boundaries fall every round_s from 0 and need no
@@ -14,9 +14,11 @@ judges the next one (a boundary at the uplink's own end included), and
 those after each device's last uplink, up to the horizon, once after
 the loop (`protocol` states the rule).
 
-Per frame the device clock is read at the ACK end, where the next
-schedule starts, and also at the uplink end only for a correction the
-device applies: an empty or lost ACK changes nothing on the device.
+Per frame the device clock is read at the ACK end, where the device
+picks its next transmit instant (`protocol` states the rule), and also
+at the uplink end only for a correction the device applies: an empty or
+lost ACK changes nothing on the device.  The clock's inverse maps each
+transmit instant to reference time.
 
 Handling RX1 and the ACK early keeps every outcome of a chain of
 separate events: every uplink lasts t_tx and RX1 and the ACK follow its
@@ -29,11 +31,6 @@ Frames skip the wire codec: the server's verdict reaches the device as
 the ACK's remaining-time field itself, a whole number of milliseconds
 that never exceeds the slot length, which SlotConfig caps at the 16-bit
 field's 65535 ms (`frame` holds the on-air layout).
-
-Device transmit decisions happen on the device's local clock and are
-mapped to reference time through the clock's inverse; transmit instants
-are whole local milliseconds, matching the millisecond tick of the wire
-format.
 
 The medium is lossless by default: collisions are counted as time
 overlaps between uplinks but do not destroy frames.  An optional uniform
@@ -57,26 +54,27 @@ from typing import NamedTuple
 
 from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
 from .errors import ConfigError, ParamError
+from .frame import MAX_UPLINK_PAYLOAD
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,
     EndDeviceState,
     NetworkServerState,
+    ed_first_tx_time,
     ed_next_tx_time,
     ed_on_ack,
+    ed_pick_tx_time,
     ns_on_run_end,
     ns_on_uplink_end,
 )
 from .slot import SlotConfig
-from .units import NS_PER_MS, NS_PER_S, s_to_ns
+from .units import NS_PER_S, s_to_ns
 
 SLOT_PICK_RANDOM = "random"
 SLOT_PICK_ALIGNED = "aligned"
 
 ADAPTIVE_SYNC_BYTES = 2
 FIXED_RATE_SYNC_BYTES = 8
-
-_MAX_UPLINK_PAYLOAD = 246  # 255-byte frame minus the 9-byte header
 
 
 class DeviceSpec(NamedTuple):
@@ -209,8 +207,9 @@ class Metrics(NamedTuple):
 
 
 def validate_scenario(sc: Scenario):
+    """Reject a scenario `run` cannot execute; a device's own error carries its index."""
     max_s = REF_NS_MAX // NS_PER_S
-    if sc.duration_s <= 0:
+    if not sc.duration_s > 0:  # nan included
         raise ConfigError("duration_s must be positive")
     if not sc.duration_s * NS_PER_S <= REF_NS_MAX:
         raise ConfigError(f"duration_s must be at most {max_s} s, the int64 nanosecond range")
@@ -232,12 +231,12 @@ def validate_scenario(sc: Scenario):
         raise ConfigError("duty_cycle_limit must be in (0, 1]")
     if sc.slot_pick not in (SLOT_PICK_RANDOM, SLOT_PICK_ALIGNED):
         raise ConfigError(f"unknown slot_pick {sc.slot_pick!r}")
-    for d in sc.devices:
-        if d.tx_period_s <= 0:
-            raise ConfigError(f"device {d.name}: tx_period_s must be positive")
-        if not 0 <= d.payload_bytes <= _MAX_UPLINK_PAYLOAD:
+    for i, d in enumerate(sc.devices):
+        if not d.tx_period_s > 0:  # nan included
+            raise ConfigError(f"device {d.name}: tx_period_s must be positive", device=i)
+        if not 0 <= d.payload_bytes <= MAX_UPLINK_PAYLOAD:
             raise ConfigError(
-                f"device {d.name}: payload_bytes must be in 0..{_MAX_UPLINK_PAYLOAD}"
+                f"device {d.name}: payload_bytes must be in 0..{MAX_UPLINK_PAYLOAD}", device=i
             )
         # a device's clock is asked for instants up to about two periods
         # past the horizon, and the inverse may draw a walk step past that
@@ -245,21 +244,9 @@ def validate_scenario(sc: Scenario):
         if not (sc.duration_s + 2 * d.tx_period_s + step_s) * NS_PER_S <= REF_NS_MAX:
             raise ConfigError(
                 f"device {d.name}: duration_s + 2 * tx_period_s (+ step_interval_s) "
-                f"must be at most {max_s} s, the int64 nanosecond range"
+                f"must be at most {max_s} s, the int64 nanosecond range",
+                device=i,
             )
-
-
-class _DeviceRt:
-    """Mutable per-device simulation state; the server knows it by its index."""
-
-    __slots__ = ("index", "state", "clock", "rng", "next_window_start_ns")
-
-    def __init__(self, index, state, clock, rng):
-        self.index = index
-        self.state = state
-        self.clock = clock
-        self.rng = rng
-        self.next_window_start_ns = 0
 
 
 def run(scenario: Scenario) -> tuple[Metrics, Trace]:
@@ -271,7 +258,9 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     server = NetworkServerState(cfg, round_ns)
     master = random.Random(scenario.seed)
 
-    devices: list[_DeviceRt] = []
+    # per device, by the index the server knows it by
+    states: list[EndDeviceState] = []
+    clocks: list[SimClock] = []
     for spec in scenario.devices:
         # one master draw per device keeps clock realizations and phases
         # paired across strategy variants of the same scenario seed
@@ -283,52 +272,25 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             model = RandomWalk(
                 model.step_interval_s, model.step_std_ppm, model.initial_ppm, clock_seed
             )
-        state = EndDeviceState(tx_period_ns=s_to_ns(spec.tx_period_s), t_slot_ns=cfg.t_slot_ns)
-        devices.append(_DeviceRt(len(devices), state, SimClock(model), sched_rng))
+        states.append(EndDeviceState(s_to_ns(spec.tx_period_s), cfg.t_slot_ns, rng=sched_rng))
+        clocks.append(SimClock(model))
     loss_rng = random.Random(master.getrandbits(64))
 
     trace = Trace([spec.name for spec in scenario.devices], scenario.strategy)
 
     t_tx = cfg.t_tx_ns
     t_rx = cfg.t_rx_ns
-    # (uplink end, insertion sequence, device, local tx start); the
-    # sequence breaks ties, so devices are never compared
+    # (uplink end, insertion sequence, device index, local tx start); the
+    # sequence breaks ties in push order
     heap: list = []
     seq = count()
     heappush, heappop = heapq.heappush, heapq.heappop
-    pick_random = scenario.slot_pick == SLOT_PICK_RANDOM
+    pick_tx_time = ed_pick_tx_time if scenario.slot_pick == SLOT_PICK_RANDOM else ed_next_tx_time
 
-    def schedule_next_uplink(dev: _DeviceRt, now_local_ns: int, last_tx_local_ns: int):
-        """Pick the device's next uplink after now on its clock and push its end."""
-        d = dev.state
-        if pick_random:
-            # uniform slot pick inside this device's next period window
-            lo = dev.next_window_start_ns
-            hi = dev.next_window_start_ns = lo + d.tx_period_ns
-            if lo < now_local_ns:
-                lo = now_local_ns
-            t_slot = d.t_slot_ns
-            s0 = d.slot_start_local_ns
-            k0 = -((s0 - lo) // t_slot)
-            if k0 < 0:
-                k0 = 0
-            # the window's first grid point; with none in it, the earliest after it
-            nxt = s0 + k0 * t_slot
-            if nxt < hi:
-                # dev.rng.randrange(n), drawn inline: the same getrandbits
-                # calls of the same width, rejected while out of range
-                n = 1 + (hi - 1 - nxt) // t_slot
-                k = n.bit_length()
-                getrandbits = dev.rng.getrandbits
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                nxt += r * t_slot
-        else:
-            nxt = ed_next_tx_time(d, now_local_ns, last_tx_local_ns)
-        end = dev.clock.true_time_at_local(nxt) + t_tx
-        if end <= duration_ns:  # only complete frames, as at bootstrap
-            heappush(heap, (end, next(seq), dev, nxt))
+    def push_uplink(i: int, tx_local: int):
+        end = clocks[i].true_time_at_local(tx_local) + t_tx
+        if end <= duration_ns:  # only complete frames
+            heappush(heap, (end, next(seq), i, tx_local))
 
     loss = scenario.downlink_loss
     collisions = 0
@@ -344,26 +306,18 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     active_ends: deque[int] = deque()
 
     try:
-        # bootstrap: each device first transmits at a uniform whole-millisecond
-        # phase inside its first period window, on its own clock
-        for dev in devices:
-            period_ns = dev.state.tx_period_ns
-            phase_local = dev.rng.randrange(max(1, period_ns // NS_PER_MS)) * NS_PER_MS
-            dev.next_window_start_ns = phase_local + period_ns
-            dev.state.slot_start_local_ns = phase_local  # the first uplink is the grid's origin
-            end = dev.clock.true_time_at_local(phase_local) + t_tx
-            if end <= duration_ns:
-                heappush(heap, (end, next(seq), dev, phase_local))
+        for i, d in enumerate(states):
+            push_uplink(i, ed_first_tx_time(d))
 
         while heap:
-            t, _, dev, tx_local = heappop(heap)
+            t, _, i, tx_local = heappop(heap)
             start = t - t_tx
             while active_ends and active_ends[0] <= start:
                 active_ends.popleft()
             collisions += len(active_ends)  # one per overlapping pair
             active_ends.append(t)
-            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, dev.index, t)
-            add_device(dev.index)
+            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, i, t)
+            add_device(i)
             add_time(t)
             add_position(pos)
             add_drift(drift)
@@ -379,20 +333,20 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             delivered = loss == 0.0 or loss_rng.random() >= loss
             if t_ack > duration_ns:
                 continue
-            clock = dev.clock
+            clock = clocks[i]
             if delivered and remaining_ms is not None:
                 # only a correction needs the uplink end on the device
                 # clock; it is read first, as the clock is read in time order
                 beg_local = clock.local_time(t)
                 end_local = clock.local_time(t_ack)
-                ed_on_ack(dev.state, beg_local, end_local, remaining_ms)
+                ed_on_ack(states[i], beg_local, end_local, remaining_ms)
             else:
                 # an empty or lost ACK changes nothing: the device keeps
-                # its grid and simply schedules the next uplink
+                # its grid and simply picks the next uplink
                 end_local = clock.local_time(t_ack)
-            schedule_next_uplink(dev, end_local, tx_local)
-    except ParamError as exc:  # only the device's clock raises it
-        raise ParamError(f"device {scenario.devices[dev.index].name}: {exc}") from exc
+            push_uplink(i, pick_tx_time(states[i], end_local, tx_local))
+    except ParamError as exc:  # only device i's clock raises it
+        raise ParamError(f"device {scenario.devices[i].name}: {exc}") from exc
 
     # no frame follows the last boundaries; they still count a resync each
     ns_on_run_end(server, duration_ns)

@@ -189,8 +189,41 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             "[scenario]",
             ("downlink_loss must be in [0, 1]",),
         ),
+        (
+            MINIMAL.replace("duration_s = 600", "duration_s = nan"),
+            "[scenario]",
+            ("duration_s must be positive",),
+        ),
+        # the device checks run after the scenario's own, on the built scenario
+        (
+            MINIMAL.replace("tx_period_s = 30", "tx_period_s = 30\npayload_bytes = 300"),
+            "[device one]",
+            ("device one", "payload_bytes must be in 0..246"),
+        ),
+        *(
+            (
+                MINIMAL.replace("tx_period_s = 30", f"tx_period_s = {period}"),
+                "[device one]",
+                ("device one", "tx_period_s must be positive"),
+            )
+            for period in ("0", "nan")
+        ),
+        (
+            MINIMAL.replace("tx_period_s = 30", "tx_period_s = 5e9"),
+            "[device one]",
+            ("device one", "int64 nanosecond range"),
+        ),
+        (
+            MINIMAL + "\n[device two]\nclock = ideal\ntx_period_s = 30\npayload_bytes = 247\n",
+            "[device two]",
+            ("device two", "payload_bytes must be in 0..246"),
+        ),
     ],
-    ids=["radio-sf", "clock-ppm", "walk-std-nan", "walk-std-inf", "strategy", "downlink-loss"],
+    ids=[
+        "radio-sf", "clock-ppm", "walk-std-nan", "walk-std-inf", "strategy", "downlink-loss",
+        "duration-nan", "payload-bytes", "tx-period-zero", "tx-period-nan", "tx-period-int64",
+        "second-device",
+    ],
 )
 def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, text, header, words):
     line = text.splitlines().index(header) + 1

@@ -1,16 +1,22 @@
-"""Server judgement, ACK planning, device-side grid reconstruction."""
+"""Server judgement, ACK planning, device-side grid reconstruction and transmit schedule."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorasync import (
     EndDeviceState,
     NetworkServerState,
     SlotConfig,
     UsageError,
+    ed_first_tx_time,
     ed_next_tx_time,
     ed_on_ack,
+    ed_pick_tx_time,
     ns_on_run_end,
     ns_on_uplink_end,
 )
@@ -202,3 +208,91 @@ def test_server_correction_lands_device_on_grid():
         plan2 = ns_on_uplink_end(s, device_index=trial, arrival_true_ns=nxt + CFG.t_tx_ns)
         assert plan2.remaining_ms is None
         assert plan2.signed_drift_ns == 0
+
+
+# -- the transmit schedule against a plain oracle --------------------------
+
+
+def _first_grid_point(origin: int, t_slot: int, lo: int) -> int:
+    """The earliest grid point origin + k*t_slot, k >= 0, at or after lo."""
+    return origin + max(0, math.ceil(Fraction(lo - origin, t_slot))) * t_slot
+
+
+def _oracle_pick(origin, t_slot, window_lo, period, now, rng: random.Random) -> int:
+    """Slotted ALOHA from its definition: one grid point of the window drawn with randrange."""
+    first = _first_grid_point(origin, t_slot, max(window_lo, now))
+    inside = range(first, window_lo + period, t_slot)
+    return inside[rng.randrange(len(inside))] if inside else first
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    # periods under 1 ms have only the phase 0
+    period_ns=st.one_of(st.integers(1, 999_999), st.integers(1, 10**11)),
+)
+@example(seed=5, period_ns=1)
+@example(seed=5, period_ns=1_000_000)
+def test_first_tx_time_matches_randrange(seed, period_ns):
+    d = EndDeviceState(period_ns, T_SLOT, rng=random.Random(seed))
+    phase = ed_first_tx_time(d)
+    assert phase == random.Random(seed).randrange(max(1, period_ns // 1_000_000)) * 1_000_000
+    assert phase < period_ns or phase == 0
+    # the boot uplink is the grid's origin; the next window opens a period later
+    assert d.slot_start_local_ns == phase
+    assert d.window_start_local_ns == phase + period_ns
+
+
+@st.composite
+def _windows(draw):
+    """A grid, a first window and the `now`s of successive picks.
+
+    Windows hold no slot start, one, a power of two of them, or any
+    number up to a few thousand; the window may open before the grid's
+    origin, and `now` may fall before, inside or after it.
+    """
+    t_slot = draw(st.one_of(st.just(T_SLOT), st.integers(1, 10**10)))
+    origin = draw(st.integers(0, 10**13))
+    window_lo = origin + draw(
+        st.one_of(st.integers(-3 * t_slot, 3 * t_slot), st.integers(0, 10**13))
+    )
+    period = draw(
+        st.one_of(
+            st.integers(1, t_slot),  # none or one slot start
+            st.builds(lambda j: t_slot << j, st.integers(0, 11)),  # 2**j starts
+            st.integers(1, 3000 * t_slot),
+        )
+    )
+    nows = draw(st.lists(st.integers(-2 * period, 2 * period), min_size=1, max_size=6))
+    return origin, t_slot, window_lo, period, nows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_windows(), seed=st.integers(0, 2**64))
+# a window that closes before the grid's origin: the pick is the origin
+@example(case=(10 * T_SLOT, T_SLOT, 8 * T_SLOT + 5, T_SLOT, [0]), seed=0)
+def test_pick_tx_time_matches_an_independent_draw(case, seed):
+    origin, t_slot, window_lo, period, nows = case
+    d = EndDeviceState(period, t_slot, origin, random.Random(seed))
+    d.window_start_local_ns = window_lo
+    oracle_rng = random.Random(seed)
+    last_tx = origin
+    for i, dt in enumerate(nows):
+        lo = window_lo + i * period  # each window opens where the previous one closed
+        now = lo + dt
+        expected = _oracle_pick(origin, t_slot, lo, period, now, oracle_rng)
+        got = ed_pick_tx_time(d, now, last_tx)
+        assert got == expected
+        assert d.window_start_local_ns == lo + period
+        # a grid point in [max(lo, now), lo + period), or the first one after
+        # the window when none falls inside it
+        assert got >= origin and (got - origin) % t_slot == 0
+        first = _first_grid_point(origin, t_slot, max(lo, now))
+        assert first <= got
+        assert got < lo + period if first < lo + period else got == first
+        # the aligned pick shares the grid: the first point a period after the last start
+        aligned = ed_next_tx_time(d, now, last_tx)
+        assert aligned == _first_grid_point(origin, t_slot, max(now, last_tx + period))
+        last_tx = got
+    # both drew the same numbers, no more and no fewer
+    assert d.rng.random() == oracle_rng.random()
