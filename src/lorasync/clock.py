@@ -10,15 +10,19 @@ or one big step yields bit-identical local times (the simulator depends
 on that).
 
 Each segment is held as its start on both clocks, so the offset at a
-segment start is their difference.  A clock keeps a window of segments
-in plain lists: its forward cursor's, the one before it (on a slow clock
-rounding can repeat a local reading across a segment start, and the
-inverse then answers in the earlier segment), and any drawn ahead.
-local_time() reads plain attributes inside the cursor's segment, searches
-the window from the cursor past its end, and drops what falls behind the
-window in batches: O(1) segments a clock, not its history.  The inverse
-bisects the window; a query behind it replays the clock from its model,
-which draws the same segments.
+segment start is their difference.  A clock holds two segments as plain
+attributes: its cursor's and the one before it.  Both queries move the
+cursor forward only.  local_time() moves it to the segment holding its
+reference time; true_time_at_local() moves it to the first segment that
+starts at or after its local time, and answers in the one before.  A
+query behind those two segments replays the clock from its model, which
+draws the same segments.  The simulator never makes one: it asks the
+inverse for local times no earlier than its last reading or target, and
+reads the clock forward from the answer.  The segment before the
+cursor's is where the inverse answers, and where the forward reads after
+it may land; on a slow clock rounding can also repeat a local reading
+across the cursor's start, and the inverse then answers before it.
+Models other than walks are a table of segments, stepped by index.
 
 Random-walk segments are drawn in time order and materialized only on
 demand: a forward query extends the walk to the segment holding its
@@ -38,7 +42,6 @@ models reject one that would not, and so does a walk as it draws.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from math import cos, isfinite, log, sin, sqrt, tau
 
 from ._record import Frozen
@@ -51,9 +54,6 @@ _PPM_LIMIT = 1_000_000
 # latest reference instant whose local reading still fits in int64
 REF_NS_MAX = (2**63 - 1) // 2
 _RANGE_ERROR = f"clock time past {REF_NS_MAX} ns leaves the int64 nanosecond range"
-
-# segments a clock lets pile up behind its window before dropping them
-_BEHIND_MAX = 8
 
 
 class Ideal(Frozen):
@@ -151,49 +151,57 @@ class SimClock:
             raise ParamError("RandomWalk clock needs a concrete seed to run")
         self.model = model
         self._last_query_ns = 0
-        # the window of rate segments; grown lazily for random walks.  Each
-        # offset is round(dt * ppm / 1e6) over the whole interval dt since
-        # its segment start: one rounding per (segment start, query) pair,
-        # so step patterns telescope exactly within a segment
-        self._starts = [0]  # segment start, reference ns
-        self._local_starts = [0]  # the same instant on the local clock, ns
-        self._next_boundary = None
-        if isinstance(model, Ideal):
-            self._ppms = [0.0]
-        elif isinstance(model, ConstantPpm):
-            self._ppms = [model.offset_ppm]
-        elif isinstance(model, RandomWalk):
-            self._ppms = [model.initial_ppm]
+        # a segment is (start, the same instant on the local clock, ppm).
+        # Each offset is round(dt * ppm / 1e6) over the whole interval dt
+        # since its segment start: one rounding per (segment start, query)
+        # pair, so step patterns telescope exactly within a segment
+        if isinstance(model, RandomWalk):
             self._rng = random.Random(model.seed)
-            self._step_ns = self._next_boundary = round(model.step_interval_s * NS_PER_S)
-        else:  # Piecewise
-            self._ppms = [model.segments[0][1]]
-            for t1, ppm in model.segments[1:]:
-                start = round(t1 * NS_PER_S)
-                dt = start - self._starts[-1]
-                self._local_starts.append(
-                    self._local_starts[-1] + dt + round(dt * self._ppms[-1] / 1_000_000)
-                )
-                self._starts.append(start)
-                self._ppms.append(ppm)
-        self._cursor = 0  # index in the window of the forward cursor's segment
-        self._seek(0)
-
-    def _grow(self, true_time_ns: int, local_ns: int = 0):
-        """Draw random-walk segments until all that start at or before
-        true_time_ns exist and the last starts at or after local_ns on the
-        local clock."""
-        boundary = self._next_boundary
-        if boundary is None:
+            self._step_ns = round(model.step_interval_s * NS_PER_S)
+            self._seg = self._prev = (0, 0, model.initial_ppm)
+            self._seg_end = self._step_ns  # RandomWalk keeps it within REF_NS_MAX
             return
-        starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
-        local_start, ppm = local_starts[-1], ppms[-1]
-        step, std = self._step_ns, self.model.step_std_ppm
-        # segments start at multiples of step, so each one lasts step; on
-        # the local clock the last one lasts this, never 0 ns
-        advance = step + round(step * ppm / 1_000_000)
+        self._rng = None
+        if isinstance(model, Piecewise):
+            segments = [(round(t * NS_PER_S), ppm) for t, ppm in model.segments]
+        else:
+            segments = [(0, 0.0 if isinstance(model, Ideal) else model.offset_ppm)]
+        # every segment of the model, and last a row past the int64 range
+        # that ends the one before it: no reading lies in it
+        table = [(0, 0, segments[0][1])]
+        for start, ppm in segments[1:] + [(REF_NS_MAX + 1, segments[-1][1])]:
+            prev_start, local_start, prev_ppm = table[-1]
+            dt = start - prev_start
+            table.append((start, local_start + dt + round(dt * prev_ppm / 1_000_000), ppm))
+        self._table, self._i = table, 0
+        self._seg = self._prev = table[0]
+        self._seg_end = table[1][0]
+
+    def _advance(self, true_time_ns: int, local_ns: int = 0):
+        """Move the cursor forward to the segment holding true_time_ns or,
+        if it starts later, to the first segment that starts at or after
+        local_ns on the local clock; a walk draws the segments it passes."""
+        if true_time_ns > REF_NS_MAX:
+            raise ParamError(_RANGE_ERROR)
         rng = self._rng
+        if rng is None:
+            table, i = self._table, self._i
+            last = len(table) - 1
+            while i < last and (table[i + 1][0] <= true_time_ns or table[i][1] < local_ns):
+                i += 1
+            # a caller moves the cursor off the first row, so i > 0 here
+            self._i, self._prev, self._seg = i, table[i - 1], table[i]
+            self._seg_end = table[min(i + 1, last)][0]
+            return
+        step, std = self._step_ns, self.model.step_std_ppm
+        seg, prev = self._seg, self._prev
+        start, local_start, ppm = seg
+        boundary = start + step
+        # segments start at multiples of step, so each one lasts step; on
+        # the local clock the last one drawn lasts this, never 0 ns
+        advance = step + round(step * ppm / 1_000_000)
         uniform, z_next = rng.random, rng.gauss_next
+        error = None
         while boundary <= true_time_ns or local_start < local_ns:
             local_start += advance
             # each step is rng.gauss(0.0, std), drawn inline: the same
@@ -209,45 +217,22 @@ class SimClock:
                 z_next = None
             # a segment must advance local time, or the inverse never passes it
             if not abs(ppm) < _PPM_LIMIT or (advance := step + round(step * ppm / 1_000_000)) <= 0:
-                self._next_boundary, rng.gauss_next = boundary, z_next
-                raise ParamError("random walk left the valid ppm range")
+                error = "random walk left the valid ppm range"
+                break
             # only the inverse draws this far: a slow clock can need
             # reference times far past the local time it was asked for
             if boundary > REF_NS_MAX:
-                self._next_boundary, rng.gauss_next = boundary, z_next
-                raise ParamError(_RANGE_ERROR)
-            starts.append(boundary)
-            local_starts.append(local_start)
-            ppms.append(ppm)
+                error = _RANGE_ERROR
+                break
+            prev, seg = seg, (boundary, local_start, ppm)
             boundary += step
-        self._next_boundary, rng.gauss_next = boundary, z_next
-
-    def _seek(self, true_time_ns: int):
-        """Move the forward cursor to the segment holding true_time_ns,
-        drawn if need be; true_time_ns is never behind the cursor."""
-        if true_time_ns > REF_NS_MAX:
-            raise ParamError(_RANGE_ERROR)
-        if self._next_boundary is not None and true_time_ns >= self._next_boundary:
-            self._grow(true_time_ns)
-        starts = self._starts
-        # the cursor never moves back, so the search starts at it
-        i = bisect_right(starts, true_time_ns, self._cursor) - 1
-        # drop what lies behind the segment before the cursor's, which the
-        # inverse may still need, once enough has piled up
-        if i > _BEHIND_MAX + 1:
-            del starts[: i - 1], self._local_starts[: i - 1], self._ppms[: i - 1]
-            i = 1
-        self._cursor = i
-        self._seg_start = starts[i]
-        self._seg_local_start = self._local_starts[i]
-        self._seg_ppm = self._ppms[i]
-        # a query past REF_NS_MAX always seeks, and fails there
-        if i + 1 < len(starts):
-            self._seg_end = starts[i + 1]
-        elif self._next_boundary is not None:
-            self._seg_end = min(self._next_boundary, REF_NS_MAX + 1)
-        else:
-            self._seg_end = REF_NS_MAX + 1
+        # a failed draw leaves the cursor on the last segment drawn, and
+        # the next query draws on from there
+        rng.gauss_next = z_next
+        self._prev, self._seg = prev, seg
+        self._seg_end = min(boundary, REF_NS_MAX + 1)
+        if error:
+            raise ParamError(error)
 
     def local_time(self, true_time_ns: int) -> int:
         if true_time_ns < self._last_query_ns:
@@ -257,11 +242,15 @@ class SimClock:
                 f"non-monotone clock query: {true_time_ns} after {self._last_query_ns}"
             )
         self._last_query_ns = true_time_ns
-        # queries never go back, so the cursor only ever moves forward
         if true_time_ns >= self._seg_end:
-            self._seek(true_time_ns)
-        dt = true_time_ns - self._seg_start
-        return self._seg_local_start + dt + round(dt * self._seg_ppm / 1_000_000)
+            self._advance(true_time_ns)
+        start, local_start, ppm = self._seg
+        if true_time_ns < start:  # the inverse moved the cursor past it
+            start, local_start, ppm = self._prev
+            if true_time_ns < start:
+                return SimClock(self.model).local_time(true_time_ns)
+        dt = true_time_ns - start
+        return local_start + dt + round(dt * ppm / 1_000_000)
 
     def true_time_at_local(self, local_ns: int) -> int:
         """Earliest reference time whose local reading is >= local_ns.
@@ -271,25 +260,22 @@ class SimClock:
         """
         if local_ns <= 0:
             return 0
-        starts, local_starts, ppms = self._starts, self._local_starts, self._ppms
-        # the answer lies in the last segment starting before local_ns on
-        # the local clock, or at the start of the one after it: make sure
-        # that one exists
-        if self._next_boundary is not None and local_starts[-1] < local_ns:
-            self._grow(-1, local_ns)
-        i = bisect_left(local_starts, local_ns) - 1
-        if i < 0:  # only a query behind the forward cursor reaches past the window
+        if self._seg[1] < local_ns:
+            self._advance(-1, local_ns)
+        # the cursor's segment starts at or after local_ns on the local
+        # clock (or is a table's last row), so the answer lies in the
+        # segment before it, at the latest at the cursor's start
+        start, local_start, ppm = self._prev
+        if local_start >= local_ns:
             return SimClock(self.model).true_time_at_local(local_ns)
-        # the earliest offset d into segment i that reads local_ns or more;
-        # segment i + 1 starts at such a reading, so d never passes its start
-        ppm = ppms[i]
-        target = local_ns - local_starts[i]
+        # the earliest offset d into that segment that reads local_ns or more
+        target = local_ns - local_start
         d = int(target / (1.0 + ppm / 1_000_000))
         while d + round(d * ppm / 1_000_000) < target:
             d += 1
         while d > 0 and (d - 1) + round((d - 1) * ppm / 1_000_000) >= target:
             d -= 1
-        t = starts[i] + d
+        t = start + d
         # the last segment of a model that is not a walk never ends
         if t > REF_NS_MAX:
             raise ParamError(_RANGE_ERROR)

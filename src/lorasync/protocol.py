@@ -88,9 +88,7 @@ class EndDeviceState:
 
     __slots__ = ("tx_period_ns", "t_slot_ns", "slot_start_local_ns", "rng", "window_start_local_ns")
 
-    def __init__(
-        self, tx_period_ns: int, t_slot_ns: int, slot_start_local_ns: int | None = None, rng=None
-    ):
+    def __init__(self, tx_period_ns: int, t_slot_ns: int, slot_start_local_ns: int = 0, rng=None):
         self.tx_period_ns = tx_period_ns
         self.t_slot_ns = t_slot_ns
         self.slot_start_local_ns = slot_start_local_ns
@@ -183,18 +181,13 @@ def ed_pick_tx_time(d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int)
     return nxt
 
 
-def ed_next_tx_time(
-    d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int | None
-) -> int:
+def ed_next_tx_time(d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int) -> int:
     """Aligned pick: the next transmission instant on the device's local clock.
 
-    Before the device has a grid that is simply now.  Afterwards it is
-    the earliest grid point slot_start + k*t_slot, not before now, at
-    least one tx_period after the previous uplink's local start
+    It is the earliest grid point slot_start + k*t_slot, not before now,
+    at least one tx_period after the previous uplink's local start
     last_tx_local_ns (periods effectively round up to the grid).
     """
-    if d.slot_start_local_ns is None:
-        return now_local_ns
     return _grid_point_at_or_after(d, max(now_local_ns, last_tx_local_ns + d.tx_period_ns))
 
 

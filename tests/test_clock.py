@@ -1,6 +1,7 @@
 """Oscillator models: sign convention, exactness, composition, inverse."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -147,7 +148,7 @@ def test_monotone_query_enforced():
 
 
 def test_peek_does_not_move_cursor():
-    # looking ahead through the inverse leaves the forward cursor where it was
+    # looking far ahead through the inverse does not hold back forward queries
     c = SimClock(ConstantPpm(10.0))
     t = c.true_time_at_local(10**12)
     assert c.local_time(0) == 0  # still allowed
@@ -176,18 +177,40 @@ def test_true_time_at_local_inverse_property():
 
 
 def test_inverse_behind_the_window_replays_the_clock():
-    # local_time keeps a window of a few segments around its cursor; an
-    # inverse query behind it gets the answer a fresh clock gives
+    # a clock keeps only the segment of its cursor and the one before it;
+    # an inverse query behind them gets the answer a fresh clock gives
     model = RandomWalk(step_interval_s=1.0, step_std_ppm=5.0, initial_ppm=-30.0, seed=8)
     c = SimClock(model)
     ref = ReferenceClock(model)
     c.local_time(3600 * NS_PER_S)
-    assert len(c._starts) < 100  # of the 3601 segments drawn
     for local in (1, NS_PER_S, 1800 * NS_PER_S + 7, 3590 * NS_PER_S):
         t = c.true_time_at_local(local)
         assert t == SimClock(model).true_time_at_local(local)
         assert ref.local_time(t) >= local > ref.local_time(t - 1)
     assert c.local_time(3600 * NS_PER_S) == ref.local_time(3600 * NS_PER_S)
+
+
+def _walker_peak(step_s):
+    """The tracemalloc peak of one walker queried as sim.run queries it
+    over five 600 s periods: the inverse, then the uplink and ACK ends."""
+    c = SimClock(RandomWalk(step_interval_s=step_s, step_std_ppm=0.02, initial_ppm=10.0, seed=4))
+    tracemalloc.start()
+    try:
+        for k in range(1, 6):
+            t = c.true_time_at_local(k * 600 * NS_PER_S)
+            c.local_time(t + 306 * NS_PER_MS)
+            c.local_time(t + 1397 * NS_PER_MS)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_clock_memory_does_not_grow_with_steps_per_period():
+    # the inverse draws a period's worth of segments, 6000 of them at
+    # 0.1 s steps, and the clock keeps two
+    _walker_peak(10.0)  # anything set up once per process is in place before measuring
+    coarse, fine = _walker_peak(10.0), _walker_peak(0.1)
+    assert fine <= coarse + 1024, (coarse, fine)
 
 
 def test_random_walk_beyond_the_queried_horizon_is_not_drawn():

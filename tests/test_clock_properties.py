@@ -73,41 +73,61 @@ _HALF_RATE_2NS = RandomWalk(step_interval_s=2e-9, step_std_ppm=0.0,
 
 
 def _no_replay(model):
-    raise AssertionError("a forward query replayed the clock")
+    raise AssertionError("a query replayed the clock")
+
+
+def _check_ops(model, ops, sim_order):
+    """Run ops on a SimClock and check every answer against the reference.
+
+    An inverse asks for the last reading plus x.  In the simulator's
+    order it asks for no less than its last target either, and forward
+    queries after it start at its answer."""
+    c = SimClock(model)
+    ref = ReferenceClock(model)
+    t = reading = target = 0
+    for kind, x, nudge in ops:
+        if kind == "inverse":
+            local = (max(reading, target) if sim_order else reading) + x
+            answer = c.true_time_at_local(local)
+            assert ref.local_time(answer) >= local
+            if answer > 0:
+                assert ref.local_time(answer - 1) < local
+            if sim_order:
+                t, target = max(t, answer), local
+            continue
+        if kind == "segment start":
+            start = _next_start(model, t + x)
+            if start is None:
+                continue
+            t = max(t, start + nudge)
+        else:
+            t += x
+        reading = c.local_time(t)
+        assert reading == ref.local_time(t)
 
 
 @settings(max_examples=100, deadline=None)
 @given(model=_CLOCK_MODELS, ops=st.lists(_FORWARD, min_size=10, max_size=40))
-# local_time(70) moves the cursor into segment 35 and drops the segments
-# before 34; the inverse at its local start (35) answers 69, in segment 34
 @example(model=_HALF_RATE_2NS, ops=[("segment start", 70, 0), ("inverse", 0, 0)])
 def test_forward_cursor_matches_bisection(model, ops):
-    # local_time walks a cursor forward through a window of segments; the
+    # local_time walks a cursor forward and keeps two segments; the
     # reference bisects every segment from t=0.  Exact segment starts (and
     # the nanoseconds around them), jumps past everything a random walk
     # has drawn so far, and inverse calls that draw ahead must not tell
-    # them apart.  The inverse is asked, as the simulator asks it, for
-    # local times no earlier than the last reading, and the window must
-    # answer those without replaying the clock
-    c = SimClock(model)
-    ref = ReferenceClock(model)
-    t = reading = 0
+    # them apart.  In this order a forward query may fall behind an
+    # inverse answer far ahead, and the clock then replays its model
+    _check_ops(model, ops, sim_order=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_CLOCK_MODELS, ops=st.lists(_FORWARD, min_size=10, max_size=40))
+# local_time(70) moves the cursor into segment 35; the inverse at its
+# local start (35) answers 69, in segment 34, the one before the cursor's
+@example(model=_HALF_RATE_2NS, ops=[("segment start", 70, 0), ("inverse", 0, 0)])
+def test_simulator_query_order_never_replays(model, ops):
+    # sim.run asks each inverse for a local time no earlier than the last
+    # reading or target, and reads the clock forward from its answer: the
+    # cursor's segment and the one before it answer all of that
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clock, "SimClock", _no_replay)
-        for kind, x, nudge in ops:
-            if kind == "inverse":
-                local = reading + x
-                answer = c.true_time_at_local(local)
-                assert ref.local_time(answer) >= local
-                if answer > 0:
-                    assert ref.local_time(answer - 1) < local
-                continue
-            if kind == "segment start":
-                start = _next_start(model, t + x)
-                if start is None:
-                    continue
-                t = max(t, start + nudge)
-            else:
-                t += x
-            reading = c.local_time(t)
-            assert reading == ref.local_time(t)
+        _check_ops(model, ops, sim_order=True)

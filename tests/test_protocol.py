@@ -131,8 +131,8 @@ def test_run_end_charges_nothing_under_adaptive():
     assert s.records[7].resync_count == 1  # the out-of-sync frame's own
 
 
-def _device(slot_start_ns=None):
-    """A device whose first uplink, if given, started at slot_start_ns: the grid's origin."""
+def _device(slot_start_ns):
+    """A device whose grid starts at slot_start_ns, as after its first uplink or a correction."""
     return EndDeviceState(
         tx_period_ns=ms_to_ns(30_000),
         t_slot_ns=T_SLOT,
@@ -140,9 +140,7 @@ def _device(slot_start_ns=None):
     )
 
 
-def test_first_tx_is_immediate_then_grid_locks():
-    d = _device()
-    assert ed_next_tx_time(d, now_local_ns=ms_to_ns(1234), last_tx_local_ns=None) == ms_to_ns(1234)
+def test_aligned_pick_locks_to_the_grid():
     d = _device(slot_start_ns=ms_to_ns(1234))
     # next grid point at least one period later: 1234 + 18*1757 = 32860
     nxt = ed_next_tx_time(d, now_local_ns=ms_to_ns(2000), last_tx_local_ns=ms_to_ns(1234))

@@ -32,6 +32,7 @@ from lorasync import (
     uplink_end_in_sync,
     validate_scenario,
 )
+from lorasync import clock
 from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round
 
@@ -174,6 +175,35 @@ def test_run_peak_grows_only_by_the_trace():
     _, large, frames2 = _retained_bytes(walkers(2))
     assert frames2 - frames > 10_000
     assert (large - small) / (frames2 - frames) <= 38
+
+
+def _no_replay(model):
+    raise AssertionError("sim.run replayed a clock")
+
+
+def test_run_never_replays_a_clock(bench_scenario, monkeypatch):
+    # a clock keeps only its cursor's segment and the one before it, and
+    # replays its model for a query behind them.  sim.run asks the inverse
+    # for local times no earlier than the clock's last reading and reads
+    # the clock forward from the answers, so it never needs a replay:
+    # not with steps much shorter than a period, not on fast or slow
+    # crystals, under either pick, with rounds or with lost ACKs
+    walkers = tuple(
+        DeviceSpec(name=f"w{i}", clock_model=RandomWalk(0.1, 0.5, ppm),
+                   tx_period_s=60.0, payload_bytes=16)
+        for i, ppm in enumerate((-400_000.0, -35.0, 0.0, 42.0, 400_000.0))
+    )
+    short_steps = Scenario(duration_s=1800.0, cfg=CFG, devices=walkers, seed=6)
+    monkeypatch.setattr(clock, "SimClock", _no_replay)
+    for sc in (bench_scenario(), short_steps):
+        for variant in (
+            {},
+            dict(slot_pick="aligned"),
+            dict(strategy=FIXED_RATE, round_s=600.0),
+            dict(downlink_loss=0.5),
+        ):
+            m, _ = run(sc._replace(**variant))
+            assert m.frames_total > 0
 
 
 def test_uplinks_all_answered_and_accounted():
