@@ -13,14 +13,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
-from itertools import count
+from itertools import count, repeat
 
 from .airtime import RadioParams, remaining_time_bit_width, symbol_duration_ns, time_on_air
 from .config import load_scenario
 from .errors import ConfigError, LorasyncError, ParamError
 from .protocol import ADAPTIVE, FIXED_RATE
 from .sim import Metrics, Scenario, Trace, run
+from .slot import position_in_slot, uplink_end_in_sync
 from .units import fmt_ms, ns_to_ms_round
 
 CSV_HEADER = [
@@ -55,20 +57,25 @@ def write_trace_csv(path, rows: Trace):
     Only device_id and strategy are free text, so only they go through
     csv.writer, once per trace; every other field is a number, "none"
     or "resync", which csv.writer never quotes.  Rows are rendered
-    straight from the trace's columns, a chunk at a time.
+    straight from the trace's columns, a chunk at a time, each with the
+    slot judgement of its uplink end.
     """
     names = [_csv_field(name) for name in rows.device_names]
     strategy = _csv_field(rows.strategy)
-    columns = rows.columns()
+    cfg = rows.cfg
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
         for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = slice(lo, lo + _CSV_CHUNK_ROWS)
+            devices, times, remaining = (col[chunk] for col in rows.columns())
+            positions = [position_in_slot(t, cfg) for t in times]
+            judged = map(uplink_end_in_sync, positions, repeat(cfg))
             fh.write("".join([
-                f"{i},{names[dev]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},{in_sync},"
-                f"{'none,' if rem < 0 else f'resync,{rem}'},{strategy}\n"
-                for i, dev, t, pos, drift, in_sync, rem
-                in zip(count(lo), *(col[chunk] for col in columns))
+                f"{i},{names[dev]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},"
+                f"{'1' if in_sync else '0'},{'none,' if rem < 0 else f'resync,{rem}'},"
+                f"{strategy}\n"
+                for i, dev, t, pos, (in_sync, drift), rem
+                in zip(count(lo), devices, times, positions, judged, remaining)
             ]))
 
 
@@ -190,50 +197,42 @@ def _cmd_compare(args) -> int:
         variants.append((f"fixed {r} s", sc._replace(strategy=FIXED_RATE, round_s=r)))
     # keep only the metrics: a variant's trace is dropped as soon as it returns
     results = [(label, run(v)[0]) for label, v in variants]
-
-    resyncs = [_resyncs_total(m) for _, m in results]
-    out_sync = [str(sum(d.out_sync_frames for d in m.per_device.values())) for _, m in results]
-    base_bytes = results[0][1].gateway.sync_overhead_bytes
-
     labels = [label for label, _ in results]
+    metrics = [m for _, m in results]
+    resyncs = [_resyncs_total(m) for m in metrics]
+    sync_bytes = [m.gateway.sync_overhead_bytes for m in metrics]
+
+    def ratios(values):
+        """Each fixed-rate value over the adaptive one, which reads "-"."""
+        base = values[0]
+        return ["-"] + [f"{v / base:.2f}" if base else "inf" for v in values[1:]]
+
+    # (table row, its key in the [compare] block or None, a value per variant)
     rows = [
-        ("resyncs", [str(r) for r in resyncs]),
-        ("out-of-sync frames", out_sync),
-        ("sync overhead bytes", [str(m.gateway.sync_overhead_bytes) for _, m in results]),
-        ("downlink airtime ms", [fmt_ms(m.gateway.downlink_airtime_ns) for _, m in results]),
-        ("duty-cycle fraction", [f"{m.gateway.duty_cycle_used_fraction:.6f}"
-                                 for _, m in results]),
+        ("resyncs", "resyncs", [str(r) for r in resyncs]),
+        ("out-of-sync frames", None,
+         [str(sum(d.out_sync_frames for d in m.per_device.values())) for m in metrics]),
+        ("sync overhead bytes", "sync_overhead_bytes", [str(b) for b in sync_bytes]),
+        ("downlink airtime ms", None, [fmt_ms(m.gateway.downlink_airtime_ns) for m in metrics]),
+        ("duty-cycle fraction", "duty_cycle_fraction",
+         [f"{m.gateway.duty_cycle_used_fraction:.6f}" for m in metrics]),
+        ("overhead ratio", "overhead_ratio", ratios(resyncs)),
+        ("byte ratio", "byte_ratio", ratios(sync_bytes)),
     ]
 
-    def ratio(value, base_value):
-        if base_value == 0:
-            return "inf"
-        return f"{value / base_value:.2f}"
-
-    overhead_ratios = ["-"]
-    byte_ratios = ["-"]
-    for (_, m), total in zip(results[1:], resyncs[1:]):
-        overhead_ratios.append(ratio(total, resyncs[0]))
-        byte_ratios.append(ratio(m.gateway.sync_overhead_bytes, base_bytes))
-    rows.append(("overhead ratio", overhead_ratios))
-    rows.append(("byte ratio", byte_ratios))
-
-    name_w = max(len(r[0]) for r in rows)
-    col_w = max(12, max(len(v) for _, vals in rows for v in vals), max(len(l) for l in labels))
+    name_w = max(len(name) for name, _, _ in rows)
+    col_w = max(12, max(len(v) for _, _, vals in rows for v in vals), max(len(l) for l in labels))
     print(" " * name_w + "  " + "  ".join(f"{l:>{col_w}}" for l in labels))
-    for name, vals in rows:
+    for name, _, vals in rows:
         print(f"{name:<{name_w}}  " + "  ".join(f"{v:>{col_w}}" for v in vals))
 
     print()
     print("[compare]")
-    for (label, m), total, oratio, bratio in zip(results, resyncs, overhead_ratios, byte_ratios):
-        key = label.replace(" s", "").replace(" ", "_")
-        print(f"{key}.resyncs={total}")
-        print(f"{key}.sync_overhead_bytes={m.gateway.sync_overhead_bytes}")
-        print(f"{key}.duty_cycle_fraction={m.gateway.duty_cycle_used_fraction:.6f}")
-        if oratio != "-":
-            print(f"{key}.overhead_ratio={oratio}")
-            print(f"{key}.byte_ratio={bratio}")
+    for j, label in enumerate(labels):
+        prefix = label.replace(" s", "").replace(" ", "_")
+        for _, key, vals in rows:
+            if key and vals[j] != "-":
+                print(f"{prefix}.{key}={vals[j]}")
     return 0
 
 
@@ -277,7 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader left; the interpreter flushes stdout again at exit,
+        # so stdout now points where that flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import UsageError
-from .slot import SlotConfig, position_in_slot, uplink_end_in_sync
+from .slot import SlotConfig, position_in_slot, remaining_to_next_slot, uplink_end_in_sync
 from .units import NS_PER_MS, ns_to_ms_round
 
 ADAPTIVE = "adaptive"
@@ -70,17 +70,10 @@ class NetworkServerState:
 
 
 class AckPlan(NamedTuple):
-    """One ACK the server intends to send at the RX1 opening.
-
-    It also carries the judgement of the uplink it answers, so callers
-    never judge a frame a second time.
-    """
+    """One ACK the server intends to send at the RX1 opening."""
 
     remaining_ms: int | None
     scheduled_tx_true_time_ns: int
-    arrival_position_ns: int
-    signed_drift_ns: int
-    in_sync: bool
 
 
 class EndDeviceState:
@@ -105,8 +98,7 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
     (the device's previous uplink end, this one].
     """
     cfg = s.cfg
-    pos = position_in_slot(arrival_true_ns, cfg)
-    in_sync, signed_drift = uplink_end_in_sync(pos, cfg)
+    in_sync = uplink_end_in_sync(position_in_slot(arrival_true_ns, cfg), cfg)[0]
     rec = s.records.get(device_index)
     if rec is None:
         rec = s.records[device_index] = DeviceRecord()
@@ -123,11 +115,8 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
         rec.resync_count += boundaries
         resync = boundaries > 0
     return AckPlan(
-        ns_to_ms_round(cfg.t_slot_ns - pos) if resync else None,
+        ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, cfg)) if resync else None,
         arrival_true_ns + cfg.rx_delay_ns,
-        pos,
-        signed_drift,
-        in_sync,
     )
 
 

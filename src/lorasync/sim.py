@@ -37,8 +37,10 @@ overlaps between uplinks but do not destroy frames.  An optional uniform
 downlink loss exercises the protocol's self-correction.
 
 `run` returns the metrics and a `Trace`: a read-only sequence of
-`TraceRow`s, one per frame in time order, held in typed columns of
-33 bytes a frame.
+`TraceRow`s, one per frame in time order.  It stores what the run
+decided, the device, the uplink end and the correction attached, in
+typed columns of 16 bytes a frame; each row's slot position, drift and
+verdict are the slot judgement of its uplink end, made when it is read.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .protocol import (
     ns_on_run_end,
     ns_on_uplink_end,
 )
-from .slot import SlotConfig
+from .slot import SlotConfig, position_in_slot, uplink_end_in_sync
 from .units import NS_PER_S, s_to_ns
 
 SLOT_PICK_RANDOM = "random"
@@ -113,46 +115,32 @@ class TraceRow(NamedTuple):
 class Trace(Sequence):
     """The frames of one run, in time order: a read-only sequence of TraceRow.
 
-    Each field is one typed column, a row per frame.  The device names
-    and the strategy are held once per trace, frame_index is the row
-    number, and action is "resync" exactly when remaining_ms is attached
-    (-1 in its column when it is not).  Rows are built when they are
-    read; a slice reads as a list of rows.
+    Three typed columns hold what the run decided, a row per frame: the
+    device, the uplink end and the remaining time attached (-1 when
+    none is).  The device names, the strategy and the slot geometry are
+    held once per trace.  frame_index is the row number, action is
+    "resync" exactly when remaining_ms is attached, and the position,
+    drift and verdict are the slot judgement of the uplink end.  Rows
+    are built when they are read; a slice reads as a list of rows.
     """
 
-    __slots__ = (
-        "device_names",
-        "strategy",
-        "device_index",
-        "true_time_ns",
-        "arrival_position_ns",
-        "signed_drift_ns",
-        "in_sync",
-        "remaining_ms",
-    )
+    __slots__ = ("device_names", "strategy", "cfg", "device_index", "true_time_ns", "remaining_ms")
 
-    def __init__(self, device_names, strategy: str):
+    def __init__(self, device_names, strategy: str, cfg: SlotConfig):
         self.device_names = tuple(device_names)
         self.strategy = strategy
+        self.cfg = cfg
         self.device_index = array("I")  # into device_names
-        self.true_time_ns = array("q")
-        self.arrival_position_ns = array("q")
-        self.signed_drift_ns = array("q")
-        self.in_sync = bytearray()  # 0 or 1
+        self.true_time_ns = array("q")  # uplink end, reference clock
         self.remaining_ms = array("i")  # -1: no correction attached
 
     def columns(self) -> tuple:
-        """The per-frame columns: the device index, then the TraceRow fields they hold."""
-        return (
-            self.device_index,
-            self.true_time_ns,
-            self.arrival_position_ns,
-            self.signed_drift_ns,
-            self.in_sync,
-            self.remaining_ms,
-        )
+        """The per-frame columns: device_index, true_time_ns and remaining_ms."""
+        return (self.device_index, self.true_time_ns, self.remaining_ms)
 
-    def _row(self, i, dev, t, pos, drift, in_sync, rem) -> TraceRow:
+    def _row(self, i, dev, t, rem) -> TraceRow:
+        pos = position_in_slot(t, self.cfg)
+        in_sync, drift = uplink_end_in_sync(pos, self.cfg)
         resync = rem >= 0
         return TraceRow(
             i,
@@ -160,7 +148,7 @@ class Trace(Sequence):
             t,
             pos,
             drift,
-            in_sync == 1,
+            in_sync,
             "resync" if resync else "none",
             rem if resync else None,
             self.strategy,
@@ -276,7 +264,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         clocks.append(SimClock(model))
     loss_rng = random.Random(master.getrandbits(64))
 
-    trace = Trace([spec.name for spec in scenario.devices], scenario.strategy)
+    trace = Trace([spec.name for spec in scenario.devices], scenario.strategy, cfg)
 
     t_tx = cfg.t_tx_ns
     t_rx = cfg.t_rx_ns
@@ -297,9 +285,6 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     rx1_opened = 0
     add_device = trace.device_index.append
     add_time = trace.true_time_ns.append
-    add_position = trace.arrival_position_ns.append
-    add_drift = trace.signed_drift_ns.append
-    add_in_sync = trace.in_sync.append
     add_remaining = trace.remaining_ms.append
     # end times of in-flight uplinks; every uplink lasts t_tx, so they end
     # in the order they started and the deque stays sorted
@@ -316,12 +301,9 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
                 active_ends.popleft()
             collisions += len(active_ends)  # one per overlapping pair
             active_ends.append(t)
-            remaining_ms, t_rx1, pos, drift, in_sync = ns_on_uplink_end(server, i, t)
+            remaining_ms, t_rx1 = ns_on_uplink_end(server, i, t)
             add_device(i)
             add_time(t)
-            add_position(pos)
-            add_drift(drift)
-            add_in_sync(in_sync)
             add_remaining(-1 if remaining_ms is None else remaining_ms)
 
             # RX1 opens and the ACK ends at fixed offsets from the uplink

@@ -19,6 +19,12 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 BENCH = str(CONFIGS / "testbench.ini")
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's lorasync."""
+    src = str(Path(__file__).parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -216,16 +222,40 @@ def test_simulate_rejects_a_walk_whose_step_cannot_advance_local_time(tmp_path):
         "print(time.perf_counter() - t0)\n"
         "sys.exit(code)\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", timed_main, "simulate", str(path)],
-        env=env, capture_output=True, text=True, timeout=10,
+        env=_child_env(), capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "device d:" in proc.stderr
     assert "must advance local time" in proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", BENCH], ["airtime", "--max"], ["compare", BENCH]],
+    ids=["simulate", "airtime", "compare"],
+)
+def test_closed_stdout_is_a_runtime_failure(argv):
+    # the reader is gone before the CLI writes a byte, so every write to
+    # stdout fails.  Block-buffered, as a pipe is by default, the output
+    # waits for a flush; left to the interpreter's own flush at exit, the
+    # failure prints a traceback and exits 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorasync.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 _TWO_DEVICES = """\

@@ -148,20 +148,20 @@ def _retained_bytes(sc) -> tuple[int, int, int]:
 
 
 def test_run_retains_only_the_trace_per_frame(bench_scenario):
-    # only the trace grows with the run: its columns hold 33 B a frame
-    # (4 + 8 + 8 + 8 + 1 + 4), and nothing else may add a per-frame record
+    # only the trace grows with the run: its columns hold 16 B a frame
+    # (4 + 8 + 4), and nothing else may add a per-frame record
     short = bench_scenario(duration_s=43200.0)
     run(short)  # anything set up once per process is in place before measuring
     small, _, frames = _retained_bytes(short)
     large, _, frames2 = _retained_bytes(bench_scenario(duration_s=86400.0))
     assert frames2 - frames > 2500
-    assert (large - small) / (frames2 - frames) <= 38
+    assert (large - small) / (frames2 - frames) <= 20
 
 
 def test_run_peak_grows_only_by_the_trace():
     # four crystals stepping every 10 s draw 8640 rate segments a day
-    # each; their clocks keep a window of them, not all, so even the peak
-    # of a run grows by no more than the trace's columns per added frame
+    # each; their clocks keep two of them, not all, so even the peak of a
+    # run grows by no more than the trace's columns: 16 B a frame (4 + 8 + 4)
     def walkers(days):
         devices = tuple(
             DeviceSpec(name=f"w{i}", clock_model=RandomWalk(10.0, 0.02, ppm),
@@ -174,7 +174,7 @@ def test_run_peak_grows_only_by_the_trace():
     _, small, frames = _retained_bytes(walkers(1))
     _, large, frames2 = _retained_bytes(walkers(2))
     assert frames2 - frames > 10_000
-    assert (large - small) / (frames2 - frames) <= 38
+    assert (large - small) / (frames2 - frames) <= 20
 
 
 def _no_replay(model):
