@@ -23,7 +23,7 @@ from .errors import ConfigError, LorasyncError, ParamError
 from .protocol import ADAPTIVE, FIXED_RATE
 from .sim import Metrics, Scenario, Trace, run
 from .slot import position_in_slot, uplink_end_in_sync
-from .units import fmt_ms, ns_to_ms_round
+from .units import fmt_ms
 
 CSV_HEADER = [
     "frame_index",
