@@ -4,45 +4,40 @@ A device whose oscillator runs at f0 + df sees its local clock advance by
 (1 + ppm*1e-6) per reference second.  Drift is reported with the sign of
 (reference - local): a fast device is ahead, so its drift is negative.
 
-Offsets accumulate per rate segment and are rounded once over the full
-interval since the segment start, so querying a clock in many small steps
-or one big step yields bit-identical local times (the simulator depends
-on that).
+Every model is a stream of rate segments (start, end, local start, local
+end, ppm) in time order: a table for Ideal, ConstantPpm and Piecewise, a
+generator that draws each step as it is first needed for RandomWalk.  The
+last segment's local end is unbounded.  _forward() is the one rate map;
+it rounds the offset once over the whole interval since a segment start,
+so querying a clock in many small steps or one big step yields
+bit-identical local times (the simulator depends on that).
 
-Each segment is held as its start on both clocks, so the offset at a
-segment start is their difference.  A clock holds two segments as plain
-attributes: its cursor's and the one before it.  Both queries move the
-cursor forward only.  local_time() moves it to the segment holding its
-reference time; true_time_at_local() moves it to the first segment that
-starts at or after its local time, and answers in the one before.  A
-query behind those two segments replays the clock from its model, which
-draws the same segments.  The simulator never makes one: it asks the
-inverse for local times no earlier than its last reading or target, and
-reads the clock forward from the answer.  The segment before the
-cursor's is where the inverse answers, and where the forward reads after
-it may land; on a slow clock rounding can also repeat a local reading
-across the cursor's start, and the inverse then answers before it.
-Models other than walks are a table of segments, stepped by index.
-
-Random-walk segments are drawn in time order and materialized only on
-demand: a forward query extends the walk to the segment holding its
-reference time, and the inverse extends it only until some segment starts
-at or after the queried local time.  The draws are therefore the same
-whatever the query pattern.
+A clock holds its cursor's segment and the one before it, and both
+queries move the cursor forward only: local_time() to the segment holding
+its reference time, true_time_at_local() to the first segment whose local
+end reaches its local time.  The inverse answers there, or in the segment
+before if on a slow clock rounding repeats that reading across the
+cursor's start.  A walk is thus drawn the same whatever the query
+pattern, and no further than a query needs.  An inverse behind the two
+segments, or a local_time() behind the cursor's, replays the model.  The
+simulator never makes one: it asks the inverse for no local time before
+its last reading, and reads the clock forward from each answer.  A walk
+ends at a step that leaves the valid ppm range, and every query that
+needs that step raises, as a replay does.
 
 Times are int64 nanoseconds.  Reference instants must stay at or below
 REF_NS_MAX (~146 years); since |ppm| < 1e6 keeps local time below twice
 reference time, every local reading then fits too.  Models reject segment
-starts past it, and a clock raises ParamError for a query, a drawn
-segment or an inverse answer beyond it.  Every segment that ends must
-advance local time by at least 1 ns, or the inverse could never pass it:
-models reject one that would not, and so does a walk as it draws.
+starts past it, and a clock raises ParamError for a query or an inverse
+answer beyond it.  Every segment that ends must advance local time by at
+least 1 ns, or the inverse could never pass it: models reject one that
+would not, and a walk ends at it.
 """
 
 from __future__ import annotations
 
 import random
-from math import cos, isfinite, log, sin, sqrt, tau
+from math import cos, inf, isfinite, log, sin, sqrt, tau
 
 from ._record import Frozen
 from .errors import ParamError, UsageError
@@ -54,6 +49,11 @@ _PPM_LIMIT = 1_000_000
 # latest reference instant whose local reading still fits in int64
 REF_NS_MAX = (2**63 - 1) // 2
 _RANGE_ERROR = f"clock time past {REF_NS_MAX} ns leaves the int64 nanosecond range"
+
+
+def _forward(dt: int, ppm: float) -> int:
+    """Local nanoseconds that pass in dt reference nanoseconds at ppm."""
+    return dt + round(dt * ppm / 1_000_000)
 
 
 class Ideal(Frozen):
@@ -100,8 +100,7 @@ class RandomWalk(Frozen):
             raise ParamError("step_std_ppm must be finite")
         if not abs(initial_ppm) < _PPM_LIMIT:
             raise ParamError(f"|initial_ppm| must be < {_PPM_LIMIT}")
-        step_ns = round(step_interval_s * NS_PER_S)
-        if step_ns + round(step_ns * initial_ppm / 1_000_000) <= 0:
+        if _forward(round(step_interval_s * NS_PER_S), initial_ppm) <= 0:
             raise ParamError(
                 "step_interval_s too small: a step at initial_ppm must advance local time"
             )
@@ -129,13 +128,39 @@ class Piecewise(Frozen):
         if any(not abs(ppm) < _PPM_LIMIT for _, ppm in segments):
             raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
         for (t0, ppm), (t1, _) in zip(segments, segments[1:]):
-            dt = round(t1 * NS_PER_S) - round(t0 * NS_PER_S)
-            if dt + round(dt * ppm / 1_000_000) <= 0:
+            if _forward(round(t1 * NS_PER_S) - round(t0 * NS_PER_S), ppm) <= 0:
                 raise ParamError(f"piecewise segment at {t0} s must advance local time")
         self._set(segments)
 
 
 ClockModel = Ideal | ConstantPpm | RandomWalk | Piecewise
+
+
+def _walk(model: RandomWalk):
+    """A walk's segments, each step drawn when its segment is first asked
+    for.  A step is rng.gauss(0.0, std) inline: the same Box-Muller pair
+    from two uniform draws and the same arithmetic.  The walk ends at a
+    step that leaves the valid ppm range or would not advance local time."""
+    uniform = random.Random(model.seed).random
+    step, std, ppm = round(model.step_interval_s * NS_PER_S), model.step_std_ppm, model.initial_ppm
+    start = local_start = 0
+    advance = _forward(step, ppm)  # RandomWalk checked that it is positive
+    z_next = None
+    while True:
+        end = start + step
+        # no segment starts past the int64 range, so the last one never ends
+        local_end = local_start + advance if end <= REF_NS_MAX else inf
+        yield start, end, local_start, local_end, ppm
+        if z_next is None:
+            x2pi = uniform() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+            z, z_next = cos(x2pi) * g2rad, sin(x2pi) * g2rad
+        else:
+            z, z_next = z_next, None
+        ppm += 0.0 + z * std
+        if not abs(ppm) < _PPM_LIMIT or (advance := _forward(step, ppm)) <= 0:
+            return
+        start, local_start = end, local_end
 
 
 class SimClock:
@@ -146,93 +171,44 @@ class SimClock:
     restriction.
     """
 
+    __slots__ = ("model", "_last_query_ns", "_next", "_prev", "_seg")
+
     def __init__(self, model: ClockModel):
-        if isinstance(model, RandomWalk) and model.seed is None:
-            raise ParamError("RandomWalk clock needs a concrete seed to run")
+        if isinstance(model, RandomWalk):
+            if model.seed is None:
+                raise ParamError("RandomWalk clock needs a concrete seed to run")
+            self._next = _walk(model).__next__
+        else:
+            if isinstance(model, Piecewise):
+                rows = [(round(t * NS_PER_S), ppm) for t, ppm in model.segments]
+            else:
+                rows = [(0, 0.0 if isinstance(model, Ideal) else model.offset_ppm)]
+            table, local_start = [], 0
+            for (start, ppm), (end, _) in zip(rows, rows[1:]):
+                local_end = local_start + _forward(end - start, ppm)
+                table.append((start, end, local_start, local_end, ppm))
+                local_start = local_end
+            start, ppm = rows[-1]
+            table.append((start, REF_NS_MAX + 1, local_start, inf, ppm))
+            self._next = iter(table).__next__
         self.model = model
         self._last_query_ns = 0
-        # a segment is (start, the same instant on the local clock, ppm).
-        # Each offset is round(dt * ppm / 1e6) over the whole interval dt
-        # since its segment start: one rounding per (segment start, query)
-        # pair, so step patterns telescope exactly within a segment
-        if isinstance(model, RandomWalk):
-            self._rng = random.Random(model.seed)
-            self._step_ns = round(model.step_interval_s * NS_PER_S)
-            self._seg = self._prev = (0, 0, model.initial_ppm)
-            self._seg_end = self._step_ns  # RandomWalk keeps it within REF_NS_MAX
-            return
-        self._rng = None
-        if isinstance(model, Piecewise):
-            segments = [(round(t * NS_PER_S), ppm) for t, ppm in model.segments]
-        else:
-            segments = [(0, 0.0 if isinstance(model, Ideal) else model.offset_ppm)]
-        # every segment of the model, and last a row past the int64 range
-        # that ends the one before it: no reading lies in it
-        table = [(0, 0, segments[0][1])]
-        for start, ppm in segments[1:] + [(REF_NS_MAX + 1, segments[-1][1])]:
-            prev_start, local_start, prev_ppm = table[-1]
-            dt = start - prev_start
-            table.append((start, local_start + dt + round(dt * prev_ppm / 1_000_000), ppm))
-        self._table, self._i = table, 0
-        self._seg = self._prev = table[0]
-        self._seg_end = table[1][0]
+        self._seg = self._prev = self._next()
 
-    def _advance(self, true_time_ns: int, local_ns: int = 0):
+    def _advance(self, true_time_ns: int, local_ns: int = -1):
         """Move the cursor forward to the segment holding true_time_ns or,
-        if it starts later, to the first segment that starts at or after
-        local_ns on the local clock; a walk draws the segments it passes."""
+        if it ends later, to the first segment whose local end reaches
+        local_ns."""
         if true_time_ns > REF_NS_MAX:
             raise ParamError(_RANGE_ERROR)
-        rng = self._rng
-        if rng is None:
-            table, i = self._table, self._i
-            last = len(table) - 1
-            while i < last and (table[i + 1][0] <= true_time_ns or table[i][1] < local_ns):
-                i += 1
-            # a caller moves the cursor off the first row, so i > 0 here
-            self._i, self._prev, self._seg = i, table[i - 1], table[i]
-            self._seg_end = table[min(i + 1, last)][0]
-            return
-        step, std = self._step_ns, self.model.step_std_ppm
-        seg, prev = self._seg, self._prev
-        start, local_start, ppm = seg
-        boundary = start + step
-        # segments start at multiples of step, so each one lasts step; on
-        # the local clock the last one drawn lasts this, never 0 ns
-        advance = step + round(step * ppm / 1_000_000)
-        uniform, z_next = rng.random, rng.gauss_next
-        error = None
-        while boundary <= true_time_ns or local_start < local_ns:
-            local_start += advance
-            # each step is rng.gauss(0.0, std), drawn inline: the same
-            # Box-Muller pair from two uniform draws, the same arithmetic,
-            # and the pair's second value pending in rng.gauss_next
-            if z_next is None:
-                x2pi = uniform() * tau
-                g2rad = sqrt(-2.0 * log(1.0 - uniform()))
-                ppm += 0.0 + cos(x2pi) * g2rad * std
-                z_next = sin(x2pi) * g2rad
-            else:
-                ppm += 0.0 + z_next * std
-                z_next = None
-            # a segment must advance local time, or the inverse never passes it
-            if not abs(ppm) < _PPM_LIMIT or (advance := step + round(step * ppm / 1_000_000)) <= 0:
-                error = "random walk left the valid ppm range"
-                break
-            # only the inverse draws this far: a slow clock can need
-            # reference times far past the local time it was asked for
-            if boundary > REF_NS_MAX:
-                error = _RANGE_ERROR
-                break
-            prev, seg = seg, (boundary, local_start, ppm)
-            boundary += step
-        # a failed draw leaves the cursor on the last segment drawn, and
-        # the next query draws on from there
-        rng.gauss_next = z_next
-        self._prev, self._seg = prev, seg
-        self._seg_end = min(boundary, REF_NS_MAX + 1)
-        if error:
-            raise ParamError(error)
+        prev, seg = self._prev, self._seg
+        try:
+            while seg[1] <= true_time_ns or seg[3] < local_ns:
+                prev, seg = seg, self._next()
+        except StopIteration:  # only a walk ends
+            raise ParamError("random walk left the valid ppm range") from None
+        finally:
+            self._prev, self._seg = prev, seg
 
     def local_time(self, true_time_ns: int) -> int:
         if true_time_ns < self._last_query_ns:
@@ -242,15 +218,12 @@ class SimClock:
                 f"non-monotone clock query: {true_time_ns} after {self._last_query_ns}"
             )
         self._last_query_ns = true_time_ns
-        if true_time_ns >= self._seg_end:
+        if true_time_ns >= self._seg[1]:
             self._advance(true_time_ns)
-        start, local_start, ppm = self._seg
+        start, _, local_start, _, ppm = self._seg
         if true_time_ns < start:  # the inverse moved the cursor past it
-            start, local_start, ppm = self._prev
-            if true_time_ns < start:
-                return SimClock(self.model).local_time(true_time_ns)
-        dt = true_time_ns - start
-        return local_start + dt + round(dt * ppm / 1_000_000)
+            return SimClock(self.model).local_time(true_time_ns)
+        return local_start + _forward(true_time_ns - start, ppm)
 
     def true_time_at_local(self, local_ns: int) -> int:
         """Earliest reference time whose local reading is >= local_ns.
@@ -260,23 +233,24 @@ class SimClock:
         """
         if local_ns <= 0:
             return 0
-        if self._seg[1] < local_ns:
+        if self._seg[3] < local_ns:
             self._advance(-1, local_ns)
-        # the cursor's segment starts at or after local_ns on the local
-        # clock (or is a table's last row), so the answer lies in the
-        # segment before it, at the latest at the cursor's start
-        start, local_start, ppm = self._prev
+        # the cursor's segment reaches local_ns; the answer lies in it, or
+        # in the one before if it starts at local_ns or later
+        start, _, local_start, _, ppm = self._seg
         if local_start >= local_ns:
-            return SimClock(self.model).true_time_at_local(local_ns)
+            start, _, local_start, _, ppm = self._prev
+            if local_start >= local_ns:
+                return SimClock(self.model).true_time_at_local(local_ns)
         # the earliest offset d into that segment that reads local_ns or more
         target = local_ns - local_start
         d = int(target / (1.0 + ppm / 1_000_000))
-        while d + round(d * ppm / 1_000_000) < target:
+        while _forward(d, ppm) < target:
             d += 1
-        while d > 0 and (d - 1) + round((d - 1) * ppm / 1_000_000) >= target:
+        while d > 0 and _forward(d - 1, ppm) >= target:
             d -= 1
         t = start + d
-        # the last segment of a model that is not a walk never ends
+        # the last segment's local end is unbounded
         if t > REF_NS_MAX:
             raise ParamError(_RANGE_ERROR)
         return t

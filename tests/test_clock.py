@@ -111,31 +111,54 @@ def test_random_walk_composition_across_boundaries():
 
 def test_random_walk_steps_are_gauss_draws():
     # the walk draws rng.gauss(0.0, std) inline; its steps must stay those
-    # draws bit for bit when a query splits a Box-Muller pair and after a
-    # step that leaves the ppm range (that query raises, the next draws on)
-    step_ns, std, seed = 60 * NS_PER_S, 300_000.0, 11
-    c = SimClock(RandomWalk(step_interval_s=60.0, step_std_ppm=std, initial_ppm=0.0, seed=seed))
+    # draws bit for bit when a query splits a Box-Muller pair.  A step that
+    # leaves the ppm range ends the walk: every later query that needs it
+    # raises, as a fresh clock does, and what lies before it still answers
+    step_ns, std, seed = 60 * NS_PER_S, 150_000.0, 11
+    model = RandomWalk(step_interval_s=60.0, step_std_ppm=std, initial_ppm=0.0, seed=seed)
+    c = SimClock(model)
     ref = random.Random(seed)
     ppms = [0.0]
     jumps = random.Random(2)
-    t = errors = 0
-    for _ in range(60):
+    t = queries = 0
+    while True:
         t += jumps.randrange(1, 4) * step_ns
-        while True:
-            # the steps rng.gauss gives, up to the first out-of-range one
-            while len(ppms) * step_ns <= t:
-                ppm = ppms[-1] + ref.gauss(0.0, std)
-                if not abs(ppm) < 1_000_000:
-                    break
-                ppms.append(ppm)
-            else:
+        # the steps rng.gauss gives, up to the first out-of-range one
+        while len(ppms) * step_ns <= t:
+            ppm = ppms[-1] + ref.gauss(0.0, std)
+            if not abs(ppm) < 1_000_000:
                 break
-            errors += 1
-            with pytest.raises(ParamError):
-                c.local_time(t)
-        drawn = Piecewise(tuple((k * 60.0, ppm) for k, ppm in enumerate(ppms)))
-        assert c.local_time(t) == SimClock(drawn).local_time(t)
-    assert errors > 0
+            ppms.append(ppm)
+        else:
+            drawn = Piecewise(tuple((k * 60.0, ppm) for k, ppm in enumerate(ppms)))
+            assert c.local_time(t) == SimClock(drawn).local_time(t)
+            queries += 1
+            continue
+        break
+    assert queries > 10  # several queries split a pair before the walk fails
+    failed_ns = len(ppms) * step_ns
+    beyond = ReferenceClock(drawn).local_time(failed_ns) + 1
+    for query, arg in ((SimClock.local_time, t), (SimClock.local_time, t + 1),
+                       (SimClock.true_time_at_local, beyond)):
+        with pytest.raises(ParamError, match="ppm range"):
+            query(c, arg)
+        with pytest.raises(ParamError, match="ppm range"):
+            query(SimClock(model), arg)
+    for local in (beyond - 1, beyond - step_ns // 2):
+        assert c.true_time_at_local(local) == SimClock(drawn).true_time_at_local(local)
+
+
+def test_random_walk_answers_an_inverse_before_the_step_that_fails():
+    # the second step leaves the valid ppm range; the inverse answers a
+    # local time inside the first step without drawing the second
+    model = RandomWalk(step_interval_s=1.0, step_std_ppm=600_000.0, initial_ppm=0.0, seed=1)
+    ref = ReferenceClock(model)
+    first_end = ref.local_time(2 * NS_PER_S)  # where the second step would start
+    for local in (NS_PER_S + 1, (NS_PER_S + first_end) // 2, first_end):
+        t = SimClock(model).true_time_at_local(local)
+        assert ref.local_time(t) >= local > ref.local_time(t - 1)
+    with pytest.raises(ParamError, match="ppm range"):
+        SimClock(model).true_time_at_local(first_end + 1)
 
 
 def test_monotone_query_enforced():
@@ -148,11 +171,15 @@ def test_monotone_query_enforced():
 
 
 def test_peek_does_not_move_cursor():
-    # looking far ahead through the inverse does not hold back forward queries
-    c = SimClock(ConstantPpm(10.0))
-    t = c.true_time_at_local(10**12)
-    assert c.local_time(0) == 0  # still allowed
-    assert c.local_time(t) == ReferenceClock(c.model).local_time(t)
+    # looking far ahead through the inverse does not hold back forward
+    # queries; behind the segment it moved the cursor to, they replay
+    for model in (ConstantPpm(10.0), RandomWalk(10.0, 3.0, 10.0, seed=2)):
+        c = SimClock(model)
+        ref = ReferenceClock(model)
+        t = c.true_time_at_local(10**12)
+        assert c.local_time(0) == 0  # still allowed
+        assert c.local_time(NS_PER_S) == ref.local_time(NS_PER_S)
+        assert c.local_time(t) == ref.local_time(t)
 
 
 def test_true_time_at_local_inverse_property():
@@ -243,14 +270,22 @@ def test_times_past_the_int64_range_raise_param_error():
         SimClock(half_rate_tail).true_time_at_local(tail_top + 1)
     with pytest.raises(ParamError):
         SimClock(half_rate_tail).true_time_at_local(REF_NS_MAX)
-    # a half-rate walk with 4e18 ns steps: its second boundary (8e18 ns)
-    # is past the limit, and only a local time beyond 2e18 ns needs it
-    walk = SimClock(RandomWalk(step_interval_s=4e9, step_std_ppm=0.0,
-                               initial_ppm=-500_000.0, seed=1))
+    # a half-rate walk with 4e18 ns steps: its second segment starts at
+    # 4e18 ns and ends past the limit, so a local time beyond 2e18 ns is
+    # answered in it, up to the local times it reaches by REF_NS_MAX.
+    # That far into a half-rate segment the float forward map saws by
+    # 64 ns, so the first local time past them all is the first to raise
+    half_rate_walk = RandomWalk(step_interval_s=4e9, step_std_ppm=0.0,
+                                initial_ppm=-500_000.0, seed=1)
+    walk = SimClock(half_rate_walk)
     assert walk.local_time(REF_NS_MAX) > 0
     assert walk.true_time_at_local(2 * 10**18) == 4 * 10**18
-    with pytest.raises(ParamError):
-        walk.true_time_at_local(2 * 10**18 + 1)
+    assert walk.true_time_at_local(2 * 10**18 + 1) == 4 * 10**18 + 1
+    walk_ref = ReferenceClock(half_rate_walk)
+    assert walk.true_time_at_local(walk_ref.local_time(REF_NS_MAX)) <= REF_NS_MAX
+    walk_top = max(walk_ref.local_time(t) for t in range(REF_NS_MAX - 1023, REF_NS_MAX + 1))
+    with pytest.raises(ParamError, match="int64"):
+        walk.true_time_at_local(walk_top + 1)
     with pytest.raises(ParamError):
         Piecewise(((0.0, 5.0), (1e10, 3.0)))
     with pytest.raises(ParamError):

@@ -218,11 +218,16 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             "[device two]",
             ("device two", "payload_bytes must be in 0..246"),
         ),
+        (
+            MINIMAL + "\n[device fea=ther]\nclock = ideal\ntx_period_s = 30\n",
+            "[device fea=ther]",
+            ("device fea=ther", "must not contain '='"),
+        ),
     ],
     ids=[
         "radio-sf", "clock-ppm", "walk-std-nan", "walk-std-inf", "strategy", "downlink-loss",
         "duration-nan", "payload-bytes", "tx-period-zero", "tx-period-nan", "tx-period-int64",
-        "second-device",
+        "second-device", "device-name-equals",
     ],
 )
 def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, text, header, words):

@@ -404,10 +404,17 @@ def test_scenario_validation():
         dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=0.0),)),
         dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=30.0,
                                  payload_bytes=247),)),
+        # a name with '=' would split the summary's key=value lines
+        dict(devices=(dev, DeviceSpec(name="fea=ther", clock_model=Ideal(), tx_period_s=30.0))),
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
             validate_scenario(ok._replace(**overrides))
+    # the inverse draws no walk step past the segment holding its answer,
+    # so a step longer than the rest of the int64 range needs no margin
+    long_steps = DeviceSpec(name="a", clock_model=RandomWalk(2e9, 1.0, 10.0), tx_period_s=1e9)
+    m, _ = run(ok._replace(duration_s=2.5e9, devices=(long_steps,)))
+    assert m.frames_total == 2
 
 
 def test_one_nanosecond_rounds_finish():
