@@ -15,33 +15,18 @@ import csv
 import io
 import os
 import sys
-from itertools import count, repeat
 
 from .airtime import RadioParams, remaining_time_bit_width, symbol_duration_ns, time_on_air
 from .config import load_scenario
 from .errors import ConfigError, LorasyncError, ParamError
 from .protocol import ADAPTIVE, FIXED_RATE
-from .sim import Metrics, Scenario, Trace, run
-from .slot import position_in_slot, uplink_end_in_sync
+from .sim import Metrics, Scenario, Trace, TraceRow, run
 from .units import fmt_ms
 
-CSV_HEADER = [
-    "frame_index",
-    "device_id",
-    "true_time_ms",
-    "arrival_position_ms",
-    "signed_drift_ms",
-    "in_sync",
-    "action",
-    "remaining_ms",
-    "strategy",
-]
+# TraceRow's fields, times in milliseconds
+CSV_HEADER = [f"{f[:-3]}_ms" if f.endswith("_ns") else f for f in TraceRow._fields]
 
 WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255)
-
-
-# rows rendered per write: the file is written in bounded pieces
-_CSV_CHUNK_ROWS = 4096
 
 
 def _csv_field(value: str) -> str:
@@ -56,26 +41,19 @@ def write_trace_csv(path, rows: Trace):
 
     Only device_id and strategy are free text, so only they go through
     csv.writer, once per trace; every other field is a number, "none"
-    or "resync", which csv.writer never quotes.  Rows are rendered
-    straight from the trace's columns, a chunk at a time, each with the
-    slot judgement of its uplink end.
+    or "resync", which csv.writer never quotes.  The trace derives its
+    rows a chunk at a time, and each chunk is formatted and written as
+    one piece.
     """
-    names = [_csv_field(name) for name in rows.device_names]
+    quoted = {name: _csv_field(name) for name in rows.device_names}
     strategy = _csv_field(rows.strategy)
-    cfg = rows.cfg
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
-        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = slice(lo, lo + _CSV_CHUNK_ROWS)
-            devices, times, remaining = (col[chunk] for col in rows.columns())
-            positions = [position_in_slot(t, cfg) for t in times]
-            judged = map(uplink_end_in_sync, positions, repeat(cfg))
+        for chunk in rows.fields():
             fh.write("".join([
-                f"{i},{names[dev]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},"
-                f"{'1' if in_sync else '0'},{'none,' if rem < 0 else f'resync,{rem}'},"
-                f"{strategy}\n"
-                for i, dev, t, pos, (in_sync, drift), rem
-                in zip(count(lo), devices, times, positions, judged, remaining)
+                f"{i},{quoted[name]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},"
+                f"{'1' if in_sync else '0'},{action},{'' if rem is None else rem},{strategy}\n"
+                for i, name, t, pos, drift, in_sync, action, rem, _ in chunk
             ]))
 
 

@@ -23,6 +23,8 @@ from .slot import SlotConfig
 from .units import ms_to_ns
 
 _REQUIRED = object()
+# each radio section and the [slot] air time it may stand in for
+_RADIOS = {"radio.uplink": "t_tx_ms", "radio.downlink": "t_rx_ms"}
 
 
 def _to_bool(raw: str) -> bool:
@@ -158,7 +160,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             continue
         if sec.name in by_name:
             raise ConfigError(f"duplicate section [{sec.name}]", sec.line)
-        if sec.name not in ("scenario", "slot", "radio.uplink", "radio.downlink"):
+        if sec.name not in ("scenario", "slot", *_RADIOS):
             raise ConfigError(f"unknown section [{sec.name}]", sec.line)
         by_name[sec.name] = sec
 
@@ -179,35 +181,27 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     slot_pick = sc.take("slot_pick", str, "random")
     sc.finish()
 
-    radio_up = _radio_from(by_name["radio.uplink"]) if "radio.uplink" in by_name else None
-    radio_down = _radio_from(by_name["radio.downlink"]) if "radio.downlink" in by_name else None
+    radios = {name: _radio_from(by_name[name]) for name in _RADIOS if name in by_name}
 
     slot_sec = by_name["slot"]
-    t_tx_ms = slot_sec.take("t_tx_ms", int, None)
-    t_rx_ms = slot_sec.take("t_rx_ms", int, None)
+    air_ms = {key: slot_sec.take(key, int, None) for key in _RADIOS.values()}
     rx_delay_ms = slot_sec.take("rx_delay_ms", int)
     tb1_ms = slot_sec.take("tb1_ms", int)
     tb2_ms = slot_sec.take("tb2_ms", int)
     slot_sec.finish()
-    if t_tx_ms is None:
-        if radio_up is None:
-            raise ConfigError(
-                "[slot] needs t_tx_ms or a [radio.uplink] section to derive it from",
-                slot_sec.line,
-            )
-        t_tx_ms = time_on_air(radio_up).t_packet_ms
-    if t_rx_ms is None:
-        if radio_down is None:
-            raise ConfigError(
-                "[slot] needs t_rx_ms or a [radio.downlink] section to derive it from",
-                slot_sec.line,
-            )
-        t_rx_ms = time_on_air(radio_down).t_packet_ms
+    # an air time that [slot] leaves out derives from its radio section
+    for radio, key in _RADIOS.items():
+        if air_ms[key] is None:
+            if radio not in radios:
+                raise ConfigError(
+                    f"[slot] needs {key} or a [{radio}] section to derive it from", slot_sec.line
+                )
+            air_ms[key] = time_on_air(radios[radio]).t_packet_ms
     try:
         cfg = SlotConfig(
-            t_tx_ns=ms_to_ns(t_tx_ms),
+            t_tx_ns=ms_to_ns(air_ms["t_tx_ms"]),
             rx_delay_ns=ms_to_ns(rx_delay_ms),
-            t_rx_ns=ms_to_ns(t_rx_ms),
+            t_rx_ns=ms_to_ns(air_ms["t_rx_ms"]),
             tb1_ns=ms_to_ns(tb1_ms),
             tb2_ns=ms_to_ns(tb2_ms),
         )

@@ -17,11 +17,15 @@ up out-of-sync again and the next ACK corrects it.
 
 The device alone decides when it transmits, on its own clock.  It boots
 at a uniform whole-millisecond phase in its first period, its grid's
-origin, then transmits on grid points slot_start + k*t_slot: one drawn
-uniformly in each next period window (random, Slotted ALOHA), or the
-first one at least a period after its last start (aligned).  Only boot
-phases are whole milliseconds: a correction puts the grid at the uplink
-end's local reading plus remaining_ms.
+origin, then transmits on grid points slot_start + k*t_slot.  Its next
+window opens a period after the boot phase.  Each pick reads the window
+at the device's current local time `now` and advances it: the random
+pick (Slotted ALOHA) draws a grid point uniformly in [max(w, now),
+w + period) and opens the next window at w + period; the aligned pick
+takes the first grid point at or after max(w, now) and opens the next
+window a period after it.  Only boot phases are whole milliseconds: a
+correction puts the grid at the uplink end's local reading plus
+remaining_ms.
 
 The fixed-rate baseline resynchronizes every device it has heard once
 per round, unconditionally, at 8 bytes a piece.  The server reaches a
@@ -47,26 +51,19 @@ class DeviceRecord:
 
     __slots__ = ("resync_count", "out_sync_count", "last_arrival_ns")
 
-    def __init__(
-        self, resync_count: int = 0, out_sync_count: int = 0, last_arrival_ns: int | None = None
-    ):
-        self.resync_count = resync_count
-        self.out_sync_count = out_sync_count
-        self.last_arrival_ns = last_arrival_ns  # fixed-rate only: the last uplink end
+    def __init__(self):
+        self.resync_count = 0
+        self.out_sync_count = 0
+        self.last_arrival_ns = None  # fixed-rate only: the last uplink end
 
 
 class NetworkServerState:
     __slots__ = ("cfg", "round_ns", "records")
 
-    def __init__(
-        self,
-        cfg: SlotConfig,
-        round_ns: int | None = None,
-        records: dict[int, DeviceRecord] | None = None,
-    ):
+    def __init__(self, cfg: SlotConfig, round_ns: int | None = None):
         self.cfg = cfg
         self.round_ns = round_ns  # fixed-rate round length; None: adaptive
-        self.records = {} if records is None else records
+        self.records: dict[int, DeviceRecord] = {}
 
 
 class AckPlan(NamedTuple):
@@ -86,7 +83,7 @@ class EndDeviceState:
         self.t_slot_ns = t_slot_ns
         self.slot_start_local_ns = slot_start_local_ns
         self.rng = rng  # a random.Random: the boot phase and random picks draw from it
-        self.window_start_local_ns = 0  # where the random pick's next period window opens
+        self.window_start_local_ns = 0  # where the next period window opens
 
 
 def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: int) -> AckPlan:
@@ -147,11 +144,11 @@ def ed_first_tx_time(d: EndDeviceState) -> int:
     return phase
 
 
-def ed_pick_tx_time(d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int) -> int:
+def ed_pick_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
     """Random pick: a uniform grid point in [max(w, now), w + tx_period), the next window.
 
     Each window opens where the previous one closed; with no grid point in
-    it, the pick is the first one after it.  last_tx_local_ns is unused.
+    it, the pick is the first one after it.
     """
     lo = d.window_start_local_ns
     hi = d.window_start_local_ns = lo + d.tx_period_ns
@@ -170,14 +167,16 @@ def ed_pick_tx_time(d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int)
     return nxt
 
 
-def ed_next_tx_time(d: EndDeviceState, now_local_ns: int, last_tx_local_ns: int) -> int:
-    """Aligned pick: the next transmission instant on the device's local clock.
+def ed_next_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
+    """Aligned pick: the first grid point at or after max(w, now).
 
-    It is the earliest grid point slot_start + k*t_slot, not before now,
-    at least one tx_period after the previous uplink's local start
-    last_tx_local_ns (periods effectively round up to the grid).
+    The next window opens a period after it.  As the first one opens a
+    period after the boot phase, each pick is at least one tx_period
+    after the previous start (periods effectively round up to the grid).
     """
-    return _grid_point_at_or_after(d, max(now_local_ns, last_tx_local_ns + d.tx_period_ns))
+    nxt = _grid_point_at_or_after(d, max(now_local_ns, d.window_start_local_ns))
+    d.window_start_local_ns = nxt + d.tx_period_ns
+    return nxt
 
 
 def ed_on_ack(

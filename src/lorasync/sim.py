@@ -14,11 +14,13 @@ judges the next one (a boundary at the uplink's own end included), and
 those after each device's last uplink, up to the horizon, once after
 the loop (`protocol` states the rule).
 
-Per frame the device clock is read at the ACK end, where the device
-picks its next transmit instant (`protocol` states the rule), and also
-at the uplink end only for a correction the device applies: an empty or
-lost ACK changes nothing on the device.  The clock's inverse maps each
-transmit instant to reference time.
+A heap entry is (uplink end, insertion sequence, device index): the
+device alone holds where its next transmit window opens.  Per frame the
+device clock is read at the ACK end, where the device picks its next
+transmit instant (`protocol` states the rule), and also at the uplink
+end only for a correction the device applies: an empty or lost ACK
+changes nothing on the device.  The clock's inverse maps each transmit
+instant to reference time.
 
 Handling RX1 and the ACK early keeps every outcome of a chain of
 separate events: every uplink lasts t_tx and RX1 and the ACK follow its
@@ -39,8 +41,8 @@ downlink loss exercises the protocol's self-correction.
 `run` returns the metrics and a `Trace`: a read-only sequence of
 `TraceRow`s, one per frame in time order.  It stores what the run
 decided, the device, the uplink end and the correction attached, in
-typed columns of 16 bytes a frame; each row's slot position, drift and
-verdict are the slot judgement of its uplink end, made when it is read.
+typed columns of 16 bytes a frame; `Trace.fields` derives the rest of
+each row, the slot judgement of its uplink end, when it is read.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import random
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from itertools import count
+from itertools import count, repeat
 from operator import eq
 from typing import NamedTuple
 
@@ -112,16 +114,18 @@ class TraceRow(NamedTuple):
     strategy: str
 
 
+# rows derived at a time: reading a trace holds a bounded piece of it
+_CHUNK_ROWS = 4096
+
+
 class Trace(Sequence):
     """The frames of one run, in time order: a read-only sequence of TraceRow.
 
     Three typed columns hold what the run decided, a row per frame: the
     device, the uplink end and the remaining time attached (-1 when
     none is).  The device names, the strategy and the slot geometry are
-    held once per trace.  frame_index is the row number, action is
-    "resync" exactly when remaining_ms is attached, and the position,
-    drift and verdict are the slot judgement of the uplink end.  Rows
-    are built when they are read; a slice reads as a list of rows.
+    held once per trace.  `fields` derives every row from them; rows are
+    built when they are read, and a slice reads as a list of rows.
     """
 
     __slots__ = ("device_names", "strategy", "cfg", "device_index", "true_time_ns", "remaining_ms")
@@ -134,38 +138,40 @@ class Trace(Sequence):
         self.true_time_ns = array("q")  # uplink end, reference clock
         self.remaining_ms = array("i")  # -1: no correction attached
 
-    def columns(self) -> tuple:
-        """The per-frame columns: device_index, true_time_ns and remaining_ms."""
-        return (self.device_index, self.true_time_ns, self.remaining_ms)
+    def fields(self, start: int = 0, stop: int | None = None):
+        """Rows start..stop-1 as plain tuples in TraceRow field order, a list per chunk.
 
-    def _row(self, i, dev, t, rem) -> TraceRow:
-        pos = position_in_slot(t, self.cfg)
-        in_sync, drift = uplink_end_in_sync(pos, self.cfg)
-        resync = rem >= 0
-        return TraceRow(
-            i,
-            self.device_names[dev],
-            t,
-            pos,
-            drift,
-            in_sync,
-            "resync" if resync else "none",
-            rem if resync else None,
-            self.strategy,
-        )
+        frame_index is the row number, action is "resync" exactly when
+        remaining_ms is attached, and the position, drift and verdict
+        are the slot judgement of the uplink end.
+        """
+        cfg, names, strategy = self.cfg, self.device_names, self.strategy
+        stop = len(self) if stop is None else stop
+        for lo in range(start, stop, _CHUNK_ROWS):
+            chunk = slice(lo, min(lo + _CHUNK_ROWS, stop))
+            times = self.true_time_ns[chunk]
+            positions = [position_in_slot(t, cfg) for t in times]
+            yield [
+                (i, names[dev], t, pos, drift, in_sync,
+                 "none" if rem < 0 else "resync", None if rem < 0 else rem, strategy)
+                for i, dev, t, pos, (in_sync, drift), rem in zip(
+                    count(lo), self.device_index[chunk], times, positions,
+                    map(uplink_end_in_sync, positions, repeat(cfg)), self.remaining_ms[chunk],
+                )
+            ]
 
     def __len__(self) -> int:
         return len(self.true_time_ns)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            rows = range(len(self))[key]
-            return list(map(self._row, rows, *(col[key] for col in self.columns())))
+            return [self[i] for i in range(len(self))[key]]
         i = range(len(self))[key]  # negative indices count from the end
-        return self._row(i, *(col[i] for col in self.columns()))
+        return TraceRow._make(next(self.fields(i, i + 1))[0])
 
     def __iter__(self):
-        return map(self._row, count(), *self.columns())
+        for rows in self.fields():
+            yield from map(TraceRow._make, rows)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -197,8 +203,9 @@ class Metrics(NamedTuple):
 def validate_scenario(sc: Scenario):
     """Reject a scenario `run` cannot execute; a device's own error carries its index."""
     max_s = REF_NS_MAX // NS_PER_S
-    if not sc.duration_s > 0:  # nan included
-        raise ConfigError("duration_s must be positive")
+    # run lengths and periods are whole nanoseconds: nan and 0 ns are rejected
+    if not sc.duration_s * NS_PER_S > 0.5:
+        raise ConfigError("duration_s must be positive, at least 1 ns")
     if not sc.duration_s * NS_PER_S <= REF_NS_MAX:
         raise ConfigError(f"duration_s must be at most {max_s} s, the int64 nanosecond range")
     if not sc.devices:
@@ -223,8 +230,10 @@ def validate_scenario(sc: Scenario):
         # the summary prints one device.<name>.<key>=value line per fact
         if "=" in d.name:
             raise ConfigError(f"device {d.name}: a device name must not contain '='", device=i)
-        if not d.tx_period_s > 0:  # nan included
-            raise ConfigError(f"device {d.name}: tx_period_s must be positive", device=i)
+        if not d.tx_period_s * NS_PER_S > 0.5:
+            raise ConfigError(
+                f"device {d.name}: tx_period_s must be positive, at least 1 ns", device=i
+            )
         if not 0 <= d.payload_bytes <= MAX_UPLINK_PAYLOAD:
             raise ConfigError(
                 f"device {d.name}: payload_bytes must be in 0..{MAX_UPLINK_PAYLOAD}", device=i
@@ -270,8 +279,8 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
 
     t_tx = cfg.t_tx_ns
     t_rx = cfg.t_rx_ns
-    # (uplink end, insertion sequence, device index, local tx start); the
-    # sequence breaks ties in push order
+    # (uplink end, insertion sequence, device index); the sequence breaks
+    # ties in push order
     heap: list = []
     seq = count()
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -280,7 +289,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     def push_uplink(i: int, tx_local: int):
         end = clocks[i].true_time_at_local(tx_local) + t_tx
         if end <= duration_ns:  # only complete frames
-            heappush(heap, (end, next(seq), i, tx_local))
+            heappush(heap, (end, next(seq), i))
 
     loss = scenario.downlink_loss
     collisions = 0
@@ -297,7 +306,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             push_uplink(i, ed_first_tx_time(d))
 
         while heap:
-            t, _, i, tx_local = heappop(heap)
+            t, _, i = heappop(heap)
             start = t - t_tx
             while active_ends and active_ends[0] <= start:
                 active_ends.popleft()
@@ -328,7 +337,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
                 # an empty or lost ACK changes nothing: the device keeps
                 # its grid and simply picks the next uplink
                 end_local = clock.local_time(t_ack)
-            push_uplink(i, pick_tx_time(states[i], end_local, tx_local))
+            push_uplink(i, pick_tx_time(states[i], end_local))
     except ParamError as exc:  # only device i's clock raises it
         raise ParamError(f"device {scenario.devices[i].name}: {exc}") from exc
 

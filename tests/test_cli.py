@@ -12,7 +12,7 @@ import pytest
 from lorasync import cli
 from lorasync.cli import CSV_HEADER, main
 from lorasync.config import load_scenario
-from lorasync.sim import DeviceMetrics, run
+from lorasync.sim import _CHUNK_ROWS, DeviceMetrics, run
 from lorasync.units import fmt_ms
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -129,7 +129,7 @@ def test_simulate_csv_quotes_device_names_like_csv_writer(tmp_path, capsys, monk
     assert _run(capsys, "simulate", "scenario.ini", "--out", str(out_file))[0] == 0
 
     _, rows = run(sc)
-    assert len(rows) > cli._CSV_CHUNK_ROWS  # more than one chunk
+    assert len(rows) > _CHUNK_ROWS  # more than one chunk
     ref = io.StringIO()
     writer = csv.writer(ref, lineterminator="\n")
     writer.writerow(CSV_HEADER)

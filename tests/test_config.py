@@ -189,10 +189,13 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             "[scenario]",
             ("downlink_loss must be in [0, 1]",),
         ),
-        (
-            MINIMAL.replace("duration_s = 600", "duration_s = nan"),
-            "[scenario]",
-            ("duration_s must be positive",),
+        *(
+            (
+                MINIMAL.replace("duration_s = 600", f"duration_s = {duration}"),
+                "[scenario]",
+                ("duration_s must be positive",),
+            )
+            for duration in ("nan", "0.0000000001")
         ),
         # the device checks run after the scenario's own, on the built scenario
         (
@@ -206,7 +209,7 @@ def test_bad_slot_geometry_wrapped_as_config_error():
                 "[device one]",
                 ("device one", "tx_period_s must be positive"),
             )
-            for period in ("0", "nan")
+            for period in ("0", "nan", "0.0000000001")
         ),
         (
             MINIMAL.replace("tx_period_s = 30", "tx_period_s = 5e9"),
@@ -226,7 +229,8 @@ def test_bad_slot_geometry_wrapped_as_config_error():
     ],
     ids=[
         "radio-sf", "clock-ppm", "walk-std-nan", "walk-std-inf", "strategy", "downlink-loss",
-        "duration-nan", "payload-bytes", "tx-period-zero", "tx-period-nan", "tx-period-int64",
+        "duration-nan", "duration-under-1ns", "payload-bytes", "tx-period-zero", "tx-period-nan",
+        "tx-period-under-1ns", "tx-period-int64",
         "second-device", "device-name-equals",
     ],
 )

@@ -116,6 +116,43 @@ MUTANTS = (
         ("tests/test_protocol.py::test_pick_tx_time_matches_an_independent_draw",),
     ),
     Mutant(
+        "boot phase widened by one",
+        "protocol.py",
+        "phase = d.rng.randrange(max(1, d.tx_period_ns // NS_PER_MS)) * NS_PER_MS",
+        "phase = d.rng.randrange(max(1, d.tx_period_ns // NS_PER_MS) + 1) * NS_PER_MS",
+        ("tests/test_protocol.py::test_first_tx_time_matches_randrange",),
+    ),
+    Mutant(
+        "grid point ceiling clamped at k = -1",
+        "protocol.py",
+        """\
+    if k < 0:
+        k = 0
+""",
+        """\
+    if k < -1:
+        k = -1
+""",
+        ("tests/test_protocol.py::test_pick_tx_time_matches_an_independent_draw",),
+    ),
+    Mutant(
+        "random pick counts one slot start too few in its window",
+        "protocol.py",
+        "n = 1 + (hi - 1 - nxt) // t_slot",
+        "n = (hi - 1 - nxt) // t_slot",
+        ("tests/test_protocol.py::test_pick_tx_time_matches_an_independent_draw",),
+    ),
+    Mutant(
+        "aligned pick does not advance the window",
+        "protocol.py",
+        "    d.window_start_local_ns = nxt + d.tx_period_ns\n",
+        "",
+        (
+            "tests/test_protocol.py::test_period_rounds_up_to_grid_multiple",
+            "tests/test_golden.py::test_tied_events_keep_their_order",
+        ),
+    ),
+    Mutant(
         "round boundary at the uplink's own end left uncounted",
         "protocol.py",
         "arrival_true_ns // s.round_ns - last // s.round_ns",
@@ -123,6 +160,26 @@ MUTANTS = (
         (
             "tests/test_protocol.py::test_fixed_rate_charges_every_boundary_between_two_uplinks",
             "tests/test_sim_properties.py::test_a_boundary_flags_the_next_uplink_of_every_device_heard",
+        ),
+    ),
+    Mutant(
+        "run end drops the boundaries after each device's last uplink",
+        "protocol.py",
+        "rec.resync_count += end_true_ns // s.round_ns - rec.last_arrival_ns // s.round_ns",
+        "pass",
+        (
+            "tests/test_protocol.py::test_fixed_rate_round_covers_all_devices_sorted",
+            "tests/test_protocol.py::test_fixed_rate_charges_every_boundary_between_two_uplinks",
+        ),
+    ),
+    Mutant(
+        "trace row derivation flips the action",
+        "sim.py",
+        '"none" if rem < 0 else "resync"',
+        '"resync" if rem < 0 else "none"',
+        (
+            "tests/test_cli.py::test_simulate_trace_csv",
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
         ),
     ),
 )

@@ -129,18 +129,23 @@ def test_run_end_charges_nothing_under_adaptive():
 
 
 def _device(slot_start_ns):
-    """A device whose grid starts at slot_start_ns, as after its first uplink or a correction."""
-    return EndDeviceState(
+    """A device whose grid starts at slot_start_ns, as after its first uplink or a correction.
+
+    Its next window opens a period after slot_start_ns, as after a boot there.
+    """
+    d = EndDeviceState(
         tx_period_ns=ms_to_ns(30_000),
         t_slot_ns=T_SLOT,
         slot_start_local_ns=slot_start_ns,
     )
+    d.window_start_local_ns = slot_start_ns + d.tx_period_ns
+    return d
 
 
 def test_aligned_pick_locks_to_the_grid():
     d = _device(slot_start_ns=ms_to_ns(1234))
     # next grid point at least one period later: 1234 + 18*1757 = 32860
-    nxt = ed_next_tx_time(d, now_local_ns=ms_to_ns(2000), last_tx_local_ns=ms_to_ns(1234))
+    nxt = ed_next_tx_time(d, now_local_ns=ms_to_ns(2000))
     assert nxt == ms_to_ns(1234) + 18 * T_SLOT
     assert nxt - ms_to_ns(1234) >= d.tx_period_ns
 
@@ -173,9 +178,9 @@ def test_empty_ack_changes_nothing():
 
 def test_period_rounds_up_to_grid_multiple():
     d = _device(slot_start_ns=0)
-    t = ed_next_tx_time(d, 0, last_tx_local_ns=0)
+    t = ed_next_tx_time(d, 0)
     assert t == 18 * T_SLOT  # smallest multiple >= 30 s
-    assert ed_next_tx_time(d, t, last_tx_local_ns=t) == 36 * T_SLOT
+    assert ed_next_tx_time(d, t) == 36 * T_SLOT
 
 
 def test_server_correction_lands_device_on_grid():
@@ -198,7 +203,7 @@ def test_server_correction_lands_device_on_grid():
         # here, so the reconstructed grid must sit exactly on the server's
         assert d.slot_start_local_ns % T_SLOT == 0
         # follow-up uplink ends exactly at the ideal in-slot offset
-        nxt = ed_next_tx_time(d, ack_end, last_tx_local_ns=boot)
+        nxt = ed_next_tx_time(d, ack_end)
         assert (nxt + CFG.t_tx_ns) % T_SLOT == CFG.t_tx_ns
         plan2 = ns_on_uplink_end(s, device_index=trial, arrival_true_ns=nxt + CFG.t_tx_ns)
         assert plan2.remaining_ms is None
@@ -275,7 +280,7 @@ def test_pick_tx_time_matches_an_independent_draw(case, seed):
         lo = window_lo + i * period  # each window opens where the previous one closed
         now = lo + dt
         expected = _oracle_pick(origin, t_slot, lo, period, now, oracle_rng)
-        got = ed_pick_tx_time(d, now, last_tx)
+        got = ed_pick_tx_time(d, now)
         assert got == expected
         assert d.window_start_local_ns == lo + period
         # a grid point in [max(lo, now), lo + period), or the first one after
@@ -285,7 +290,10 @@ def test_pick_tx_time_matches_an_independent_draw(case, seed):
         assert first <= got
         assert got < lo + period if first < lo + period else got == first
         # the aligned pick shares the grid: the first point a period after the last start
-        aligned = ed_next_tx_time(d, now, last_tx)
+        # on a copy of the device whose window opens a period after last_tx
+        a = EndDeviceState(period, t_slot, origin)
+        a.window_start_local_ns = last_tx + period
+        aligned = ed_next_tx_time(a, now)
         assert aligned == _first_grid_point(origin, t_slot, max(now, last_tx + period))
         last_tx = got
     # both drew the same numbers, no more and no fewer

@@ -389,6 +389,7 @@ def test_scenario_validation():
     validate_scenario(ok)  # no raise
     cases = [
         dict(duration_s=0.0),
+        dict(duration_s=1e-10),  # rounds to 0 ns
         dict(devices=()),
         dict(devices=(dev, dev)),
         dict(strategy="sometimes"),
@@ -401,7 +402,8 @@ def test_scenario_validation():
         dict(slot_pick="bursty"),
         dict(duration_s=5e9),  # past the int64 nanosecond range
         dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=2.4e9),)),
-        dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=0.0),)),
+        *(dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=p),))
+          for p in (0.0, 1e-10)),  # 1e-10 s rounds to a 0 ns period
         dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=30.0,
                                  payload_bytes=247),)),
         # a name with '=' would split the summary's key=value lines
