@@ -90,9 +90,7 @@ def payload_symbol_count(p: RadioParams) -> int:
         + (16 if p.crc_on else 0)
         - (20 if p.implicit_header else 0)
     )
-    den = 4 * (p.sf - 2 * de)
-    if den <= 0:
-        raise ParamError("sf - 2*DE must be positive")
+    den = 4 * (p.sf - 2 * de)  # at least 12: RadioParams admits sf >= 5
     n_bits = -(-num // den)  # ceil for possibly-negative integer numerator
     return 8 + max(n_bits * (p.cr + 4), 0)
 

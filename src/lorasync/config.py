@@ -128,8 +128,10 @@ def _clock_from(sec: _Section) -> ClockModel:
     try:
         if kind == "ideal":
             return Ideal()
-        if kind in ("feather-like", "ttgo-like"):
+        if kind == "feather-like":
             return preset(kind, sec.take("seed", int, None))
+        if kind == "ttgo-like":  # draws nothing, so takes no seed
+            return preset(kind)
         if kind == "constant_ppm":
             return ConstantPpm(sec.take("offset_ppm", float))
         if kind == "random_walk":

@@ -32,6 +32,13 @@ per round, unconditionally, at 8 bytes a piece.  The server reaches a
 device only after its next uplink, which carries the correction when a
 round boundary k*R (k >= 1) falls in (previous uplink end, this end]:
 one correction, and one resync per boundary.  A first uplink counts none.
+`SYNC_BYTES` holds each strategy's price of a resync.
+
+The server is built for the devices of a run and knows each by its
+index: it keeps one list per count (resyncs, out-of-sync frames, and
+under fixed-rate the last uplink end) with an entry for every device,
+heard or not.  `ack_remaining_ms` is the one derivation of the ACK's
+remaining-time field; a trace derives it again when it is read.
 """
 
 from __future__ import annotations
@@ -46,24 +53,23 @@ ADAPTIVE = "adaptive"
 FIXED_RATE = "fixed_rate"
 
 
-class DeviceRecord:
-    """What the server remembers about one device."""
-
-    __slots__ = ("resync_count", "out_sync_count", "last_arrival_ns")
-
-    def __init__(self):
-        self.resync_count = 0
-        self.out_sync_count = 0
-        self.last_arrival_ns = None  # fixed-rate only: the last uplink end
+# downlink bytes one resync costs, by strategy: the ACK's remaining-time
+# field, or a fixed-rate correction
+SYNC_BYTES = {ADAPTIVE: 2, FIXED_RATE: 8}
 
 
 class NetworkServerState:
-    __slots__ = ("cfg", "round_ns", "records")
+    """What the server counts, one list entry per device of the run, by its index."""
 
-    def __init__(self, cfg: SlotConfig, round_ns: int | None = None):
+    __slots__ = ("cfg", "round_ns", "resync_count", "out_sync_count", "last_arrival_ns")
+
+    def __init__(self, cfg: SlotConfig, n_devices: int, round_ns: int | None = None):
         self.cfg = cfg
         self.round_ns = round_ns  # fixed-rate round length; None: adaptive
-        self.records: dict[int, DeviceRecord] = {}
+        self.resync_count = [0] * n_devices
+        self.out_sync_count = [0] * n_devices
+        # fixed-rate only: the last uplink end; None until the device is heard
+        self.last_arrival_ns: list[int | None] = [None] * n_devices
 
 
 class AckPlan(NamedTuple):
@@ -86,33 +92,38 @@ class EndDeviceState:
         self.window_start_local_ns = 0  # where the next period window opens
 
 
+def ack_remaining_ms(arrival_true_ns: int, cfg: SlotConfig) -> int:
+    """The ACK's remaining-time field for an uplink ending at arrival_true_ns.
+
+    Whole milliseconds to the next slot boundary, round-half-up.
+    """
+    return ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, cfg))
+
+
 def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: int) -> AckPlan:
     """Judge one finished uplink of a device and plan its ACK.
 
-    Unknown devices auto-register.  Under the adaptive strategy the
-    remaining time is attached exactly when the frame is out-of-sync;
-    under the fixed-rate baseline exactly when a round boundary fell in
-    (the device's previous uplink end, this one].
+    Under the adaptive strategy the remaining time is attached exactly
+    when the frame is out-of-sync; under the fixed-rate baseline exactly
+    when a round boundary fell in (the device's previous uplink end, this
+    one].
     """
     cfg = s.cfg
     in_sync = uplink_end_in_sync(position_in_slot(arrival_true_ns, cfg), cfg)[0]
-    rec = s.records.get(device_index)
-    if rec is None:
-        rec = s.records[device_index] = DeviceRecord()
     if not in_sync:
-        rec.out_sync_count += 1
+        s.out_sync_count[device_index] += 1
 
     if s.round_ns is None:
         resync = not in_sync
-        rec.resync_count += resync
+        s.resync_count[device_index] += resync
     else:
-        last = rec.last_arrival_ns
-        rec.last_arrival_ns = arrival_true_ns
+        last = s.last_arrival_ns[device_index]
+        s.last_arrival_ns[device_index] = arrival_true_ns
         boundaries = 0 if last is None else arrival_true_ns // s.round_ns - last // s.round_ns
-        rec.resync_count += boundaries
+        s.resync_count[device_index] += boundaries
         resync = boundaries > 0
     return AckPlan(
-        ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, cfg)) if resync else None,
+        ack_remaining_ms(arrival_true_ns, cfg) if resync else None,
         arrival_true_ns + cfg.rx_delay_ns,
     )
 
@@ -120,11 +131,13 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
 def ns_on_run_end(s: NetworkServerState, end_true_ns: int):
     """Charge each device heard the round boundaries in (its last uplink end, end_true_ns].
 
-    No uplink answers them; call it once, at the end of a run.  Adaptive has no rounds.
+    No uplink answers them; call it once, at the end of a run.  Adaptive
+    has no rounds, and a device never heard has none to answer.
     """
     if s.round_ns is not None:
-        for rec in s.records.values():
-            rec.resync_count += end_true_ns // s.round_ns - rec.last_arrival_ns // s.round_ns
+        for i, last in enumerate(s.last_arrival_ns):
+            if last is not None:
+                s.resync_count[i] += end_true_ns // s.round_ns - last // s.round_ns
 
 
 def _grid_point_at_or_after(d: EndDeviceState, t_local_ns: int) -> int:

@@ -40,9 +40,10 @@ downlink loss exercises the protocol's self-correction.
 
 `run` returns the metrics and a `Trace`: a read-only sequence of
 `TraceRow`s, one per frame in time order.  It stores what the run
-decided, the device, the uplink end and the correction attached, in
-typed columns of 16 bytes a frame; `Trace.fields` derives the rest of
-each row, the slot judgement of its uplink end, when it is read.
+decided, the device, the uplink end and whether the server attached a
+correction, in typed columns of 13 bytes a frame; `Trace.fields` derives
+the rest of each row, the slot judgement of its uplink end and the
+remaining time of a correction, when it is read.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ from .frame import MAX_UPLINK_PAYLOAD
 from .protocol import (
     ADAPTIVE,
     FIXED_RATE,
+    SYNC_BYTES,
     EndDeviceState,
     NetworkServerState,
+    ack_remaining_ms,
     ed_first_tx_time,
     ed_next_tx_time,
     ed_on_ack,
@@ -76,9 +79,6 @@ from .units import NS_PER_S, s_to_ns
 
 SLOT_PICK_RANDOM = "random"
 SLOT_PICK_ALIGNED = "aligned"
-
-ADAPTIVE_SYNC_BYTES = 2
-FIXED_RATE_SYNC_BYTES = 8
 
 
 class DeviceSpec(NamedTuple):
@@ -122,13 +122,13 @@ class Trace(Sequence):
     """The frames of one run, in time order: a read-only sequence of TraceRow.
 
     Three typed columns hold what the run decided, a row per frame: the
-    device, the uplink end and the remaining time attached (-1 when
-    none is).  The device names, the strategy and the slot geometry are
-    held once per trace.  `fields` derives every row from them; rows are
-    built when they are read, and a slice reads as a list of rows.
+    device, the uplink end and whether the server attached a correction.
+    The device names, the strategy and the slot geometry are held once
+    per trace.  `fields` derives every row from them; rows are built
+    when they are read, and a slice reads as a list of rows.
     """
 
-    __slots__ = ("device_names", "strategy", "cfg", "device_index", "true_time_ns", "remaining_ms")
+    __slots__ = ("device_names", "strategy", "cfg", "device_index", "true_time_ns", "resync")
 
     def __init__(self, device_names, strategy: str, cfg: SlotConfig):
         self.device_names = tuple(device_names)
@@ -136,14 +136,14 @@ class Trace(Sequence):
         self.cfg = cfg
         self.device_index = array("I")  # into device_names
         self.true_time_ns = array("q")  # uplink end, reference clock
-        self.remaining_ms = array("i")  # -1: no correction attached
+        self.resync = bytearray()  # 1: the server attached a correction
 
     def fields(self, start: int = 0, stop: int | None = None):
         """Rows start..stop-1 as plain tuples in TraceRow field order, a list per chunk.
 
-        frame_index is the row number, action is "resync" exactly when
-        remaining_ms is attached, and the position, drift and verdict
-        are the slot judgement of the uplink end.
+        frame_index is the row number, the position, drift and verdict
+        are the slot judgement of the uplink end, and a resync row
+        carries the remaining time the server put in its ACK.
         """
         cfg, names, strategy = self.cfg, self.device_names, self.strategy
         stop = len(self) if stop is None else stop
@@ -152,11 +152,11 @@ class Trace(Sequence):
             times = self.true_time_ns[chunk]
             positions = [position_in_slot(t, cfg) for t in times]
             yield [
-                (i, names[dev], t, pos, drift, in_sync,
-                 "none" if rem < 0 else "resync", None if rem < 0 else rem, strategy)
-                for i, dev, t, pos, (in_sync, drift), rem in zip(
+                (i, names[dev], t, pos, drift, in_sync, "resync" if resync else "none",
+                 ack_remaining_ms(t, cfg) if resync else None, strategy)
+                for i, dev, t, pos, (in_sync, drift), resync in zip(
                     count(lo), self.device_index[chunk], times, positions,
-                    map(uplink_end_in_sync, positions, repeat(cfg)), self.remaining_ms[chunk],
+                    map(uplink_end_in_sync, positions, repeat(cfg)), self.resync[chunk],
                 )
             ]
 
@@ -180,13 +180,13 @@ class Trace(Sequence):
 
 
 class DeviceMetrics(NamedTuple):
-    resync_count: int = 0
-    out_sync_frames: int = 0
+    resync_count: int
+    out_sync_frames: int
 
 
 class GatewayMetrics(NamedTuple):
     downlink_count: int = 0  # RX1 downlinks that opened within the run
-    sync_overhead_bytes: int = 0  # 2 per adaptive resync, 8 per fixed-rate round resync
+    sync_overhead_bytes: int = 0  # protocol.SYNC_BYTES of the strategy per resync
     downlink_airtime_ns: int = 0  # downlink_count * t_rx
     duty_cycle_used_fraction: float = 0.0  # downlink air-time over the run length
 
@@ -210,9 +210,10 @@ def validate_scenario(sc: Scenario):
         raise ConfigError(f"duration_s must be at most {max_s} s, the int64 nanosecond range")
     if not sc.devices:
         raise ConfigError("scenario needs at least one device")
-    names = [d.name for d in sc.devices]
-    if len(set(names)) != len(names):
-        raise ConfigError("device names must be unique")
+    first = {}
+    for i, d in enumerate(sc.devices):
+        if first.setdefault(d.name, i) != i:
+            raise ConfigError(f"device {d.name}: device names must be unique", device=i)
     if sc.strategy not in (ADAPTIVE, FIXED_RATE):
         raise ConfigError(f"unknown strategy {sc.strategy!r}")
     # rounds are whole int64 nanoseconds: nan, inf and 0 ns are rejected
@@ -254,7 +255,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     cfg = scenario.cfg
     duration_ns = s_to_ns(scenario.duration_s)
     round_ns = None if scenario.round_s is None else s_to_ns(scenario.round_s)
-    server = NetworkServerState(cfg, round_ns)
+    server = NetworkServerState(cfg, len(scenario.devices), round_ns)
     master = random.Random(scenario.seed)
 
     # per device, by the index the server knows it by
@@ -296,7 +297,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     rx1_opened = 0
     add_device = trace.device_index.append
     add_time = trace.true_time_ns.append
-    add_remaining = trace.remaining_ms.append
+    add_resync = trace.resync.append
     # end times of in-flight uplinks; every uplink lasts t_tx, so they end
     # in the order they started and the deque stays sorted
     active_ends: deque[int] = deque()
@@ -315,7 +316,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             remaining_ms, t_rx1 = ns_on_uplink_end(server, i, t)
             add_device(i)
             add_time(t)
-            add_remaining(-1 if remaining_ms is None else remaining_ms)
+            add_resync(remaining_ms is not None)
 
             # RX1 opens and the ACK ends at fixed offsets from the uplink
             # end, so handling both here keeps their order across devices
@@ -344,19 +345,17 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     # no frame follows the last boundaries; they still count a resync each
     ns_on_run_end(server, duration_ns)
 
-    # the server's records count every resync; a device it never heard from has none
-    per_device = {}
-    for i, spec in enumerate(scenario.devices):
-        rec = server.records.get(i)
-        per_device[spec.name] = (
-            DeviceMetrics(rec.resync_count, rec.out_sync_count) if rec else DeviceMetrics()
+    # the server counts every resync, for every device of the run
+    per_device = {
+        spec.name: DeviceMetrics(resyncs, out_sync)
+        for spec, resyncs, out_sync in zip(
+            scenario.devices, server.resync_count, server.out_sync_count
         )
-    resyncs = sum(dm.resync_count for dm in per_device.values())
-    sync_bytes = ADAPTIVE_SYNC_BYTES if scenario.strategy == ADAPTIVE else FIXED_RATE_SYNC_BYTES
+    }
     airtime_ns = rx1_opened * t_rx
     gateway = GatewayMetrics(
         downlink_count=rx1_opened,
-        sync_overhead_bytes=sync_bytes * resyncs,
+        sync_overhead_bytes=SYNC_BYTES[scenario.strategy] * sum(server.resync_count),
         downlink_airtime_ns=airtime_ns,
         duty_cycle_used_fraction=airtime_ns / duration_ns,
     )

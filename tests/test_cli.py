@@ -332,6 +332,17 @@ def test_compare_custom_rounds(capsys):
     assert "fixed_3600" not in out
 
 
+def test_compare_seed_override_runs_as_the_config_seed(capsys, tmp_path):
+    seeded = tmp_path / "seeded.ini"
+    text = Path(BENCH).read_text()
+    assert "\nseed = 3\n" in text
+    seeded.write_text(text.replace("\nseed = 3\n", "\nseed = 7\n"))
+    code, out, _ = _run(capsys, "compare", str(seeded))
+    assert code == 0
+    assert _run(capsys, "compare", BENCH, "--seed", "7") == (0, out, "")
+    assert _run(capsys, "compare", BENCH)[1] != out
+
+
 def test_compare_bad_rounds(capsys):
     code, _, err = _run(capsys, "compare", BENCH, "--rounds", "soon")
     assert code == 1

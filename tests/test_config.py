@@ -226,16 +226,47 @@ def test_bad_slot_geometry_wrapped_as_config_error():
             "[device fea=ther]",
             ("device fea=ther", "must not contain '='"),
         ),
+        (
+            MINIMAL.replace("clock = ideal", "clock = quartz"),
+            "[device one]",
+            ("unknown clock model 'quartz'",),
+        ),
+        *(
+            (
+                MINIMAL.replace(
+                    "clock = ideal",
+                    f"clock = random_walk\nstep_interval_s = {step}\n"
+                    f"step_std_ppm = {std}\ninitial_ppm = {ppm}",
+                ),
+                "[device one]",
+                ("device one: invalid clock", message),
+            )
+            for step, std, ppm, message in (
+                ("0", "1", "0", "step_interval_s must be positive"),
+                ("60", "-1", "0", "step_std_ppm must be >= 0"),
+                ("60", "1", "-1000000", "|initial_ppm| must be < 1000000"),
+            )
+        ),
+        (
+            MINIMAL.replace("clock = ideal", "clock = piecewise\nsegments = 0:5, 60:1e6"),
+            "[device one]",
+            ("device one: invalid clock", "|offset_ppm| must be < 1000000"),
+        ),
     ],
     ids=[
         "radio-sf", "clock-ppm", "walk-std-nan", "walk-std-inf", "strategy", "downlink-loss",
         "duration-nan", "duration-under-1ns", "payload-bytes", "tx-period-zero", "tx-period-nan",
         "tx-period-under-1ns", "tx-period-int64",
-        "second-device", "device-name-equals",
+        "second-device", "device-name-equals", "clock-kind",
+        "walk-step-zero", "walk-std-negative", "walk-ppm-limit", "piecewise-ppm-limit",
     ],
 )
 def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, text, header, words):
-    line = text.splitlines().index(header) + 1
+    _assert_rejected_at(tmp_path, capsys, text, text.splitlines().index(header) + 1, words)
+
+
+def _assert_rejected_at(tmp_path, capsys, text, line, words):
+    """parse_scenario raises at `line` with every word, and simulate exits 1 naming the line."""
     with pytest.raises(ConfigError) as e:
         parse_scenario(text)
     assert e.value.line == line
@@ -244,6 +275,53 @@ def test_out_of_range_section_value_reports_the_section_line(tmp_path, capsys, t
     ini.write_text(text)
     assert main(["simulate", str(ini)]) == 1
     assert f"error: line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, at, words",
+    [
+        # a clock that draws nothing takes no seed, as ideal and constant_ppm take none
+        (
+            MINIMAL.replace("clock = ideal", "clock = ttgo-like\nseed = 5"),
+            "seed = 5",
+            ("unknown key 'seed' in [one]",),
+        ),
+        (MINIMAL.replace("[slot]", "[slot"), "[slot", ("unterminated section header",)),
+        (MINIMAL + "\n[ ]\n", "[ ]", ("empty section name",)),
+        ("seed = 1\n" + MINIMAL, "seed = 1", ("key/value before any [section]",)),
+        (MINIMAL.replace("tb1_ms = 180", "tb1_ms = 180\n= 5"), "= 5", ("empty key",)),
+        (
+            (CONFIGS / "radio-derived.ini").read_text().replace("crc = off", "crc = maybe"),
+            "crc = maybe",
+            ("bad value for 'crc'", "not a boolean: 'maybe'"),
+        ),
+        (
+            MINIMAL.replace("clock = ideal", "clock = piecewise\nsegments = 0-30"),
+            "segments = 0-30",
+            ("bad value for 'segments'", "segment needs time:ppm, got '0-30'"),
+        ),
+        (
+            MINIMAL.replace("clock = ideal", "clock = piecewise\nsegments = ,"),
+            "segments = ,",
+            ("bad value for 'segments'", "no segments given"),
+        ),
+    ],
+    ids=[
+        "ttgo-seed", "unterminated-header", "empty-section-name", "key-before-section",
+        "empty-key", "bad-boolean", "segment-without-colon", "no-segments",
+    ],
+)
+def test_malformed_line_reports_its_own_line(tmp_path, capsys, text, at, words):
+    _assert_rejected_at(tmp_path, capsys, text, text.splitlines().index(at) + 1, words)
+
+
+def test_repeated_device_name_reports_the_repeat(tmp_path, capsys):
+    # the second [device one] is blamed, by its name and its own line
+    one = MINIMAL[MINIMAL.index("[device one]"):]
+    text = MINIMAL + "\n[device two]\nclock = ideal\ntx_period_s = 30\n\n" + one
+    line = len(text.splitlines()) - 2
+    assert text.splitlines()[line - 1] == "[device one]"
+    _assert_rejected_at(tmp_path, capsys, text, line, ("device one: device names must be unique",))
 
 
 def test_readme_config_example_parses():

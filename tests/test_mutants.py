@@ -163,9 +163,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "boundary at the uplink's own end deferred to the device's next uplink",
+        "protocol.py",
+        "arrival_true_ns // s.round_ns - last // s.round_ns",
+        "(arrival_true_ns - 1) // s.round_ns - (last - 1) // s.round_ns",
+        (
+            "tests/test_protocol.py::test_fixed_rate_charges_every_boundary_between_two_uplinks",
+            "tests/test_sim_properties.py::test_a_boundary_flags_the_next_uplink_of_every_device_heard",
+        ),
+    ),
+    Mutant(
         "run end drops the boundaries after each device's last uplink",
         "protocol.py",
-        "rec.resync_count += end_true_ns // s.round_ns - rec.last_arrival_ns // s.round_ns",
+        "s.resync_count[i] += end_true_ns // s.round_ns - last // s.round_ns",
         "pass",
         (
             "tests/test_protocol.py::test_fixed_rate_round_covers_all_devices_sorted",
@@ -173,10 +183,45 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "run end charges devices never heard",
+        "protocol.py",
+        """\
+            if last is not None:
+                s.resync_count[i] += end_true_ns // s.round_ns - last // s.round_ns
+""",
+        """\
+            s.resync_count[i] += end_true_ns // s.round_ns - (last or 0) // s.round_ns
+""",
+        (
+            "tests/test_protocol.py::test_fixed_rate_round_covers_all_devices_sorted",
+            "tests/test_cli.py::test_device_never_heard_is_reported_with_zero_counts",
+        ),
+    ),
+    Mutant(
+        "adaptive and fixed-rate resync prices swapped",
+        "protocol.py",
+        "SYNC_BYTES = {ADAPTIVE: 2, FIXED_RATE: 8}",
+        "SYNC_BYTES = {ADAPTIVE: 8, FIXED_RATE: 2}",
+        (
+            "tests/test_cli.py::test_compare_table_and_machine_block",
+            "tests/test_acceptance.py::test_a7_adaptive_vs_fixed_overhead",
+        ),
+    ),
+    Mutant(
+        "trace keeps the inverted server decision",
+        "sim.py",
+        "add_resync(remaining_ms is not None)",
+        "add_resync(remaining_ms is None)",
+        (
+            "tests/test_sim.py::test_trace_invariants",
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
+        ),
+    ),
+    Mutant(
         "trace row derivation flips the action",
         "sim.py",
-        '"none" if rem < 0 else "resync"',
-        '"resync" if rem < 0 else "none"',
+        '"resync" if resync else "none"',
+        '"none" if resync else "resync"',
         (
             "tests/test_cli.py::test_simulate_trace_csv",
             "tests/test_golden.py::test_simulate_outputs_are_pinned",

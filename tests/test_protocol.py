@@ -32,9 +32,12 @@ CFG = SlotConfig(
 T_SLOT = CFG.t_slot_ns  # 1757 ms
 
 
-def _server(round_ns=None):
-    """An adaptive server, or a fixed-rate one with rounds of round_ns."""
-    return NetworkServerState(cfg=CFG, round_ns=round_ns)
+N_DEVICES = 10
+
+
+def _server(round_ns=None, n_devices=N_DEVICES):
+    """An adaptive server, or a fixed-rate one with rounds of round_ns, for n_devices."""
+    return NetworkServerState(cfg=CFG, n_devices=n_devices, round_ns=round_ns)
 
 
 def test_in_sync_uplink_gets_empty_ack():
@@ -43,9 +46,8 @@ def test_in_sync_uplink_gets_empty_ack():
     plan = ns_on_uplink_end(s, device_index=7, arrival_true_ns=2 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms is None
     assert plan.scheduled_tx_true_time_ns == 2 * T_SLOT + CFG.t_tx_ns + CFG.rx_delay_ns
-    rec = s.records[7]
-    assert rec.resync_count == 0
-    assert rec.out_sync_count == 0
+    assert s.resync_count[7] == 0
+    assert s.out_sync_count[7] == 0
 
 
 def test_out_of_sync_uplink_gets_remaining_time():
@@ -53,9 +55,8 @@ def test_out_of_sync_uplink_gets_remaining_time():
     # arrival at absolute 4000 ms: position 486 ms, drift -180 ms (late)
     plan = ns_on_uplink_end(s, device_index=7, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms == 1271
-    rec = s.records[7]
-    assert rec.resync_count == 1
-    assert rec.out_sync_count == 1
+    assert s.resync_count[7] == 1
+    assert s.out_sync_count[7] == 1
 
 
 def test_arrival_before_reference_rejected():
@@ -63,7 +64,9 @@ def test_arrival_before_reference_rejected():
     s = _server()
     with pytest.raises(UsageError):
         ns_on_uplink_end(s, device_index=1, arrival_true_ns=-1)
-    assert s.records == {}
+    # no count moved
+    assert s.resync_count == s.out_sync_count == [0] * N_DEVICES
+    assert s.last_arrival_ns == [None] * N_DEVICES
 
 
 def test_fixed_rate_holds_correction_until_round():
@@ -71,19 +74,19 @@ def test_fixed_rate_holds_correction_until_round():
     # out-of-sync frame: fixed-rate still answers with an empty ACK
     plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms is None
-    assert s.records[3].resync_count == 0
-    assert s.records[3].out_sync_count == 1
+    assert s.resync_count[3] == 0
+    assert s.out_sync_count[3] == 1
 
     # the boundary at 10 s falls before the next uplink, which carries the
     # correction even though it is in-sync, and counts one resync
     plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=7 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms == 1451  # 1757 - 306
-    assert s.records[3].resync_count == 1
+    assert s.resync_count[3] == 1
     # no boundary since (12605 ms, 16119 ms]: the one after is empty again
     plan = ns_on_uplink_end(s, device_index=3, arrival_true_ns=9 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms is None
-    assert s.records[3].resync_count == 1
-    assert s.records[3].out_sync_count == 1
+    assert s.resync_count[3] == 1
+    assert s.out_sync_count[3] == 1
 
 
 def test_fixed_rate_round_covers_all_devices_sorted():
@@ -94,11 +97,9 @@ def test_fixed_rate_round_covers_all_devices_sorted():
     plan = ns_on_uplink_end(s, device_index=2, arrival_true_ns=7 * T_SLOT + CFG.t_tx_ns)
     assert plan.remaining_ms == 1451
     # the others are not heard again: the end of the run charges their
-    # boundary, and none twice
+    # boundary, and none twice; devices never heard are charged nothing
     ns_on_run_end(s, ms_to_ns(15_000))
-    assert sorted(s.records) == [2, 5, 9]
-    for rec in s.records.values():
-        assert rec.resync_count == 1
+    assert s.resync_count == [int(i in (2, 5, 9)) for i in range(N_DEVICES)]
 
 
 def test_fixed_rate_charges_every_boundary_between_two_uplinks():
@@ -106,26 +107,26 @@ def test_fixed_rate_charges_every_boundary_between_two_uplinks():
     # a first uplink is charged nothing, even one ending on a boundary
     plan = ns_on_uplink_end(s, device_index=1, arrival_true_ns=ms_to_ns(4000))
     assert plan.remaining_ms is None
-    assert s.records[1].resync_count == 0
+    assert s.resync_count[1] == 0
     # the boundaries at 5..9 s, the one at this uplink's own end included:
     # one correction, five resyncs
     plan = ns_on_uplink_end(s, device_index=1, arrival_true_ns=ms_to_ns(9000))
     assert plan.remaining_ms == 1542  # 9000 ms is 215 ms into its slot
-    assert s.records[1].resync_count == 5
+    assert s.resync_count[1] == 5
     # none in (9 s, 9.5 s]
     plan = ns_on_uplink_end(s, device_index=1, arrival_true_ns=ms_to_ns(9500))
     assert plan.remaining_ms is None
-    assert s.records[1].resync_count == 5
+    assert s.resync_count[1] == 5
     # the boundaries at 10..12 s follow the last uplink
     ns_on_run_end(s, ms_to_ns(12_000))
-    assert s.records[1].resync_count == 8
+    assert s.resync_count[1] == 8
 
 
 def test_run_end_charges_nothing_under_adaptive():
     s = _server()
     ns_on_uplink_end(s, device_index=7, arrival_true_ns=ms_to_ns(4000))
     ns_on_run_end(s, ms_to_ns(3_600_000))
-    assert s.records[7].resync_count == 1  # the out-of-sync frame's own
+    assert s.resync_count[7] == 1  # the out-of-sync frame's own
 
 
 def _device(slot_start_ns):
@@ -187,7 +188,7 @@ def test_server_correction_lands_device_on_grid():
     """Full dance: judge at the server, correct at the device, verify the
     device's reconstructed grid matches the server's."""
     rng = random.Random(13)
-    s = _server()
+    s = _server(n_devices=300)
     for trial in range(300):
         # device booted with an arbitrary whole-ms phase (devices schedule
         # on millisecond ticks); ideal clock so local == true

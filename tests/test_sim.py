@@ -148,20 +148,20 @@ def _retained_bytes(sc) -> tuple[int, int, int]:
 
 
 def test_run_retains_only_the_trace_per_frame(bench_scenario):
-    # only the trace grows with the run: its columns hold 16 B a frame
-    # (4 + 8 + 4), and nothing else may add a per-frame record
+    # only the trace grows with the run: its columns hold 13 B a frame
+    # (4 + 8 + 1), and nothing else may add a per-frame record
     short = bench_scenario(duration_s=43200.0)
     run(short)  # anything set up once per process is in place before measuring
     small, _, frames = _retained_bytes(short)
     large, _, frames2 = _retained_bytes(bench_scenario(duration_s=86400.0))
     assert frames2 - frames > 2500
-    assert (large - small) / (frames2 - frames) <= 20
+    assert (large - small) / (frames2 - frames) <= 15
 
 
 def test_run_peak_grows_only_by_the_trace():
     # four crystals stepping every 10 s draw 8640 rate segments a day
     # each; their clocks keep two of them, not all, so even the peak of a
-    # run grows by no more than the trace's columns: 16 B a frame (4 + 8 + 4)
+    # run grows by no more than the trace's columns: 13 B a frame (4 + 8 + 1)
     def walkers(days):
         devices = tuple(
             DeviceSpec(name=f"w{i}", clock_model=RandomWalk(10.0, 0.02, ppm),
@@ -174,7 +174,7 @@ def test_run_peak_grows_only_by_the_trace():
     _, small, frames = _retained_bytes(walkers(1))
     _, large, frames2 = _retained_bytes(walkers(2))
     assert frames2 - frames > 10_000
-    assert (large - small) / (frames2 - frames) <= 20
+    assert (large - small) / (frames2 - frames) <= 15
 
 
 def _no_replay(model):
@@ -412,6 +412,12 @@ def test_scenario_validation():
     for overrides in cases:
         with pytest.raises(ConfigError):
             validate_scenario(ok._replace(**overrides))
+    # a repeated name is blamed on the repeat, by its index and name
+    other = DeviceSpec(name="b", clock_model=Ideal(), tx_period_s=30.0)
+    with pytest.raises(ConfigError) as e:
+        validate_scenario(ok._replace(devices=(dev, other, dev)))
+    assert e.value.device == 2
+    assert str(e.value) == "device a: device names must be unique"
     # the inverse draws no walk step past the segment holding its answer,
     # so a step longer than the rest of the int64 range needs no margin
     long_steps = DeviceSpec(name="a", clock_model=RandomWalk(2e9, 1.0, 10.0), tx_period_s=1e9)
@@ -494,7 +500,7 @@ def test_remaining_time_fits_the_wire_field_at_the_largest_slot():
         assert 0 <= remaining_ms <= MAX_SLOT_MS
         encode_ack(SyncAck(dev_addr=1, fcnt=0, remaining_ms=remaining_ms))
     # the largest value: an uplink ending on, or just after, a boundary
-    server = NetworkServerState(cfg)
+    server = NetworkServerState(cfg, n_devices=2)
     for arrival in (cfg.t_slot_ns, cfg.t_slot_ns + NS_PER_MS // 2 - 1):
         plan = ns_on_uplink_end(server, 1, arrival)
         assert plan.remaining_ms == MAX_SLOT_MS
