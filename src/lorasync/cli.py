@@ -85,70 +85,77 @@ def _cmd_airtime(args) -> int:
     return 0
 
 
-def _resyncs_total(m: Metrics) -> int:
-    return sum(d.resync_count for d in m.per_device.values())
-
-
-def _summary_pairs(sc: Scenario, m: Metrics) -> list[tuple[str, str]]:
-    cfg = sc.cfg
-    pairs = [
-        ("strategy", m.strategy),
-        ("duration_s", f"{sc.duration_s:g}"),
-        ("seed", str(sc.seed)),
-        ("t_slot_ms", fmt_ms(cfg.t_slot_ns)),
-        ("ideal_arrival_ms", fmt_ms(cfg.t_tx_ns)),
-        ("in_sync_lower_ms", fmt_ms(cfg.t_tx_ns - cfg.tb1_ns)),
-        ("in_sync_upper_ms", fmt_ms(cfg.t_tx_ns + cfg.tb2_ns)),
-        ("frames_total", str(m.frames_total)),
-        ("collision_count", str(m.collision_count)),
-        ("downlink_count", str(m.gateway.downlink_count)),
-        ("downlink_airtime_ms", fmt_ms(m.gateway.downlink_airtime_ns)),
-        ("duty_cycle_fraction", f"{m.gateway.duty_cycle_used_fraction:.6f}"),
-        ("duty_cycle_limit", f"{sc.duty_cycle_limit:.6f}"),
-        ("sync_overhead_bytes", str(m.gateway.sync_overhead_bytes)),
-        ("resyncs_total", str(_resyncs_total(m))),
+def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
+    """Every reported fact of one run, each computed and formatted once:
+    (key, text, whether the [summary] block prints it), in block order."""
+    cfg, gw, devices = sc.cfg, m.gateway, m.per_device.values()
+    facts = [
+        ("strategy", m.strategy, True),
+        ("duration_s", f"{sc.duration_s:g}", True),
+        ("seed", str(sc.seed), True),
+        ("t_slot_ms", fmt_ms(cfg.t_slot_ns), True),
+        ("ideal_arrival_ms", fmt_ms(cfg.t_tx_ns), True),
+        ("rx_delay_ms", fmt_ms(cfg.rx_delay_ns), False),
+        ("t_rx_ms", fmt_ms(cfg.t_rx_ns), False),
+        ("tb1_ms", fmt_ms(cfg.tb1_ns), False),
+        ("tb2_ms", fmt_ms(cfg.tb2_ns), False),
+        ("in_sync_lower_ms", fmt_ms(cfg.t_tx_ns - cfg.tb1_ns), True),
+        ("in_sync_upper_ms", fmt_ms(cfg.t_tx_ns + cfg.tb2_ns), True),
+        ("frames_total", str(m.frames_total), True),
+        ("collision_count", str(m.collision_count), True),
+        ("downlink_count", str(gw.downlink_count), True),
+        ("downlink_airtime_ms", fmt_ms(gw.downlink_airtime_ns), True),
+        ("duty_cycle_fraction", f"{gw.duty_cycle_used_fraction:.6f}", True),
+        ("duty_cycle_limit", f"{sc.duty_cycle_limit:.6f}", True),
+        ("sync_overhead_bytes", str(gw.sync_overhead_bytes), True),
+        ("resyncs_total", str(sum(d.resync_count for d in devices)), True),
+        ("out_sync_frames_total", str(sum(d.out_sync_frames for d in devices)), False),
     ]
     if m.strategy == FIXED_RATE:
-        pairs.insert(1, ("round_s", str(sc.round_s)))
-    for name in sorted(m.per_device):
-        dm = m.per_device[name]
-        pairs.append((f"device.{name}.resyncs", str(dm.resync_count)))
-        pairs.append((f"device.{name}.out_sync_frames", str(dm.out_sync_frames)))
-        # out-of-sync frames are the slot violations; the key stays as pinned
-        pairs.append((f"device.{name}.violations", str(dm.out_sync_frames)))
-    return pairs
+        facts.insert(1, ("round_s", str(sc.round_s), True))
+    for name, dm in sorted(m.per_device.items()):
+        out_sync = str(dm.out_sync_frames)
+        facts += [
+            (f"device.{name}.resyncs", str(dm.resync_count), True),
+            (f"device.{name}.out_sync_frames", out_sync, True),
+            # out-of-sync frames are the slot violations; the key stays as pinned
+            (f"device.{name}.violations", out_sync, True),
+        ]
+    return facts
 
 
 def _print_summary(sc: Scenario, m: Metrics):
-    cfg = sc.cfg
-    strategy = m.strategy if m.strategy == ADAPTIVE else f"{m.strategy} ({sc.round_s} s rounds)"
+    """The human lines, fixed templates over the fact table, then the
+    [summary] block of its block facts."""
+    facts = _facts(sc, m)
+    t = {key: text for key, text, _ in facts}
+    rounds = f" ({t['round_s']} s rounds)" if "round_s" in t else ""
     print("run summary")
-    print(f"  strategy         {strategy}")
-    print(f"  duration         {sc.duration_s:g} s, {m.frames_total} frames, "
-          f"{m.collision_count} collisions")
-    print(f"  slot             {fmt_ms(cfg.t_slot_ns)} ms = tx {fmt_ms(cfg.t_tx_ns)}"
-          f" + delay {fmt_ms(cfg.rx_delay_ns)} + rx {fmt_ms(cfg.t_rx_ns)}"
-          f" + guards {fmt_ms(cfg.tb1_ns)}/{fmt_ms(cfg.tb2_ns)}")
-    print(f"  in-sync window   uplink end in ({fmt_ms(cfg.t_tx_ns - cfg.tb1_ns)}, "
-          f"{fmt_ms(cfg.t_tx_ns + cfg.tb2_ns)}) ms, ideal {fmt_ms(cfg.t_tx_ns)} ms")
+    print(f"  strategy         {t['strategy']}{rounds}")
+    print(f"  duration         {t['duration_s']} s, {t['frames_total']} frames, "
+          f"{t['collision_count']} collisions")
+    print(f"  slot             {t['t_slot_ms']} ms = tx {t['ideal_arrival_ms']}"
+          f" + delay {t['rx_delay_ms']} + rx {t['t_rx_ms']}"
+          f" + guards {t['tb1_ms']}/{t['tb2_ms']}")
+    print(f"  in-sync window   uplink end in ({t['in_sync_lower_ms']}, "
+          f"{t['in_sync_upper_ms']}) ms, ideal {t['ideal_arrival_ms']} ms")
     for name in sorted(m.per_device):
-        dm = m.per_device[name]
-        print(f"  device {name:<10} resyncs {dm.resync_count}, "
-              f"out-of-sync {dm.out_sync_frames}")
-    gw = m.gateway
-    print(f"  gateway          {gw.downlink_count} acks, {gw.sync_overhead_bytes} sync bytes, "
-          f"{fmt_ms(gw.downlink_airtime_ns)} ms downlink air-time")
-    print(f"  duty cycle       {gw.duty_cycle_used_fraction:.6f} of {sc.duty_cycle_limit:g} allowed")
+        print(f"  device {name:<10} resyncs {t[f'device.{name}.resyncs']}, "
+              f"out-of-sync {t[f'device.{name}.out_sync_frames']}")
+    print(f"  gateway          {t['downlink_count']} acks, {t['sync_overhead_bytes']} sync bytes, "
+          f"{t['downlink_airtime_ms']} ms downlink air-time")
+    print(f"  duty cycle       {t['duty_cycle_fraction']} of {t['duty_cycle_limit']} allowed")
     print()
-    print("[summary]")
-    for key, value in _summary_pairs(sc, m):
-        print(f"{key}={value}")
+    print("[summary]", *(f"{key}={text}" for key, text, in_block in facts if in_block), sep="\n")
+
+
+def _scenario(args) -> Scenario:
+    sc = load_scenario(args.config)
+    return sc if args.seed is None else sc._replace(seed=args.seed)
 
 
 def _cmd_simulate(args) -> int:
-    sc = load_scenario(args.config)
-    if args.seed is not None:
-        sc = sc._replace(seed=args.seed)
+    sc = _scenario(args)
     metrics, trace = run(sc)
     if args.out:
         write_trace_csv(args.out, trace)
@@ -158,9 +165,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    sc = load_scenario(args.config)
-    if args.seed is not None:
-        sc = sc._replace(seed=args.seed)
+    sc = _scenario(args)
     try:
         rounds = [int(r) for r in args.rounds.split(",") if r.strip()]
     except ValueError as exc:
@@ -170,32 +175,29 @@ def _cmd_compare(args) -> int:
     if len(set(rounds)) != len(rounds):
         raise ParamError("--rounds values must be distinct")
 
-    variants = [("adaptive", sc._replace(strategy=ADAPTIVE, round_s=None))]
-    for r in rounds:
-        variants.append((f"fixed {r} s", sc._replace(strategy=FIXED_RATE, round_s=r)))
-    # keep only the metrics: a variant's trace is dropped as soon as it returns
-    results = [(label, run(v)[0]) for label, v in variants]
-    labels = [label for label, _ in results]
-    metrics = [m for _, m in results]
-    resyncs = [_resyncs_total(m) for m in metrics]
-    sync_bytes = [m.gateway.sync_overhead_bytes for m in metrics]
+    labels = ["adaptive", *(f"fixed {r} s" for r in rounds)]
+    variants = [sc._replace(strategy=ADAPTIVE, round_s=None),
+                *(sc._replace(strategy=FIXED_RATE, round_s=r) for r in rounds)]
+    # keep only each variant's facts: its trace is dropped as soon as it returns
+    tables = [{key: text for key, text, _ in _facts(v, run(v)[0])} for v in variants]
 
-    def ratios(values):
+    def texts(key):
+        return [t[key] for t in tables]
+
+    def ratios(key):
         """Each fixed-rate value over the adaptive one, which reads "-"."""
-        base = values[0]
-        return ["-"] + [f"{v / base:.2f}" if base else "inf" for v in values[1:]]
+        base, *rest = (int(t[key]) for t in tables)
+        return ["-"] + [f"{v / base:.2f}" if base else "inf" for v in rest]
 
     # (table row, its key in the [compare] block or None, a value per variant)
     rows = [
-        ("resyncs", "resyncs", [str(r) for r in resyncs]),
-        ("out-of-sync frames", None,
-         [str(sum(d.out_sync_frames for d in m.per_device.values())) for m in metrics]),
-        ("sync overhead bytes", "sync_overhead_bytes", [str(b) for b in sync_bytes]),
-        ("downlink airtime ms", None, [fmt_ms(m.gateway.downlink_airtime_ns) for m in metrics]),
-        ("duty-cycle fraction", "duty_cycle_fraction",
-         [f"{m.gateway.duty_cycle_used_fraction:.6f}" for m in metrics]),
-        ("overhead ratio", "overhead_ratio", ratios(resyncs)),
-        ("byte ratio", "byte_ratio", ratios(sync_bytes)),
+        ("resyncs", "resyncs", texts("resyncs_total")),
+        ("out-of-sync frames", None, texts("out_sync_frames_total")),
+        ("sync overhead bytes", "sync_overhead_bytes", texts("sync_overhead_bytes")),
+        ("downlink airtime ms", None, texts("downlink_airtime_ms")),
+        ("duty-cycle fraction", "duty_cycle_fraction", texts("duty_cycle_fraction")),
+        ("overhead ratio", "overhead_ratio", ratios("resyncs_total")),
+        ("byte ratio", "byte_ratio", ratios("sync_overhead_bytes")),
     ]
 
     name_w = max(len(name) for name, _, _ in rows)
@@ -257,20 +259,15 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader fails here, not at exit
         return code
-    except BrokenPipeError as exc:
-        # the reader left; the interpreter flushes stdout again at exit,
-        # so stdout now points where that flush cannot fail
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ParamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (LorasyncError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader left; the interpreter flushes stdout again at exit,
+            # so stdout now points where that flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, ParamError)) else 2
 
 
 if __name__ == "__main__":

@@ -261,11 +261,12 @@ def preset(name: str, seed: int | None = None) -> ClockModel:
 
     "feather-like": wobbly crystal, random walk around +30 ppm.
     "ttgo-like": stable TCXO-grade part, constant +2 ppm.
+    Only "feather-like" draws, so only it takes a seed.
     """
-    if name == "ideal":
-        return Ideal()
     if name == "feather-like":
         return RandomWalk(step_interval_s=60.0, step_std_ppm=4.0, initial_ppm=30.0, seed=seed)
-    if name == "ttgo-like":
-        return ConstantPpm(2.0)
-    raise ParamError(f"unknown clock preset {name!r}")
+    if name not in ("ideal", "ttgo-like"):
+        raise ParamError(f"unknown clock preset {name!r}")
+    if seed is not None:
+        raise ParamError(f"clock preset {name!r} draws nothing, so takes no seed")
+    return Ideal() if name == "ideal" else ConstantPpm(2.0)

@@ -16,7 +16,7 @@ number it came from.
 from __future__ import annotations
 
 from .airtime import RadioParams, time_on_air
-from .clock import ClockModel, ConstantPpm, Ideal, Piecewise, RandomWalk, preset
+from .clock import ClockModel, ConstantPpm, Piecewise, RandomWalk, preset
 from .errors import ConfigError, ParamError
 from .sim import DeviceSpec, Scenario, validate_scenario
 from .slot import SlotConfig
@@ -126,12 +126,10 @@ def _radio_from(sec: _Section) -> RadioParams:
 def _clock_from(sec: _Section) -> ClockModel:
     kind = sec.take("clock", str)
     try:
-        if kind == "ideal":
-            return Ideal()
+        if kind in ("ideal", "ttgo-like"):  # they draw nothing, so take no seed
+            return preset(kind)
         if kind == "feather-like":
             return preset(kind, sec.take("seed", int, None))
-        if kind == "ttgo-like":  # draws nothing, so takes no seed
-            return preset(kind)
         if kind == "constant_ppm":
             return ConstantPpm(sec.take("offset_ppm", float))
         if kind == "random_walk":

@@ -80,6 +80,10 @@ from .units import NS_PER_S, s_to_ns
 SLOT_PICK_RANDOM = "random"
 SLOT_PICK_ALIGNED = "aligned"
 
+# steps a random walk may draw over duration_s + 2 * tx_period_s: at about
+# 0.75 us a step (Python 3.11, Xeon) a clock draws for under 10 s
+MAX_WALK_STEPS = 10_000_000
+
 
 class DeviceSpec(NamedTuple):
     name: str
@@ -185,10 +189,10 @@ class DeviceMetrics(NamedTuple):
 
 
 class GatewayMetrics(NamedTuple):
-    downlink_count: int = 0  # RX1 downlinks that opened within the run
-    sync_overhead_bytes: int = 0  # protocol.SYNC_BYTES of the strategy per resync
-    downlink_airtime_ns: int = 0  # downlink_count * t_rx
-    duty_cycle_used_fraction: float = 0.0  # downlink air-time over the run length
+    downlink_count: int  # RX1 downlinks that opened within the run
+    sync_overhead_bytes: int  # protocol.SYNC_BYTES of the strategy per resync
+    downlink_airtime_ns: int  # downlink_count * t_rx
+    duty_cycle_used_fraction: float  # downlink air-time over the run length
 
 
 class Metrics(NamedTuple):
@@ -196,8 +200,8 @@ class Metrics(NamedTuple):
     strategy: str
     per_device: dict
     gateway: GatewayMetrics
-    collision_count: int = 0
-    frames_total: int = 0
+    collision_count: int
+    frames_total: int
 
 
 def validate_scenario(sc: Scenario):
@@ -240,13 +244,21 @@ def validate_scenario(sc: Scenario):
                 f"device {d.name}: payload_bytes must be in 0..{MAX_UPLINK_PAYLOAD}", device=i
             )
         # a device's clock is asked for instants up to about two periods
-        # past the horizon
-        if not (sc.duration_s + 2 * d.tx_period_s) * NS_PER_S <= REF_NS_MAX:
+        # past the horizon, and a walk draws every step up to there
+        horizon_s = sc.duration_s + 2 * d.tx_period_s
+        if not horizon_s * NS_PER_S <= REF_NS_MAX:
             raise ConfigError(
                 f"device {d.name}: duration_s + 2 * tx_period_s "
                 f"must be at most {max_s} s, the int64 nanosecond range",
                 device=i,
             )
+        model = d.clock_model
+        if isinstance(model, RandomWalk):
+            # the walk steps every step_interval_s rounded to whole nanoseconds
+            if horizon_s * NS_PER_S > MAX_WALK_STEPS * round(model.step_interval_s * NS_PER_S):
+                raise ConfigError(f"device {d.name}: a random walk may draw at most "
+                                  f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
+                                  device=i)
 
 
 def run(scenario: Scenario) -> tuple[Metrics, Trace]:

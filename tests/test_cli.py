@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +22,8 @@ BENCH = str(CONFIGS / "testbench.ini")
 
 
 def _child_env() -> dict:
-    """The environment of a child interpreter that imports this checkout's lorasync."""
-    src = str(Path(__file__).parent.parent / "src")
+    """The environment of a child interpreter that imports the lorasync these tests import."""
+    src = str(Path(cli.__file__).parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
@@ -232,6 +234,24 @@ def test_simulate_rejects_a_walk_whose_step_cannot_advance_local_time(tmp_path):
     assert float(proc.stdout) < 1.0
 
 
+def test_simulate_rejects_a_walk_with_too_many_steps(tmp_path):
+    # 1 ns steps over 600 s + 2 * 30 s are 6.6e11 draws, days of drawing.
+    # It runs in a child, so a regression fails on the timeout, not hangs
+    path = tmp_path / "steps.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s=600, clock=_WALK + "1e-9", tx_period_s=30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorasync.cli", "simulate", str(path)],
+        env=_child_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    # the error points at the device's section
+    assert proc.stderr == (
+        "error: line 11: device d: a random walk may draw at most 10000000 steps "
+        "over duration_s + 2 * tx_period_s\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["simulate", BENCH], ["airtime", "--max"], ["compare", BENCH]],
@@ -323,6 +343,78 @@ def test_compare_table_and_machine_block(capsys):
     assert int(kv["adaptive.sync_overhead_bytes"]) == 2 * adaptive
     assert int(kv["fixed_3600.sync_overhead_bytes"]) == 8 * fixed_1h
     assert float(kv["fixed_3600.overhead_ratio"]) == round(fixed_1h / adaptive, 2)
+
+
+def _variant(tmp_path, round_s=None) -> str:
+    """configs/testbench.ini, or its fixed-rate variant with round_s rounds."""
+    if round_s is None:
+        return BENCH
+    path = tmp_path / f"fixed{round_s}.ini"
+    path.write_text(Path(BENCH).read_text().replace(
+        "strategy = adaptive", f"strategy = fixed_rate\nround_s = {round_s}"))
+    return str(path)
+
+
+def _summary_block(out: str) -> dict:
+    _, block = out.split("\n\n[summary]\n")
+    return dict(line.split("=", 1) for line in block.splitlines())
+
+
+def _printed_values(template: str, line: str) -> list:
+    """(field, value) for each {field} of template, as line prints it."""
+    parts = list(string.Formatter().parse(template))
+    match = re.fullmatch("".join(re.escape(text) + ("(.*?)" if field else "")
+                                 for text, field, _, _ in parts), line)
+    assert match, f"{line!r} does not read as {template!r}"
+    return list(zip([field for _, field, _, _ in parts if field], match.groups()))
+
+
+@pytest.mark.parametrize("round_s", [None, 600], ids=["adaptive", "fixed600"])
+def test_human_summary_prints_each_fact_as_the_block_does(capsys, tmp_path, round_s):
+    code, out, _ = _run(capsys, "simulate", _variant(tmp_path, round_s))
+    assert code == 0
+    facts = _summary_block(out)
+    # the slot parts that only the human line prints, as the config sets them
+    facts.update(rx_delay_ms="1000", t_rx_ms="91", tb1_ms="180", tb2_ms="180")
+    # the human lines, each printed value named by its fact
+    templates = [
+        "run summary",
+        "  strategy         {strategy}" + ("" if round_s is None else " ({round_s} s rounds)"),
+        "  duration         {duration_s} s, {frames_total} frames, {collision_count} collisions",
+        "  slot             {t_slot_ms} ms = tx {ideal_arrival_ms} + delay {rx_delay_ms}"
+        " + rx {t_rx_ms} + guards {tb1_ms}/{tb2_ms}",
+        "  in-sync window   uplink end in ({in_sync_lower_ms}, {in_sync_upper_ms}) ms,"
+        " ideal {ideal_arrival_ms} ms",
+        *(f"  device {name:<10} resyncs {{device.{name}.resyncs}},"
+          f" out-of-sync {{device.{name}.out_sync_frames}}" for name in ("feather", "ttgo")),
+        "  gateway          {downlink_count} acks, {sync_overhead_bytes} sync bytes,"
+        " {downlink_airtime_ms} ms downlink air-time",
+        "  duty cycle       {duty_cycle_fraction} of {duty_cycle_limit} allowed",
+    ]
+    human = out[:out.index("\n\n[summary]\n")].splitlines()
+    assert len(human) == len(templates)
+    for template, line in zip(templates, human):
+        for field, value in _printed_values(template, line):
+            assert value == facts[field], field
+
+
+def test_compare_rows_read_each_variant_as_simulate_prints_it(capsys, tmp_path):
+    code, out, _ = _run(capsys, "compare", BENCH)
+    assert code == 0
+    table = {}
+    for line in out[:out.index("\n\n[compare]\n")].splitlines()[1:]:
+        name, *values = re.split(r" {2,}", line.strip())
+        table[name] = values
+    for j, round_s in enumerate([None, 3600, 1800]):
+        code, out, _ = _run(capsys, "simulate", _variant(tmp_path, round_s))
+        assert code == 0
+        facts = _summary_block(out)
+        out_sync = sum(int(v) for k, v in facts.items() if k.endswith(".out_sync_frames"))
+        assert table["resyncs"][j] == facts["resyncs_total"]
+        assert table["out-of-sync frames"][j] == str(out_sync)
+        assert table["sync overhead bytes"][j] == facts["sync_overhead_bytes"]
+        assert table["downlink airtime ms"][j] == facts["downlink_airtime_ms"]
+        assert table["duty-cycle fraction"][j] == facts["duty_cycle_fraction"]
 
 
 def test_compare_custom_rounds(capsys):

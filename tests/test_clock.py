@@ -333,3 +333,10 @@ def test_presets():
     assert fl.initial_ppm == 30.0
     with pytest.raises(ParamError):
         preset("cesium-fountain")
+
+
+@pytest.mark.parametrize("name", ["ideal", "ttgo-like"])
+def test_a_preset_that_draws_nothing_rejects_a_seed(name):
+    # a seed it would ignore would make two differently seeded runs look distinct
+    with pytest.raises(ParamError, match="takes no seed"):
+        preset(name, seed=5)

@@ -208,6 +208,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "walk step bound compares seconds against nanoseconds",
+        "sim.py",
+        "horizon_s * NS_PER_S > MAX_WALK_STEPS",
+        "horizon_s > MAX_WALK_STEPS",
+        (
+            "tests/test_sim.py::test_walk_step_count_is_bounded_over_the_clock_horizon",
+            "tests/test_cli.py::test_simulate_rejects_a_walk_with_too_many_steps",
+        ),
+    ),
+    Mutant(
+        "a device's out-of-sync count reads its resyncs",
+        "cli.py",
+        "out_sync = str(dm.out_sync_frames)",
+        "out_sync = str(dm.resync_count)",
+        (
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
+            "tests/test_cli.py::test_compare_rows_read_each_variant_as_simulate_prints_it",
+        ),
+    ),
+    Mutant(
+        "the out-of-sync total sums resyncs",
+        "cli.py",
+        "sum(d.out_sync_frames for d in devices)",
+        "sum(d.resync_count for d in devices)",
+        ("tests/test_cli.py::test_compare_rows_read_each_variant_as_simulate_prints_it",),
+    ),
+    Mutant(
+        "the human duty line formats the fraction itself",
+        "cli.py",
+        "{t['duty_cycle_fraction']} of",
+        "{float(t['duty_cycle_fraction']):.4f} of",
+        ("tests/test_cli.py::test_human_summary_prints_each_fact_as_the_block_does",),
+    ),
+    Mutant(
         "trace keeps the inverted server decision",
         "sim.py",
         "add_resync(remaining_ms is not None)",

@@ -33,6 +33,7 @@ from lorasync import (
     validate_scenario,
 )
 from lorasync import clock
+from lorasync.sim import MAX_WALK_STEPS
 from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round
 
@@ -423,6 +424,24 @@ def test_scenario_validation():
     long_steps = DeviceSpec(name="a", clock_model=RandomWalk(2e9, 1.0, 10.0), tx_period_s=1e9)
     m, _ = run(ok._replace(duration_s=2.5e9, devices=(long_steps,)))
     assert m.frames_total == 2
+
+
+def test_walk_step_count_is_bounded_over_the_clock_horizon():
+    # each clock is read up to duration_s + 2 * tx_period_s = 100 s
+    def scenario(step_interval_s):
+        walk = RandomWalk(step_interval_s, 1.0, 10.0, seed=1)
+        devices = (DeviceSpec(name="i", clock_model=Ideal(), tx_period_s=20.0),
+                   DeviceSpec(name="w", clock_model=walk, tx_period_s=20.0))
+        return Scenario(duration_s=60.0, cfg=CFG, devices=devices)
+
+    validate_scenario(scenario(100.0 / MAX_WALK_STEPS))  # the bound itself: no raise
+    # the walk steps in whole nanoseconds, so 9999.6 ns steps are 10 us steps
+    validate_scenario(scenario(9999.6e-9))
+    with pytest.raises(ConfigError) as e:
+        validate_scenario(scenario(99.9 / MAX_WALK_STEPS))
+    assert e.value.device == 1
+    assert str(e.value) == (f"device w: a random walk may draw at most {MAX_WALK_STEPS} "
+                            "steps over duration_s + 2 * tx_period_s")
 
 
 def test_one_nanosecond_rounds_finish():
