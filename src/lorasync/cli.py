@@ -216,8 +216,16 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error counted as a bad parameter: exit 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorasync",
         description="Slot synchronization for class-A LoRaWAN: air-time math and "
                     "a deterministic protocol simulator.",

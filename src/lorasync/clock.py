@@ -15,15 +15,16 @@ bit-identical local times (the simulator depends on that).
 A clock holds its cursor's segment and the one before it, and both
 queries move the cursor forward only: local_time() to the segment holding
 its reference time, true_time_at_local() to the first segment whose local
-end reaches its local time.  The inverse answers there, or in the segment
-before if on a slow clock rounding repeats that reading across the
-cursor's start.  A walk is thus drawn the same whatever the query
-pattern, and no further than a query needs.  An inverse behind the two
-segments, or a local_time() behind the cursor's, replays the model.  The
-simulator never makes one: it asks the inverse for no local time before
-its last reading, and reads the clock forward from each answer.  A walk
-ends at a step that leaves the valid ppm range, and every query that
-needs that step raises, as a replay does.
+end reaches its local time.  A walk is thus drawn the same whatever the
+query pattern, and no further than a query needs.  That gives one query
+rule: local_time() answers any reference time from the start of its
+cursor's segment on, and true_time_at_local() any local time it finds in
+that segment or, where on a slow clock rounding repeats a reading across
+the cursor's start, in the one before.  A query behind that raises
+UsageError.  The simulator never makes one: it asks the inverse for no
+local time before its last reading, and reads the clock forward from
+each answer.  A walk ends at a step that leaves the valid ppm range, and
+every query that needs that step raises.
 
 Times are int64 nanoseconds.  Reference instants must stay at or below
 REF_NS_MAX (~146 years); since |ppm| < 1e6 keeps local time below twice
@@ -75,9 +76,11 @@ class RandomWalk(Frozen):
     """Piecewise-constant ppm that takes a Gaussian step every interval.
 
     seed=None means the simulator derives one from the scenario seed.
+    step_ns is step_interval_s in whole nanoseconds, the length of a step.
     """
 
-    __slots__ = _fields = ("step_interval_s", "step_std_ppm", "initial_ppm", "seed")
+    _fields = ("step_interval_s", "step_std_ppm", "initial_ppm", "seed")
+    __slots__ = (*_fields, "step_ns")
 
     def __init__(
         self,
@@ -100,11 +103,13 @@ class RandomWalk(Frozen):
             raise ParamError("step_std_ppm must be finite")
         if not abs(initial_ppm) < _PPM_LIMIT:
             raise ParamError(f"|initial_ppm| must be < {_PPM_LIMIT}")
-        if _forward(round(step_interval_s * NS_PER_S), initial_ppm) <= 0:
+        step_ns = round(step_interval_s * NS_PER_S)
+        if _forward(step_ns, initial_ppm) <= 0:
             raise ParamError(
                 "step_interval_s too small: a step at initial_ppm must advance local time"
             )
         self._set(step_interval_s, step_std_ppm, initial_ppm, seed)
+        object.__setattr__(self, "step_ns", step_ns)
 
 
 class Piecewise(Frozen):
@@ -142,7 +147,7 @@ def _walk(model: RandomWalk):
     from two uniform draws and the same arithmetic.  The walk ends at a
     step that leaves the valid ppm range or would not advance local time."""
     uniform = random.Random(model.seed).random
-    step, std, ppm = round(model.step_interval_s * NS_PER_S), model.step_std_ppm, model.initial_ppm
+    step, std, ppm = model.step_ns, model.step_std_ppm, model.initial_ppm
     start = local_start = 0
     advance = _forward(step, ppm)  # RandomWalk checked that it is positive
     z_next = None
@@ -164,14 +169,10 @@ def _walk(model: RandomWalk):
 
 
 class SimClock:
-    """Single simulated oscillator.
+    """Single simulated oscillator, read forward (the module states the
+    query rule)."""
 
-    local_time() must be queried with non-decreasing reference times;
-    true_time_at_local() is the scheduling inverse and carries no such
-    restriction.
-    """
-
-    __slots__ = ("model", "_last_query_ns", "_next", "_prev", "_seg")
+    __slots__ = ("_next", "_prev", "_seg")
 
     def __init__(self, model: ClockModel):
         if isinstance(model, RandomWalk):
@@ -191,8 +192,6 @@ class SimClock:
             start, ppm = rows[-1]
             table.append((start, REF_NS_MAX + 1, local_start, inf, ppm))
             self._next = iter(table).__next__
-        self.model = model
-        self._last_query_ns = 0
         self._seg = self._prev = self._next()
 
     def _advance(self, true_time_ns: int, local_ns: int = -1):
@@ -211,18 +210,11 @@ class SimClock:
             self._prev, self._seg = prev, seg
 
     def local_time(self, true_time_ns: int) -> int:
-        if true_time_ns < self._last_query_ns:
-            if true_time_ns < 0:
-                raise UsageError("reference time precedes the common origin")
-            raise UsageError(
-                f"non-monotone clock query: {true_time_ns} after {self._last_query_ns}"
-            )
-        self._last_query_ns = true_time_ns
         if true_time_ns >= self._seg[1]:
             self._advance(true_time_ns)
         start, _, local_start, _, ppm = self._seg
-        if true_time_ns < start:  # the inverse moved the cursor past it
-            return SimClock(self.model).local_time(true_time_ns)
+        if true_time_ns < start:
+            raise UsageError(f"clock read at {true_time_ns} ns, behind its segment from {start} ns")
         return local_start + _forward(true_time_ns - start, ppm)
 
     def true_time_at_local(self, local_ns: int) -> int:
@@ -241,7 +233,9 @@ class SimClock:
         if local_start >= local_ns:
             start, _, local_start, _, ppm = self._prev
             if local_start >= local_ns:
-                return SimClock(self.model).true_time_at_local(local_ns)
+                raise UsageError(
+                    f"inverse at local {local_ns} ns, behind the clock's last two segments"
+                )
         # the earliest offset d into that segment that reads local_ns or more
         target = local_ns - local_start
         d = int(target / (1.0 + ppm / 1_000_000))

@@ -241,9 +241,16 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """Parse a config file of UTF-8 text, with or without a byte order mark."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the line the parser would number: the text before the bad byte, and a stand-in for it
+        line = len((data[: exc.start].decode("utf-8-sig") + "?").splitlines())
+        raise ConfigError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text", line) from None
     return parse_scenario(text, source=str(path))

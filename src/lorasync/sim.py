@@ -38,12 +38,12 @@ The medium is lossless by default: collisions are counted as time
 overlaps between uplinks but do not destroy frames.  An optional uniform
 downlink loss exercises the protocol's self-correction.
 
-`run` returns the metrics and a `Trace`: a read-only sequence of
-`TraceRow`s, one per frame in time order.  It stores what the run
-decided, the device, the uplink end and whether the server attached a
-correction, in typed columns of 13 bytes a frame; `Trace.fields` derives
-the rest of each row, the slot judgement of its uplink end and the
-remaining time of a correction, when it is read.
+`run` returns the metrics and a `Trace` of the frames, read forward: its
+length, and its `TraceRow`s in time order, one per frame.  It stores what
+the run decided, the device, the uplink end and whether the server
+attached a correction, in typed columns of 13 bytes a frame;
+`Trace.fields` derives the rest of each row, the slot judgement of its
+uplink end and the remaining time of a correction, as it is read.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ import heapq
 import random
 from array import array
 from collections import deque
-from collections.abc import Sequence
 from itertools import count, repeat
-from operator import eq
 from typing import NamedTuple
 
 from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
@@ -122,14 +120,14 @@ class TraceRow(NamedTuple):
 _CHUNK_ROWS = 4096
 
 
-class Trace(Sequence):
-    """The frames of one run, in time order: a read-only sequence of TraceRow.
+class Trace:
+    """The frames of one run, in time order: its length, and its TraceRows
+    when iterated.
 
     Three typed columns hold what the run decided, a row per frame: the
     device, the uplink end and whether the server attached a correction.
     The device names, the strategy and the slot geometry are held once
-    per trace.  `fields` derives every row from them; rows are built
-    when they are read, and a slice reads as a list of rows.
+    per trace.  `fields` derives every row from them when it is read.
     """
 
     __slots__ = ("device_names", "strategy", "cfg", "device_index", "true_time_ns", "resync")
@@ -142,17 +140,16 @@ class Trace(Sequence):
         self.true_time_ns = array("q")  # uplink end, reference clock
         self.resync = bytearray()  # 1: the server attached a correction
 
-    def fields(self, start: int = 0, stop: int | None = None):
-        """Rows start..stop-1 as plain tuples in TraceRow field order, a list per chunk.
+    def fields(self):
+        """Every row as a plain tuple in TraceRow field order, a list per chunk.
 
         frame_index is the row number, the position, drift and verdict
         are the slot judgement of the uplink end, and a resync row
         carries the remaining time the server put in its ACK.
         """
         cfg, names, strategy = self.cfg, self.device_names, self.strategy
-        stop = len(self) if stop is None else stop
-        for lo in range(start, stop, _CHUNK_ROWS):
-            chunk = slice(lo, min(lo + _CHUNK_ROWS, stop))
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            chunk = slice(lo, lo + _CHUNK_ROWS)
             times = self.true_time_ns[chunk]
             positions = [position_in_slot(t, cfg) for t in times]
             yield [
@@ -167,20 +164,9 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.true_time_ns)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[i] for i in range(len(self))[key]]
-        i = range(len(self))[key]  # negative indices count from the end
-        return TraceRow._make(next(self.fields(i, i + 1))[0])
-
     def __iter__(self):
         for rows in self.fields():
             yield from map(TraceRow._make, rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class DeviceMetrics(NamedTuple):
@@ -254,8 +240,7 @@ def validate_scenario(sc: Scenario):
             )
         model = d.clock_model
         if isinstance(model, RandomWalk):
-            # the walk steps every step_interval_s rounded to whole nanoseconds
-            if horizon_s * NS_PER_S > MAX_WALK_STEPS * round(model.step_interval_s * NS_PER_S):
+            if horizon_s * NS_PER_S > MAX_WALK_STEPS * model.step_ns:
                 raise ConfigError(f"device {d.name}: a random walk may draw at most "
                                   f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
                                   device=i)

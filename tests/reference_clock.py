@@ -1,13 +1,13 @@
 """A reference clock for tests, built apart from SimClock.
 
 It keeps every rate segment from t=0 and finds a reference time's
-segment by bisection.  Random-walk steps are
+segment by bisection, and the inverse by bisection over reference time.  Random-walk steps are
 random.Random(seed).gauss(0.0, std), drawn as far as a query needs;
 Piecewise and ConstantPpm segments come straight from the model.
 """
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from lorasync import ConstantPpm, Ideal, Piecewise, RandomWalk
 from lorasync.units import NS_PER_S
@@ -50,3 +50,26 @@ class ReferenceClock:
         i = bisect_right(self.starts, true_time_ns) - 1
         dt = true_time_ns - self.starts[i]
         return self.local_starts[i] + dt + round(dt * self.ppms[i] / 1_000_000)
+
+    def true_time_at_local(self, local_ns):
+        """Earliest reference time whose local reading is >= local_ns."""
+        lo, hi = 0, 1
+        while self.local_time(hi) < local_ns:
+            lo, hi = hi, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.local_time(mid) < local_ns:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def segment_at(self, true_time_ns):
+        """Index of the segment that holds true_time_ns."""
+        self.local_time(true_time_ns)  # draws a walk that far
+        return bisect_right(self.starts, true_time_ns) - 1
+
+    def segment_reaching(self, local_ns):
+        """Index of the first segment whose local end reaches local_ns > 0."""
+        self.true_time_at_local(local_ns)  # draws a walk that far
+        return bisect_left(self.local_starts, local_ns, 1) - 1

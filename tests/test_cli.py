@@ -175,6 +175,25 @@ def test_simulate_missing_config(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["airtime", "--bw", "300"], [], ["bogus"],
+                                  ["compare", BENCH, "--seed", "x"]])
+def test_command_line_usage_errors_exit_1(capsys, argv):
+    # a usage error is a bad parameter, as the module docstring says: exit 1
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: lorasync") and "error:" in err
+
+
+@pytest.mark.parametrize("command", [[], ["airtime"], ["simulate"], ["compare"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([*command, "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lorasync")
+
+
 _ONE_DEVICE = """\
 [scenario]
 duration_s = {duration_s}

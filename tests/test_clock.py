@@ -162,27 +162,42 @@ def test_random_walk_answers_an_inverse_before_the_step_that_fails():
 
 
 def test_monotone_query_enforced():
-    c = SimClock(ConstantPpm(10.0))
-    c.local_time(10**9)
-    with pytest.raises(UsageError):
-        c.local_time(10**9 - 1)
+    # local_time answers any time from the start of its cursor's segment
+    # on, behind an earlier reading too; before that start it raises
+    model = Piecewise(((0.0, 10.0), (1.0, -20.0)))
+    c = SimClock(model)
+    ref = ReferenceClock(model)
+    c.local_time(NS_PER_S // 2)
+    assert c.local_time(NS_PER_S // 4) == ref.local_time(NS_PER_S // 4)
     with pytest.raises(UsageError):
         c.local_time(-1)
+    c.local_time(2 * NS_PER_S)
+    assert c.local_time(NS_PER_S) == ref.local_time(NS_PER_S)
+    with pytest.raises(UsageError):
+        c.local_time(NS_PER_S - 1)
 
 
 def test_peek_does_not_move_cursor():
-    # looking far ahead through the inverse does not hold back forward
-    # queries; behind the segment it moved the cursor to, they replay
-    for model in (ConstantPpm(10.0), RandomWalk(10.0, 3.0, 10.0, seed=2)):
+    # looking ahead through the inverse moves the cursor no further than
+    # its answer's segment: forward queries from the start of that segment
+    # read exactly, and only those behind it raise
+    for model in (ConstantPpm(10.0), Piecewise(((0.0, 10.0), (2000.0, -5.0))),
+                  RandomWalk(10.0, 3.0, 10.0, seed=2)):
         c = SimClock(model)
         ref = ReferenceClock(model)
         t = c.true_time_at_local(10**12)
-        assert c.local_time(0) == 0  # still allowed
-        assert c.local_time(NS_PER_S) == ref.local_time(NS_PER_S)
+        start = ref.starts[ref.segment_at(t)]
+        assert c.local_time(start) == ref.local_time(start)
         assert c.local_time(t) == ref.local_time(t)
+        if start > 0:
+            with pytest.raises(UsageError):
+                c.local_time(start - 1)
+        else:
+            assert c.local_time(0) == 0  # the peek held back nothing
 
 
 def test_true_time_at_local_inverse_property():
+    # the inverse answers ascending local times exactly, as sim.run asks them
     rng = random.Random(99)
     models = [
         Ideal(),
@@ -194,8 +209,7 @@ def test_true_time_at_local_inverse_property():
     for model in models:
         c = SimClock(model)
         ref = ReferenceClock(model)
-        for _ in range(400):
-            local = rng.randrange(0, 300 * NS_PER_S)
+        for local in sorted(rng.randrange(0, 300 * NS_PER_S) for _ in range(400)):
             t = c.true_time_at_local(local)
             # earliest reference time whose local reading reaches the target
             assert ref.local_time(t) >= local
@@ -203,16 +217,22 @@ def test_true_time_at_local_inverse_property():
                 assert ref.local_time(t - 1) < local
 
 
-def test_inverse_behind_the_window_replays_the_clock():
+def test_inverse_behind_the_window_raises():
     # a clock keeps only the segment of its cursor and the one before it;
-    # an inverse query behind them gets the answer a fresh clock gives
+    # it answers an inverse there, and raises for one behind them, which
+    # a fresh clock answers
     model = RandomWalk(step_interval_s=1.0, step_std_ppm=5.0, initial_ppm=-30.0, seed=8)
     c = SimClock(model)
     ref = ReferenceClock(model)
-    c.local_time(3600 * NS_PER_S)
-    for local in (1, NS_PER_S, 1800 * NS_PER_S + 7, 3590 * NS_PER_S):
+    c.local_time(3600 * NS_PER_S)  # the cursor's segment starts at 3600 s
+    prev_start = ref.local_time(3599 * NS_PER_S)
+    for local in (1, NS_PER_S, 1800 * NS_PER_S + 7, prev_start):
+        with pytest.raises(UsageError):
+            c.true_time_at_local(local)
+        t = SimClock(model).true_time_at_local(local)
+        assert ref.local_time(t) >= local > ref.local_time(t - 1)
+    for local in (prev_start + 1, ref.local_time(3600 * NS_PER_S) + 1):
         t = c.true_time_at_local(local)
-        assert t == SimClock(model).true_time_at_local(local)
         assert ref.local_time(t) >= local > ref.local_time(t - 1)
     assert c.local_time(3600 * NS_PER_S) == ref.local_time(3600 * NS_PER_S)
 

@@ -1,10 +1,10 @@
-"""Hypothesis properties of the clock inverse."""
+"""Hypothesis properties of the clock and its query rule."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorasync import ConstantPpm, Piecewise, RandomWalk, SimClock, clock
+from lorasync import ConstantPpm, Piecewise, RandomWalk, SimClock, UsageError
 from lorasync.units import NS_PER_S
 from reference_clock import ReferenceClock
 
@@ -29,6 +29,40 @@ _CLOCK_MODELS = st.one_of(
 )
 
 
+class _Rule:
+    """The query rule, read off the reference: the segment a SimClock's
+    cursor holds after each query, and whether the rule answers it."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.cursor = 0
+
+    def local_time(self, true_time_ns):
+        # answered from the start of the cursor's segment on
+        seg = self.ref.segment_at(true_time_ns)
+        self.cursor = max(self.cursor, seg)
+        return seg == self.cursor
+
+    def true_time_at_local(self, local_ns):
+        # answered in the cursor's segment or the one before it
+        if local_ns <= 0:
+            return True
+        self.cursor = max(self.cursor, self.ref.segment_reaching(local_ns))
+        return self.cursor == 0 or self.ref.local_starts[self.cursor - 1] < local_ns
+
+
+def _check(c, rule, method, arg):
+    """The clock's answer to one query: the reference's if the rule
+    answers it, else UsageError.  Returns whether it answered."""
+    answered = getattr(rule, method)(arg)
+    if answered:
+        assert getattr(c, method)(arg) == getattr(rule.ref, method)(arg)
+    else:
+        with pytest.raises(UsageError):
+            getattr(c, method)(arg)
+    return answered
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     model=_CLOCK_MODELS,
@@ -37,17 +71,15 @@ _CLOCK_MODELS = st.one_of(
 )
 def test_true_time_at_local_is_exact_inverse_in_any_query_order(model, queries, order):
     # ascending first, then a shuffled copy: queries land both ahead of
-    # and behind the segments materialized so far
+    # and behind the segments materialized so far.  In any order the
+    # inverse answers exactly or raises, as the rule says, and a fresh
+    # clock answers every query
     queries = sorted(queries) + order.sample(queries, len(queries))
     c = SimClock(model)
-    ref = ReferenceClock(model)
+    rule = _Rule(ReferenceClock(model))
     for local in queries:
-        t = c.true_time_at_local(local)
-        assert ref.local_time(t) >= local
-        if t > 0:
-            assert ref.local_time(t - 1) < local
-        # the answer does not depend on the clock's query history
-        assert SimClock(model).true_time_at_local(local) == t
+        _check(c, rule, "true_time_at_local", local)
+        assert SimClock(model).true_time_at_local(local) == rule.ref.true_time_at_local(local)
 
 
 def _next_start(model, t):
@@ -72,50 +104,49 @@ _HALF_RATE_2NS = RandomWalk(step_interval_s=2e-9, step_std_ppm=0.0,
                             initial_ppm=-500_000.0, seed=0)
 
 
-def _no_replay(model):
-    raise AssertionError("a query replayed the clock")
-
-
 def _check_ops(model, ops, sim_order):
     """Run ops on a SimClock and check every answer against the reference.
 
     An inverse asks for the last reading plus x.  In the simulator's
-    order it asks for no less than its last target either, and forward
-    queries after it start at its answer."""
+    order it asks for no less than its last target either, forward
+    queries after it start at its answer, and the rule answers every
+    query."""
     c = SimClock(model)
-    ref = ReferenceClock(model)
+    rule = _Rule(ReferenceClock(model))
     t = reading = target = 0
     for kind, x, nudge in ops:
         if kind == "inverse":
             local = (max(reading, target) if sim_order else reading) + x
-            answer = c.true_time_at_local(local)
-            assert ref.local_time(answer) >= local
-            if answer > 0:
-                assert ref.local_time(answer - 1) < local
+            answered = _check(c, rule, "true_time_at_local", local)
             if sim_order:
-                t, target = max(t, answer), local
-            continue
-        if kind == "segment start":
-            start = _next_start(model, t + x)
-            if start is None:
-                continue
-            t = max(t, start + nudge)
+                t, target = max(t, rule.ref.true_time_at_local(local)), local
         else:
-            t += x
-        reading = c.local_time(t)
-        assert reading == ref.local_time(t)
+            if kind == "segment start":
+                start = _next_start(model, t + x)
+                if start is None:
+                    continue
+                t = max(t, start + nudge)
+            else:
+                t += x
+            answered = _check(c, rule, "local_time", t)
+            reading = rule.ref.local_time(t)
+        assert answered or not sim_order
 
 
 @settings(max_examples=100, deadline=None)
 @given(model=_CLOCK_MODELS, ops=st.lists(_FORWARD, min_size=10, max_size=40))
 @example(model=_HALF_RATE_2NS, ops=[("segment start", 70, 0), ("inverse", 0, 0)])
+# the inverse moves the cursor into the segment from 1 s on; the reading
+# at 0.5 s + 1 ns then lies in the segment before it, and raises
+@example(model=Piecewise(((0.0, 10.0), (1.0, -20.0))),
+         ops=[("step", NS_PER_S // 2, 0), ("inverse", NS_PER_S, 0), ("step", 1, 0)])
 def test_forward_cursor_matches_bisection(model, ops):
     # local_time walks a cursor forward and keeps two segments; the
     # reference bisects every segment from t=0.  Exact segment starts (and
     # the nanoseconds around them), jumps past everything a random walk
     # has drawn so far, and inverse calls that draw ahead must not tell
     # them apart.  In this order a forward query may fall behind an
-    # inverse answer far ahead, and the clock then replays its model
+    # inverse answer far ahead, and the clock then raises as the rule says
     _check_ops(model, ops, sim_order=False)
 
 
@@ -124,10 +155,8 @@ def test_forward_cursor_matches_bisection(model, ops):
 # local_time(70) moves the cursor into segment 35; the inverse at its
 # local start (35) answers 69, in segment 34, the one before the cursor's
 @example(model=_HALF_RATE_2NS, ops=[("segment start", 70, 0), ("inverse", 0, 0)])
-def test_simulator_query_order_never_replays(model, ops):
+def test_simulator_query_order_is_always_answered(model, ops):
     # sim.run asks each inverse for a local time no earlier than the last
     # reading or target, and reads the clock forward from its answer: the
     # cursor's segment and the one before it answer all of that
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clock, "SimClock", _no_replay)
-        _check_ops(model, ops, sim_order=True)
+    _check_ops(model, ops, sim_order=True)

@@ -345,3 +345,26 @@ def test_bad_value_types_report_lines():
 def test_unreadable_file():
     with pytest.raises(ConfigError):
         load_scenario(CONFIGS / "does-not-exist.ini")
+
+
+def test_a_byte_order_mark_is_read_as_utf8(tmp_path):
+    # editors on Windows often save UTF-8 with a BOM; it is not part of line 1
+    plain, marked = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_text(MINIMAL.replace("[device one]", "[device café]"), encoding="utf-8")
+    marked.write_text(MINIMAL.replace("[device one]", "[device café]"), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_scenario(marked) == load_scenario(plain)
+    assert load_scenario(marked).devices[0].name == "café"
+
+
+def test_bytes_that_are_not_utf8_are_rejected_at_their_line(tmp_path, capsys):
+    # a Latin-1 file: the é of "café" is the single byte 0xe9
+    text = MINIMAL.replace("[device one]", "[device café]")
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(text.encode("latin-1"))
+    line = text.splitlines().index("[device café]") + 1
+    with pytest.raises(ConfigError, match="0xe9 is not UTF-8") as e:
+        load_scenario(ini)
+    assert e.value.line == line
+    assert main(["simulate", str(ini)]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: byte 0xe9 is not UTF-8 text\n"

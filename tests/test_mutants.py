@@ -64,29 +64,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "inverse replays instead of answering in the segment before the cursor's",
+        "inverse raises instead of answering in the segment before the cursor's",
         "clock.py",
         """\
-        if local_start >= local_ns:
             start, _, local_start, _, ppm = self._prev
             if local_start >= local_ns:
-                return SimClock(self.model).true_time_at_local(local_ns)
 """,
         """\
-        if local_start >= local_ns:
-            return SimClock(self.model).true_time_at_local(local_ns)
+            if True:
 """,
-        ("tests/test_clock_properties.py::test_simulator_query_order_never_replays",),
+        (
+            "tests/test_clock.py::test_inverse_behind_the_window_raises",
+            "tests/test_clock_properties.py::test_simulator_query_order_is_always_answered",
+        ),
     ),
     Mutant(
-        "local_time reads a segment that starts after its query",
+        "local_time's behind-check misses by one segment",
         "clock.py",
-        """\
-        if true_time_ns < start:  # the inverse moved the cursor past it
-            return SimClock(self.model).local_time(true_time_ns)
-""",
-        "",
-        ("tests/test_clock.py::test_peek_does_not_move_cursor",),
+        "if true_time_ns < start:",
+        "if true_time_ns < self._prev[0]:",
+        (
+            "tests/test_clock.py::test_monotone_query_enforced",
+            "tests/test_clock_properties.py::test_forward_cursor_matches_bisection",
+        ),
     ),
     Mutant(
         "forward map floors instead of rounding",
@@ -240,6 +240,20 @@ MUTANTS = (
         "{t['duty_cycle_fraction']} of",
         "{float(t['duty_cycle_fraction']):.4f} of",
         ("tests/test_cli.py::test_human_summary_prints_each_fact_as_the_block_does",),
+    ),
+    Mutant(
+        "a config's byte order mark is read as text",
+        "config.py",
+        'data.decode("utf-8-sig")',
+        'data.decode("utf-8")',
+        ("tests/test_config.py::test_a_byte_order_mark_is_read_as_utf8",),
+    ),
+    Mutant(
+        "a command-line usage error exits 2",
+        "cli.py",
+        'self.exit(1, f"{self.prog}: error: {message}\\n")',
+        'self.exit(2, f"{self.prog}: error: {message}\\n")',
+        ("tests/test_cli.py::test_command_line_usage_errors_exit_1",),
     ),
     Mutant(
         "trace keeps the inverted server decision",
