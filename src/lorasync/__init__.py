@@ -47,7 +47,6 @@ from .sim import (
     Trace,
     TraceRow,
     run,
-    validate_scenario,
 )
 from .slot import SlotConfig, position_in_slot, remaining_to_next_slot, uplink_end_in_sync
 from .units import ms_to_ns, ns_to_ms_round, s_to_ns

@@ -3,9 +3,10 @@
 A record names its fields in `_fields`, in the order its constructor
 takes them, and holds each in a slot.  Its `__init__` checks the
 arguments, then stores them once with `_set`; after that, assigning or
-deleting a field raises AttributeError.  Equality, hashing, repr and
-pickling go by the field values, so two records of one class with equal
-fields are interchangeable.
+deleting a field raises AttributeError.  `_replace` makes a changed copy
+through the constructor, so the copy is checked as the original was.
+Equality, hashing, repr and pickling go by the field values, so two
+records of one class with equal fields are interchangeable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ class Frozen:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self._values())]
+        # a name that is not a field reaches the constructor as a keyword and fails there
+        return type(self)(*values, **changes)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of read-only {type(self).__name__}")

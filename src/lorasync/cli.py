@@ -27,6 +27,8 @@ from .units import fmt_ms
 CSV_HEADER = [f"{f[:-3]}_ms" if f.endswith("_ns") else f for f in TraceRow._fields]
 
 WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255)
+# RadioParams fields the airtime command sets only from a flag given
+_RADIO_OPTIONS = ("n_preamble", "crc_on", "implicit_header", "low_datarate_opt")
 
 
 def _csv_field(value: str) -> str:
@@ -60,21 +62,14 @@ def write_trace_csv(path, rows: Trace):
 def _cmd_airtime(args) -> int:
     if args.max:
         p = WORST_CASE
-        print("worst-case uplink: sf 12, bw 125 kHz, cr 4, payload 255 B, "
-              "preamble 8, crc on")
+        print(f"worst-case uplink: sf {p.sf}, bw {p.bw_hz // 1000} kHz, cr {p.cr}, "
+              f"payload {p.pl_bytes} B, preamble {p.n_preamble}, "
+              f"crc {'on' if p.crc_on else 'off'}")
     else:
         if args.sf is None or args.bw is None or args.cr is None or args.pl is None:
             raise ParamError("need --sf, --bw, --cr and --pl (or --max)")
-        p = RadioParams(
-            sf=args.sf,
-            bw_hz=args.bw * 1000,
-            cr=args.cr,
-            pl_bytes=args.pl,
-            n_preamble=args.preamble,
-            crc_on=not args.no_crc,
-            implicit_header=args.implicit_header,
-            low_datarate_opt=args.low_datarate_opt,
-        )
+        options = {f: getattr(args, f) for f in _RADIO_OPTIONS if hasattr(args, f)}
+        p = RadioParams(sf=args.sf, bw_hz=args.bw * 1000, cr=args.cr, pl_bytes=args.pl, **options)
     at = time_on_air(p)
     total_ms = at.t_packet_ms
     print(f"symbol    {fmt_ms(symbol_duration_ns(p))} ms")
@@ -90,7 +85,7 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
     (key, text, whether the [summary] block prints it), in block order."""
     cfg, gw, devices = sc.cfg, m.gateway, m.per_device.values()
     facts = [
-        ("strategy", m.strategy, True),
+        ("strategy", sc.strategy, True),
         ("duration_s", f"{sc.duration_s:g}", True),
         ("seed", str(sc.seed), True),
         ("t_slot_ms", fmt_ms(cfg.t_slot_ns), True),
@@ -111,7 +106,7 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
         ("resyncs_total", str(sum(d.resync_count for d in devices)), True),
         ("out_sync_frames_total", str(sum(d.out_sync_frames for d in devices)), False),
     ]
-    if m.strategy == FIXED_RATE:
+    if sc.strategy == FIXED_RATE:
         facts.insert(1, ("round_s", str(sc.round_s), True))
     for name, dm in sorted(m.per_device.items()):
         out_sync = str(dm.out_sync_frames)
@@ -237,10 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_air.add_argument("--bw", type=int, choices=(125, 250, 500), help="bandwidth, kHz")
     p_air.add_argument("--cr", type=int, help="coding rate 1..4 (4/5..4/8)")
     p_air.add_argument("--pl", type=int, help="payload bytes 0..255")
-    p_air.add_argument("--preamble", type=int, default=8, help="preamble symbols")
-    p_air.add_argument("--no-crc", action="store_true", help="disable payload CRC")
-    p_air.add_argument("--implicit-header", action="store_true")
-    p_air.add_argument("--low-datarate-opt", action="store_true")
+    # a flag left out sets no attribute, and RadioParams' default holds
+    p_air.add_argument("--preamble", type=int, dest="n_preamble", metavar="PREAMBLE",
+                       default=argparse.SUPPRESS, help="preamble symbols")
+    p_air.add_argument("--no-crc", action="store_false", dest="crc_on",
+                       default=argparse.SUPPRESS, help="disable payload CRC")
+    p_air.add_argument("--implicit-header", action="store_true", default=argparse.SUPPRESS)
+    p_air.add_argument("--low-datarate-opt", action="store_true", default=argparse.SUPPRESS)
     p_air.add_argument("--max", action="store_true",
                        help="show the worst-case uplink instead")
     p_air.set_defaults(func=_cmd_airtime)

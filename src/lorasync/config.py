@@ -10,7 +10,12 @@ Flat INI-style key/value sections, diff friendly:
     [device NAME]       one section per device: clock model + schedule
 
 Unknown sections or keys are errors, and every error carries the line
-number it came from.
+number it came from; an error names a section as its header writes it.
+A key the file leaves out is not passed on, so each default is the one
+its record's constructor states.  The records check the values: an
+invalid [slot] or radio section is reported at its header's line, and a
+failed scenario check at the header of the device section it blames, or
+of [scenario].
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from __future__ import annotations
 from .airtime import RadioParams, time_on_air
 from .clock import ClockModel, ConstantPpm, Piecewise, RandomWalk, preset
 from .errors import ConfigError, ParamError
-from .sim import DeviceSpec, Scenario, validate_scenario
+from .sim import DeviceSpec, Scenario
 from .slot import SlotConfig
 from .units import ms_to_ns
 
-_REQUIRED = object()
 # each radio section and the [slot] air time it may stand in for
 _RADIOS = {"radio.uplink": "t_tx_ms", "radio.downlink": "t_rx_ms"}
+# radio keys named apart from the RadioParams field they set
+_RADIO_FIELDS = {"preamble": "n_preamble", "crc": "crc_on"}
 
 
 def _to_bool(raw: str) -> bool:
@@ -58,16 +64,18 @@ class _Section:
         self.line = line
         self._items = items
 
-    def take(self, key: str, conv, default=_REQUIRED):
+    def take(self, key: str, conv):
         if key not in self._items:
-            if default is _REQUIRED:
-                raise ConfigError(f"[{self.name}] is missing required key {key!r}", self.line)
-            return default
+            raise ConfigError(f"[{self.name}] is missing required key {key!r}", self.line)
         raw, line = self._items.pop(key)
         try:
             return conv(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", line) from exc
+
+    def given(self, **convs) -> dict:
+        """The optional keys the section gives, converted in the order named."""
+        return {key: self.take(key, conv) for key, conv in convs.items() if key in self._items}
 
     def finish(self):
         for key, (_, line) in self._items.items():
@@ -106,30 +114,31 @@ def _split_sections(text: str) -> list[_Section]:
 
 
 def _radio_from(sec: _Section) -> RadioParams:
+    fields = dict(
+        sf=sec.take("sf", int),
+        bw_hz=sec.take("bw_khz", int) * 1000,
+        cr=sec.take("cr", int),
+        pl_bytes=sec.take("payload_bytes", int),
+    )
+    options = sec.given(
+        preamble=int, crc=_to_bool, implicit_header=_to_bool, low_datarate_opt=_to_bool
+    )
+    fields.update((_RADIO_FIELDS.get(key, key), value) for key, value in options.items())
     try:
-        params = RadioParams(
-            sf=sec.take("sf", int),
-            bw_hz=sec.take("bw_khz", int) * 1000,
-            cr=sec.take("cr", int),
-            pl_bytes=sec.take("payload_bytes", int),
-            n_preamble=sec.take("preamble", int, 8),
-            crc_on=sec.take("crc", _to_bool, True),
-            implicit_header=sec.take("implicit_header", _to_bool, False),
-            low_datarate_opt=sec.take("low_datarate_opt", _to_bool, False),
-        )
+        params = RadioParams(**fields)
     except ParamError as exc:
         raise ConfigError(f"invalid [{sec.name}] parameters: {exc}", sec.line) from exc
     sec.finish()
     return params
 
 
-def _clock_from(sec: _Section) -> ClockModel:
+def _clock_from(sec: _Section, device: str) -> ClockModel:
     kind = sec.take("clock", str)
     try:
         if kind in ("ideal", "ttgo-like"):  # they draw nothing, so take no seed
             return preset(kind)
         if kind == "feather-like":
-            return preset(kind, sec.take("seed", int, None))
+            return preset(kind, **sec.given(seed=int))
         if kind == "constant_ppm":
             return ConstantPpm(sec.take("offset_ppm", float))
         if kind == "random_walk":
@@ -137,26 +146,26 @@ def _clock_from(sec: _Section) -> ClockModel:
                 step_interval_s=sec.take("step_interval_s", float),
                 step_std_ppm=sec.take("step_std_ppm", float),
                 initial_ppm=sec.take("initial_ppm", float),
-                seed=sec.take("seed", int, None),
+                **sec.given(seed=int),
             )
         if kind == "piecewise":
             return Piecewise(sec.take("segments", _to_segments))
     except ParamError as exc:
-        raise ConfigError(f"device {sec.name}: invalid clock: {exc}", sec.line) from exc
+        raise ConfigError(f"device {device}: invalid clock: {exc}", sec.line) from exc
     raise ConfigError(f"unknown clock model {kind!r}", sec.line)
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     sections = _split_sections(text)
     by_name: dict[str, _Section] = {}
-    devices: list[_Section] = []
+    devices: list[tuple[str, _Section]] = []  # (device name, its section)
     for sec in sections:
         head, _, label = sec.name.partition(" ")
         if head == "device":
             label = label.strip()
             if not label:
                 raise ConfigError("device section needs a name: [device NAME]", sec.line)
-            devices.append(_Section(label, sec.line, sec._items))
+            devices.append((label, sec))
             continue
         if sec.name in by_name:
             raise ConfigError(f"duplicate section [{sec.name}]", sec.line)
@@ -173,25 +182,21 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
     sc = by_name["scenario"]
     duration_s = sc.take("duration_s", float)
-    seed = sc.take("seed", int, 0)
-    strategy = sc.take("strategy", str, "adaptive")
-    round_s = sc.take("round_s", int, None)
-    duty_cycle_limit = sc.take("duty_cycle_limit", float, 0.01)
-    downlink_loss = sc.take("downlink_loss", float, 0.0)
-    slot_pick = sc.take("slot_pick", str, "random")
+    options = sc.given(seed=int, strategy=str, round_s=int, duty_cycle_limit=float,
+                       downlink_loss=float, slot_pick=str)
     sc.finish()
 
     radios = {name: _radio_from(by_name[name]) for name in _RADIOS if name in by_name}
 
     slot_sec = by_name["slot"]
-    air_ms = {key: slot_sec.take(key, int, None) for key in _RADIOS.values()}
+    air_ms = slot_sec.given(t_tx_ms=int, t_rx_ms=int)
     rx_delay_ms = slot_sec.take("rx_delay_ms", int)
     tb1_ms = slot_sec.take("tb1_ms", int)
     tb2_ms = slot_sec.take("tb2_ms", int)
     slot_sec.finish()
     # an air time that [slot] leaves out derives from its radio section
     for radio, key in _RADIOS.items():
-        if air_ms[key] is None:
+        if key not in air_ms:
             if radio not in radios:
                 raise ConfigError(
                     f"[slot] needs {key} or a [{radio}] section to derive it from", slot_sec.line
@@ -209,35 +214,23 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ConfigError(f"invalid slot geometry: {exc}", slot_sec.line) from exc
 
     specs = []
-    for sec in devices:
-        clock_model = _clock_from(sec)
+    for name, sec in devices:
+        clock_model = _clock_from(sec, name)
         spec = DeviceSpec(
-            name=sec.name,
+            name=name,
             clock_model=clock_model,
             tx_period_s=sec.take("tx_period_s", float),
-            payload_bytes=sec.take("payload_bytes", int, 0),
+            **sec.given(payload_bytes=int),
         )
         sec.finish()
         specs.append(spec)
 
-    scenario = Scenario(
-        duration_s=duration_s,
-        cfg=cfg,
-        devices=tuple(specs),
-        strategy=strategy,
-        round_s=round_s,
-        seed=seed,
-        duty_cycle_limit=duty_cycle_limit,
-        downlink_loss=downlink_loss,
-        slot_pick=slot_pick,
-    )
     try:
-        validate_scenario(scenario)
+        return Scenario(duration_s=duration_s, cfg=cfg, devices=specs, **options)
     except ConfigError as exc:
         # the checks know no line; point at the device's section, or at [scenario]
-        line = sc.line if exc.device is None else devices[exc.device].line
+        line = sc.line if exc.device is None else devices[exc.device][1].line
         raise ConfigError(str(exc), line) from exc
-    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -63,7 +63,7 @@ class NetworkServerState:
 
     __slots__ = ("cfg", "round_ns", "resync_count", "out_sync_count", "last_arrival_ns")
 
-    def __init__(self, cfg: SlotConfig, n_devices: int, round_ns: int | None = None):
+    def __init__(self, cfg: SlotConfig, n_devices: int, round_ns: int | None):
         self.cfg = cfg
         self.round_ns = round_ns  # fixed-rate round length; None: adaptive
         self.resync_count = [0] * n_devices
@@ -84,10 +84,10 @@ class EndDeviceState:
 
     __slots__ = ("tx_period_ns", "t_slot_ns", "slot_start_local_ns", "rng", "window_start_local_ns")
 
-    def __init__(self, tx_period_ns: int, t_slot_ns: int, slot_start_local_ns: int = 0, rng=None):
+    def __init__(self, tx_period_ns: int, t_slot_ns: int, rng=None):
         self.tx_period_ns = tx_period_ns
         self.t_slot_ns = t_slot_ns
-        self.slot_start_local_ns = slot_start_local_ns
+        self.slot_start_local_ns = 0  # the grid's origin: ed_first_tx_time sets it
         self.rng = rng  # a random.Random: the boot phase and random picks draw from it
         self.window_start_local_ns = 0  # where the next period window opens
 

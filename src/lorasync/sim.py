@@ -1,5 +1,8 @@
 """Deterministic discrete-event execution of synchronization scenarios.
 
+A `Scenario` is checked when it is built, and so is every copy
+`_replace` makes of it: `run` takes any scenario as it is.
+
 Everything runs on virtual time.  Events are popped from a heap keyed by
 (time, insertion sequence), so identical (scenario, seed) pairs replay
 bit for bit.  A frame is the only event, pushed at its uplink end.  Its
@@ -55,6 +58,7 @@ from collections import deque
 from itertools import count, repeat
 from typing import NamedTuple
 
+from ._record import Frozen
 from .clock import REF_NS_MAX, ClockModel, RandomWalk, SimClock
 from .errors import ConfigError, ParamError
 from .frame import MAX_UPLINK_PAYLOAD
@@ -90,16 +94,78 @@ class DeviceSpec(NamedTuple):
     payload_bytes: int = 0
 
 
-class Scenario(NamedTuple):
-    duration_s: float
-    cfg: SlotConfig
-    devices: tuple[DeviceSpec, ...]
-    strategy: str = ADAPTIVE
-    round_s: float | None = None
-    seed: int = 0
-    duty_cycle_limit: float = 0.01
-    downlink_loss: float = 0.0
-    slot_pick: str = SLOT_PICK_RANDOM
+class Scenario(Frozen):
+    """One run: its length, slot geometry, devices, strategy and medium.
+
+    Read-only and checked on construction, a copy from `_replace` too: a
+    scenario `run` cannot execute raises ConfigError, and a device's own
+    error carries its index.  `devices` is held as a tuple.
+    """
+
+    __slots__ = _fields = (
+        "duration_s", "cfg", "devices", "strategy", "round_s",
+        "seed", "duty_cycle_limit", "downlink_loss", "slot_pick",
+    )
+
+    def __init__(self, duration_s: float, cfg: SlotConfig, devices: tuple[DeviceSpec, ...],
+                 strategy: str = ADAPTIVE, round_s: float | None = None, seed: int = 0,
+                 duty_cycle_limit: float = 0.01, downlink_loss: float = 0.0,
+                 slot_pick: str = SLOT_PICK_RANDOM):
+        devices = tuple(devices)
+        max_s = REF_NS_MAX // NS_PER_S
+        # run lengths and periods are whole nanoseconds: nan and 0 ns are rejected
+        if not duration_s * NS_PER_S > 0.5:
+            raise ConfigError("duration_s must be positive, at least 1 ns")
+        if not duration_s * NS_PER_S <= REF_NS_MAX:
+            raise ConfigError(f"duration_s must be at most {max_s} s, the int64 nanosecond range")
+        if not devices:
+            raise ConfigError("scenario needs at least one device")
+        first = {}
+        for i, d in enumerate(devices):
+            if first.setdefault(d.name, i) != i:
+                raise ConfigError(f"device {d.name}: device names must be unique", device=i)
+        if strategy not in (ADAPTIVE, FIXED_RATE):
+            raise ConfigError(f"unknown strategy {strategy!r}")
+        # rounds are whole int64 nanoseconds: nan, inf and 0 ns are rejected
+        if strategy == FIXED_RATE and not 0.5 < (round_s or 0) * NS_PER_S <= REF_NS_MAX:
+            raise ConfigError(f"fixed_rate strategy needs round_s of 1 ns to {max_s} s")
+        if strategy == ADAPTIVE and round_s is not None:
+            raise ConfigError("round_s applies only to the fixed_rate strategy")
+        if not 0.0 <= downlink_loss <= 1.0:
+            raise ConfigError("downlink_loss must be in [0, 1]")
+        if not 0.0 < duty_cycle_limit <= 1.0:
+            raise ConfigError("duty_cycle_limit must be in (0, 1]")
+        if slot_pick not in (SLOT_PICK_RANDOM, SLOT_PICK_ALIGNED):
+            raise ConfigError(f"unknown slot_pick {slot_pick!r}")
+        for i, d in enumerate(devices):
+            # the summary prints one device.<name>.<key>=value line per fact
+            if "=" in d.name:
+                raise ConfigError(f"device {d.name}: a device name must not contain '='", device=i)
+            if not d.tx_period_s * NS_PER_S > 0.5:
+                raise ConfigError(
+                    f"device {d.name}: tx_period_s must be positive, at least 1 ns", device=i
+                )
+            if not 0 <= d.payload_bytes <= MAX_UPLINK_PAYLOAD:
+                raise ConfigError(
+                    f"device {d.name}: payload_bytes must be in 0..{MAX_UPLINK_PAYLOAD}", device=i
+                )
+            # a device's clock is asked for instants up to about two periods
+            # past the horizon, and a walk draws every step up to there
+            horizon_s = duration_s + 2 * d.tx_period_s
+            if not horizon_s * NS_PER_S <= REF_NS_MAX:
+                raise ConfigError(
+                    f"device {d.name}: duration_s + 2 * tx_period_s "
+                    f"must be at most {max_s} s, the int64 nanosecond range",
+                    device=i,
+                )
+            model = d.clock_model
+            if isinstance(model, RandomWalk):
+                if horizon_s * NS_PER_S > MAX_WALK_STEPS * model.step_ns:
+                    raise ConfigError(f"device {d.name}: a random walk may draw at most "
+                                      f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
+                                      device=i)
+        self._set(duration_s, cfg, devices, strategy, round_s,
+                  seed, duty_cycle_limit, downlink_loss, slot_pick)
 
 
 class TraceRow(NamedTuple):
@@ -182,73 +248,14 @@ class GatewayMetrics(NamedTuple):
 
 
 class Metrics(NamedTuple):
-    duration_ns: int
-    strategy: str
     per_device: dict
     gateway: GatewayMetrics
     collision_count: int
     frames_total: int
 
 
-def validate_scenario(sc: Scenario):
-    """Reject a scenario `run` cannot execute; a device's own error carries its index."""
-    max_s = REF_NS_MAX // NS_PER_S
-    # run lengths and periods are whole nanoseconds: nan and 0 ns are rejected
-    if not sc.duration_s * NS_PER_S > 0.5:
-        raise ConfigError("duration_s must be positive, at least 1 ns")
-    if not sc.duration_s * NS_PER_S <= REF_NS_MAX:
-        raise ConfigError(f"duration_s must be at most {max_s} s, the int64 nanosecond range")
-    if not sc.devices:
-        raise ConfigError("scenario needs at least one device")
-    first = {}
-    for i, d in enumerate(sc.devices):
-        if first.setdefault(d.name, i) != i:
-            raise ConfigError(f"device {d.name}: device names must be unique", device=i)
-    if sc.strategy not in (ADAPTIVE, FIXED_RATE):
-        raise ConfigError(f"unknown strategy {sc.strategy!r}")
-    # rounds are whole int64 nanoseconds: nan, inf and 0 ns are rejected
-    if sc.strategy == FIXED_RATE and not 0.5 < (sc.round_s or 0) * NS_PER_S <= REF_NS_MAX:
-        raise ConfigError(f"fixed_rate strategy needs round_s of 1 ns to {max_s} s")
-    if sc.strategy == ADAPTIVE and sc.round_s is not None:
-        raise ConfigError("round_s applies only to the fixed_rate strategy")
-    if not 0.0 <= sc.downlink_loss <= 1.0:
-        raise ConfigError("downlink_loss must be in [0, 1]")
-    if not 0.0 < sc.duty_cycle_limit <= 1.0:
-        raise ConfigError("duty_cycle_limit must be in (0, 1]")
-    if sc.slot_pick not in (SLOT_PICK_RANDOM, SLOT_PICK_ALIGNED):
-        raise ConfigError(f"unknown slot_pick {sc.slot_pick!r}")
-    for i, d in enumerate(sc.devices):
-        # the summary prints one device.<name>.<key>=value line per fact
-        if "=" in d.name:
-            raise ConfigError(f"device {d.name}: a device name must not contain '='", device=i)
-        if not d.tx_period_s * NS_PER_S > 0.5:
-            raise ConfigError(
-                f"device {d.name}: tx_period_s must be positive, at least 1 ns", device=i
-            )
-        if not 0 <= d.payload_bytes <= MAX_UPLINK_PAYLOAD:
-            raise ConfigError(
-                f"device {d.name}: payload_bytes must be in 0..{MAX_UPLINK_PAYLOAD}", device=i
-            )
-        # a device's clock is asked for instants up to about two periods
-        # past the horizon, and a walk draws every step up to there
-        horizon_s = sc.duration_s + 2 * d.tx_period_s
-        if not horizon_s * NS_PER_S <= REF_NS_MAX:
-            raise ConfigError(
-                f"device {d.name}: duration_s + 2 * tx_period_s "
-                f"must be at most {max_s} s, the int64 nanosecond range",
-                device=i,
-            )
-        model = d.clock_model
-        if isinstance(model, RandomWalk):
-            if horizon_s * NS_PER_S > MAX_WALK_STEPS * model.step_ns:
-                raise ConfigError(f"device {d.name}: a random walk may draw at most "
-                                  f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
-                                  device=i)
-
-
 def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     """Execute one scenario; returns (metrics, the Trace of its frames)."""
-    validate_scenario(scenario)
     cfg = scenario.cfg
     duration_ns = s_to_ns(scenario.duration_s)
     round_ns = None if scenario.round_s is None else s_to_ns(scenario.round_s)
@@ -357,8 +364,6 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         duty_cycle_used_fraction=airtime_ns / duration_ns,
     )
     metrics = Metrics(
-        duration_ns=duration_ns,
-        strategy=scenario.strategy,
         per_device=per_device,
         gateway=gateway,
         collision_count=collisions,

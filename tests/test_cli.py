@@ -499,7 +499,8 @@ tx_period_s = 1000000
 def test_device_never_heard_is_reported_with_zero_counts(capsys, tmp_path, strategy):
     path = tmp_path / "quiet.ini"
     path.write_text(_QUIET_PAIR.format(strategy=strategy))
-    m, trace = run(load_scenario(path))
+    sc = load_scenario(path)
+    m, trace = run(sc)
     # the quiet device's first uplink, at a random phase inside its first
     # 10^6 s, ends past the 600 s run: the server never hears from it
     assert {r.device_id for r in trace} == {"busy"}
@@ -516,5 +517,5 @@ def test_device_never_heard_is_reported_with_zero_counts(capsys, tmp_path, strat
     )
     assert kv["device.quiet.resyncs"] == "0"
     assert kv["device.quiet.out_sync_frames"] == "0"
-    per_resync = 2 if m.strategy == "adaptive" else 8
+    per_resync = 2 if sc.strategy == "adaptive" else 8
     assert int(kv["sync_overhead_bytes"]) == per_resync * int(kv["resyncs_total"]) > 0

@@ -55,7 +55,7 @@ def test_minimal_scenario_defaults():
     bad = MINIMAL.replace("tx_period_s = 30", "tx_period_s = 30\ndev_addr = 7")
     with pytest.raises(ConfigError) as e:
         parse_scenario(bad)
-    assert "unknown key 'dev_addr' in [one]" in str(e.value)
+    assert "unknown key 'dev_addr' in [device one]" in str(e.value)
     assert e.value.line == bad.splitlines().index("dev_addr = 7") + 1
 
 
@@ -284,7 +284,7 @@ def _assert_rejected_at(tmp_path, capsys, text, line, words):
         (
             MINIMAL.replace("clock = ideal", "clock = ttgo-like\nseed = 5"),
             "seed = 5",
-            ("unknown key 'seed' in [one]",),
+            ("unknown key 'seed' in [device one]",),
         ),
         (MINIMAL.replace("[slot]", "[slot"), "[slot", ("unterminated section header",)),
         (MINIMAL + "\n[ ]\n", "[ ]", ("empty section name",)),

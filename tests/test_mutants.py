@@ -198,6 +198,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a correction ignores the elapsed exchange time",
+        "protocol.py",
+        "t = remaining_ms * NS_PER_MS - elapsed",
+        "t = remaining_ms * NS_PER_MS",
+        (
+            "tests/test_protocol.py::test_resync_example",
+            "tests/test_sim_properties.py::test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift",
+        ),
+    ),
+    Mutant(
+        "the in-sync judgement charges each drift against the other guard",
+        "slot.py",
+        "return (-cfg.tb2_ns < d < cfg.tb1_ns), d",
+        "return (-cfg.tb1_ns < d < cfg.tb2_ns), d",
+        (
+            "tests/test_sim_properties.py::test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift",
+        ),
+    ),
+    Mutant(
+        "Frozen._replace copies the slots without calling the constructor",
+        "_record.py",
+        "        return type(self)(*values, **changes)\n",
+        """\
+        copy = object.__new__(type(self))
+        copy._set(*values)
+        return copy
+""",
+        (
+            "tests/test_records.py::test_a_copy_with_a_field_out_of_range_is_rejected",
+            "tests/test_sim.py::test_scenario_validation",
+        ),
+    ),
+    Mutant(
         "adaptive and fixed-rate resync prices swapped",
         "protocol.py",
         "SYNC_BYTES = {ADAPTIVE: 2, FIXED_RATE: 8}",

@@ -129,17 +129,14 @@ def test_run_end_charges_nothing_under_adaptive():
     assert s.resync_count[7] == 1  # the out-of-sync frame's own
 
 
-def _device(slot_start_ns):
+def _device(slot_start_ns, tx_period_ns=ms_to_ns(30_000), t_slot_ns=T_SLOT, rng=None):
     """A device whose grid starts at slot_start_ns, as after its first uplink or a correction.
 
     Its next window opens a period after slot_start_ns, as after a boot there.
     """
-    d = EndDeviceState(
-        tx_period_ns=ms_to_ns(30_000),
-        t_slot_ns=T_SLOT,
-        slot_start_local_ns=slot_start_ns,
-    )
-    d.window_start_local_ns = slot_start_ns + d.tx_period_ns
+    d = EndDeviceState(tx_period_ns, t_slot_ns, rng)
+    d.slot_start_local_ns = slot_start_ns
+    d.window_start_local_ns = slot_start_ns + tx_period_ns
     return d
 
 
@@ -273,7 +270,7 @@ def _windows(draw):
 @example(case=(10 * T_SLOT, T_SLOT, 8 * T_SLOT + 5, T_SLOT, [0]), seed=0)
 def test_pick_tx_time_matches_an_independent_draw(case, seed):
     origin, t_slot, window_lo, period, nows = case
-    d = EndDeviceState(period, t_slot, origin, random.Random(seed))
+    d = _device(origin, period, t_slot, random.Random(seed))
     d.window_start_local_ns = window_lo
     oracle_rng = random.Random(seed)
     last_tx = origin
@@ -292,7 +289,7 @@ def test_pick_tx_time_matches_an_independent_draw(case, seed):
         assert got < lo + period if first < lo + period else got == first
         # the aligned pick shares the grid: the first point a period after the last start
         # on a copy of the device whose window opens a period after last_tx
-        a = EndDeviceState(period, t_slot, origin)
+        a = _device(origin, period, t_slot)
         a.window_start_local_ns = last_tx + period
         aligned = ed_next_tx_time(a, now)
         assert aligned == _first_grid_point(origin, t_slot, max(now, last_tx + period))

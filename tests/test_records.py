@@ -10,10 +10,12 @@ import pytest
 
 from lorasync import (
     AirTime,
+    ConfigError,
     ConstantPpm,
     DeviceMetrics,
     DeviceSpec,
     Ideal,
+    ParamError,
     Piecewise,
     RadioParams,
     RandomWalk,
@@ -95,6 +97,38 @@ def test_copying_a_scenario_with_one_field_changed_keeps_the_original():
     assert copy.seed == sc.seed + 7
     assert _fields(sc) == before
     assert [f for f in sc._fields if getattr(copy, f) != getattr(sc, f)] == ["seed"]
+
+
+# each config record, one field put out of its range, and the record's own
+# error; Ideal has no field, so any field it is given is unknown to it
+BAD_COPIES = [
+    (CFG, dict(tb1_ns=CFG.t_tx_ns), ParamError),
+    (RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255), dict(sf=13), ParamError),
+    (Ideal(), dict(offset_ppm=1.0), TypeError),
+    (ConstantPpm(-12.5), dict(offset_ppm=1e6), ParamError),
+    (WALK, dict(step_interval_s=0.0), ParamError),
+    (Piecewise(((0.0, 50.0), (100.0, -50.0))), dict(segments=((1.0, 0.0),)), ParamError),
+    (Scenario(duration_s=600.0, cfg=CFG, devices=(SPEC,)), dict(downlink_loss=1.5), ConfigError),
+]
+
+
+@pytest.mark.parametrize(
+    "record, changes, error", BAD_COPIES, ids=[type(r).__name__ for r, _, _ in BAD_COPIES]
+)
+def test_a_copy_with_a_field_out_of_range_is_rejected(record, changes, error):
+    before = _fields(record)
+    with pytest.raises(error):
+        record._replace(**changes)
+    assert _fields(record) == before
+    # a copy of every field as it is equals the original
+    assert record._replace() == record
+
+
+def test_a_scenario_holds_its_devices_as_a_tuple():
+    sc = Scenario(duration_s=600.0, cfg=CFG, devices=[SPEC])
+    assert sc.devices == (SPEC,) and type(sc.devices) is tuple
+    assert sc._replace(devices=[SPEC, SPEC._replace(name="other")]).devices[1].name == "other"
+    assert type(sc._replace(devices=[SPEC]).devices) is tuple
 
 
 def test_importing_the_cli_loads_no_dataclasses():

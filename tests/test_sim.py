@@ -30,12 +30,11 @@ from lorasync import (
     position_in_slot,
     remaining_to_next_slot,
     uplink_end_in_sync,
-    validate_scenario,
 )
 from lorasync import sim
 from lorasync.sim import MAX_WALK_STEPS
 from lorasync.slot import MAX_SLOT_MS
-from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round
+from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round, s_to_ns
 
 CFG = SlotConfig(
     t_tx_ns=ms_to_ns(306),
@@ -69,14 +68,15 @@ def test_different_seeds_diverge():
 
 
 def test_trace_invariants(bench_scenario):
-    m, trace = run(bench_scenario())
+    sc = bench_scenario()
+    m, trace = run(sc)
     assert m.frames_total == len(trace) > 0
     last_t = -1
     for i, row in enumerate(trace):
         assert row.frame_index == i
         assert row.true_time_ns >= last_t
         last_t = row.true_time_ns
-        assert row.true_time_ns <= m.duration_ns
+        assert row.true_time_ns <= s_to_ns(sc.duration_s)
         assert 0 <= row.arrival_position_ns < CFG.t_slot_ns
         # drift is the wrapped distance from the ideal end
         assert (row.arrival_position_ns + row.signed_drift_ns - CFG.t_tx_ns) % CFG.t_slot_ns == 0
@@ -204,7 +204,7 @@ def test_uplinks_all_answered_and_accounted():
         # every uplink gets one RX1 downlink, except those whose receive
         # window opens after the end of the run (at 619 s, one does)
         assert m.gateway.downlink_count == sum(
-            1 for r in trace if r.true_time_ns + CFG.rx_delay_ns <= m.duration_ns
+            1 for r in trace if r.true_time_ns + CFG.rx_delay_ns <= s_to_ns(duration_s)
         )
         resyncs = sum(1 for r in trace if r.action == "resync")
         assert m.gateway.sync_overhead_bytes == 2 * resyncs
@@ -377,8 +377,7 @@ def test_short_run_produces_no_frames():
 
 def test_scenario_validation():
     dev = DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=30.0)
-    ok = Scenario(duration_s=10.0, cfg=CFG, devices=(dev,))
-    validate_scenario(ok)  # no raise
+    ok = Scenario(duration_s=10.0, cfg=CFG, devices=(dev,))  # no raise
     cases = [
         dict(duration_s=0.0),
         dict(duration_s=1e-10),  # rounds to 0 ns
@@ -401,15 +400,33 @@ def test_scenario_validation():
         # a name with '=' would split the summary's key=value lines
         dict(devices=(dev, DeviceSpec(name="fea=ther", clock_model=Ideal(), tx_period_s=30.0))),
     ]
+    fields = {f: getattr(ok, f) for f in ok._fields}
     for overrides in cases:
+        # the constructor checks, and so does a copy with the field changed
         with pytest.raises(ConfigError):
-            validate_scenario(ok._replace(**overrides))
+            Scenario(**{**fields, **overrides})
+        with pytest.raises(ConfigError):
+            ok._replace(**overrides)
     # a repeated name is blamed on the repeat, by its index and name
     other = DeviceSpec(name="b", clock_model=Ideal(), tx_period_s=30.0)
     with pytest.raises(ConfigError) as e:
-        validate_scenario(ok._replace(devices=(dev, other, dev)))
+        ok._replace(devices=(dev, other, dev))
     assert e.value.device == 2
     assert str(e.value) == "device a: device names must be unique"
+    # the first failing check wins: the run length, then the devices,
+    # then the scenario's own fields, then each device's own
+    first_wins = [
+        (dict(duration_s=0.0, devices=()), "duration_s must be positive, at least 1 ns"),
+        (dict(devices=(dev, dev), strategy="sometimes"), "device a: device names must be unique"),
+        (dict(strategy="sometimes", downlink_loss=2.0), "unknown strategy 'sometimes'"),
+        (dict(downlink_loss=2.0, slot_pick="bursty"), "downlink_loss must be in [0, 1]"),
+        (dict(slot_pick="bursty", devices=(dev._replace(tx_period_s=0.0),)),
+         "unknown slot_pick 'bursty'"),
+    ]
+    for overrides, text in first_wins:
+        with pytest.raises(ConfigError) as e:
+            ok._replace(**overrides)
+        assert str(e.value) == text
     # the inverse draws no walk step past the segment holding its answer,
     # so a step longer than the rest of the int64 range needs no margin
     long_steps = DeviceSpec(name="a", clock_model=RandomWalk(2e9, 1.0, 10.0), tx_period_s=1e9)
@@ -425,11 +442,11 @@ def test_walk_step_count_is_bounded_over_the_clock_horizon():
                    DeviceSpec(name="w", clock_model=walk, tx_period_s=20.0))
         return Scenario(duration_s=60.0, cfg=CFG, devices=devices)
 
-    validate_scenario(scenario(100.0 / MAX_WALK_STEPS))  # the bound itself: no raise
+    scenario(100.0 / MAX_WALK_STEPS)  # the bound itself: no raise
     # the walk steps in whole nanoseconds, so 9999.6 ns steps are 10 us steps
-    validate_scenario(scenario(9999.6e-9))
+    scenario(9999.6e-9)
     with pytest.raises(ConfigError) as e:
-        validate_scenario(scenario(99.9 / MAX_WALK_STEPS))
+        scenario(99.9 / MAX_WALK_STEPS)
     assert e.value.device == 1
     assert str(e.value) == (f"device w: a random walk may draw at most {MAX_WALK_STEPS} "
                             "steps over duration_s + 2 * tx_period_s")
@@ -442,6 +459,7 @@ def test_one_nanosecond_rounds_finish():
         "import sys, time\n"
         "from lorasync import FIXED_RATE, run\n"
         "from lorasync.config import load_scenario\n"
+        "from lorasync.units import s_to_ns\n"
         "sc = load_scenario(sys.argv[1])._replace(\n"
         "    duration_s=600.0, strategy=FIXED_RATE, round_s=1e-9)\n"
         "t0 = time.perf_counter()\n"
@@ -452,7 +470,7 @@ def test_one_nanosecond_rounds_finish():
         "    first.setdefault(r.device_id, r.true_time_ns)\n"
         "    assert (r.remaining_ms is None) == (first[r.device_id] == r.true_time_ns)\n"
         "for name, dm in m.per_device.items():\n"
-        "    assert dm.resync_count == m.duration_ns - first[name], name\n"
+        "    assert dm.resync_count == s_to_ns(sc.duration_s) - first[name], name\n"
         "print(elapsed)\n"
     )
     root = Path(__file__).parent.parent
@@ -510,7 +528,7 @@ def test_remaining_time_fits_the_wire_field_at_the_largest_slot():
         assert 0 <= remaining_ms <= MAX_SLOT_MS
         encode_ack(SyncAck(dev_addr=1, fcnt=0, remaining_ms=remaining_ms))
     # the largest value: an uplink ending on, or just after, a boundary
-    server = NetworkServerState(cfg, n_devices=2)
+    server = NetworkServerState(cfg, n_devices=2, round_ns=None)  # adaptive
     for arrival in (cfg.t_slot_ns, cfg.t_slot_ns + NS_PER_MS // 2 - 1):
         plan = ns_on_uplink_end(server, 1, arrival)
         assert plan.remaining_ms == MAX_SLOT_MS

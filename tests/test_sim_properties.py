@@ -1,4 +1,5 @@
-"""Hypothesis properties of the simulator's fixed-rate rounds.
+"""Hypothesis properties of the simulator: fixed-rate rounds, and the
+adaptive resync interval of a constant-ppm clock.
 
 A round boundary at the same instant as an uplink end comes first: it
 flags every device the server has heard of, and the uplink it ties with
@@ -9,13 +10,18 @@ rounds make them land exactly on boundaries.
 Each run is checked twice: by counting boundaries between uplink ends,
 and by replaying the rounds as events over the trace, one boundary at a
 time.
+
+Under the adaptive strategy a device whose clock runs at a constant
+ppm drifts away from its corrected grid at |ppm| and is resynchronized
+once the drift leaves the guard on its side, so its resyncs come about
+one guard / |ppm| apart.
 """
 
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from lorasync import FIXED_RATE, ConstantPpm, DeviceSpec, Ideal, Scenario, SlotConfig, run
-from lorasync.units import NS_PER_S, ms_to_ns
+from lorasync.units import NS_PER_MS, NS_PER_S, ms_to_ns
 
 # every field a whole number of half seconds and a 4 s grid: a resynced
 # ideal device ends its uplinks on whole seconds
@@ -109,6 +115,7 @@ def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
     )
     m, trace = run(sc)
     round_ns = round_s * NS_PER_S
+    horizon_ns = duration_s * NS_PER_S
 
     first: dict[str, int] = {}
     previous: dict[str, int] = {}
@@ -123,11 +130,80 @@ def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
 
     for spec in specs:
         heard = spec.name in first
-        want = _boundaries(first[spec.name], m.duration_ns, round_ns) if heard else 0
+        want = _boundaries(first[spec.name], horizon_ns, round_ns) if heard else 0
         assert m.per_device[spec.name].resync_count == want, spec.name
 
-    verdicts, charged = _replay_rounds(trace, round_ns, m.duration_ns)
+    verdicts, charged = _replay_rounds(trace, round_ns, horizon_ns)
     for row, was_flagged in zip(trace, verdicts, strict=True):
         assert (row.remaining_ms is not None) == was_flagged, row
     for spec in specs:
         assert m.per_device[spec.name].resync_count == charged.get(spec.name, 0), spec.name
+
+
+# the testbench slot with its 360 ms of guards split unevenly, so that a
+# drift charged against the other side's guard shows
+UNEVEN = SlotConfig(
+    t_tx_ns=ms_to_ns(306),
+    rx_delay_ns=ms_to_ns(1000),
+    t_rx_ns=ms_to_ns(91),
+    tb1_ns=ms_to_ns(120),
+    tb2_ns=ms_to_ns(240),
+)
+
+
+def _resync_interval_bounds(ppm: float, tx_period_s: int) -> tuple[float, float]:
+    """The least and the most reference ns between two resyncs of a device at ppm.
+
+    A fast clock (ppm > 0) ends its uplinks early and leaves through tb1,
+    a slow one through tb2.  The ACK's remaining time is rounded to whole
+    milliseconds, half up, so a correction leaves up to half a
+    millisecond of drift; and the first uplink past the guard follows
+    the last one inside it within two periods and a slot.
+    """
+    guard = UNEVEN.tb1_ns if ppm > 0 else UNEVEN.tb2_ns
+    half_ms = NS_PER_MS / 2
+    lo = (guard - half_ms) * 1e6 / abs(ppm)
+    hi = (guard + half_ms) * 1e6 / abs(ppm) + 2 * tx_period_s * NS_PER_S + UNEVEN.t_slot_ns
+    return lo, hi
+
+
+# a failing case is reported as drawn: shrinking one ran for minutes,
+# each step a run of up to tens of thousands of frames
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    devices=st.lists(
+        st.tuples(st.floats(5.0, 200.0), st.booleans(), st.integers(10, 300)),
+        min_size=3, max_size=3,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift(devices, seed):
+    specs = tuple(
+        DeviceSpec(name=f"d{i}", clock_model=ConstantPpm(ppm if fast else -ppm),
+                   tx_period_s=float(period))
+        for i, (ppm, fast, period) in enumerate(devices)
+    )
+    bounds = {
+        spec.name: _resync_interval_bounds(spec.clock_model.offset_ppm, int(spec.tx_period_s))
+        for spec in specs
+    }
+    # a device first leaves the in-sync window once its drift has crossed
+    # at most both guards; three intervals after that fit in the run
+    duration_s = max(
+        (UNEVEN.tb1_ns + UNEVEN.tb2_ns) * 1e6 / abs(spec.clock_model.offset_ppm)
+        + 4 * bounds[spec.name][1]
+        for spec in specs
+    ) / NS_PER_S
+    _, trace = run(Scenario(duration_s=duration_s, cfg=UNEVEN, devices=specs, seed=seed))
+
+    last: dict[str, int] = {}
+    intervals = {spec.name: 0 for spec in specs}
+    for row in trace:
+        if row.remaining_ms is None:
+            continue
+        if row.device_id in last:
+            lo, hi = bounds[row.device_id]
+            assert lo <= row.true_time_ns - last[row.device_id] <= hi, row
+            intervals[row.device_id] += 1
+        last[row.device_id] = row.true_time_ns
+    assert min(intervals.values()) >= 3, intervals
