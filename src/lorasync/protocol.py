@@ -37,8 +37,11 @@ one correction, and one resync per boundary.  A first uplink counts none.
 The server is built for the devices of a run and knows each by its
 index: it keeps one list per count (resyncs, out-of-sync frames, and
 under fixed-rate the last uplink end) with an entry for every device,
-heard or not.  `ack_remaining_ms` is the one derivation of the ACK's
-remaining-time field; a trace derives it again when it is read.
+heard or not.  It judges each uplink end with one
+`slot.uplink_end_in_sync` call, and its `AckPlan` holds only its
+decision, the ACK's remaining-time field or None; the ACK goes out when
+RX1 opens, rx_delay after the uplink end.  `ack_remaining_ms` is the one
+derivation of that field; a trace derives it again when it is read.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import UsageError
-from .slot import SlotConfig, position_in_slot, remaining_to_next_slot, uplink_end_in_sync
+from .slot import SlotConfig, remaining_to_next_slot, uplink_end_in_sync
 from .units import NS_PER_MS, ns_to_ms_round
 
 ADAPTIVE = "adaptive"
@@ -73,10 +76,9 @@ class NetworkServerState:
 
 
 class AckPlan(NamedTuple):
-    """One ACK the server intends to send at the RX1 opening."""
+    """The server's decision on one uplink: its ACK's remaining-time field, None if empty."""
 
     remaining_ms: int | None
-    scheduled_tx_true_time_ns: int
 
 
 class EndDeviceState:
@@ -109,7 +111,7 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
     one].
     """
     cfg = s.cfg
-    in_sync = uplink_end_in_sync(position_in_slot(arrival_true_ns, cfg), cfg)[0]
+    in_sync = uplink_end_in_sync(arrival_true_ns, cfg)[2]
     if not in_sync:
         s.out_sync_count[device_index] += 1
 
@@ -122,10 +124,7 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
         boundaries = 0 if last is None else arrival_true_ns // s.round_ns - last // s.round_ns
         s.resync_count[device_index] += boundaries
         resync = boundaries > 0
-    return AckPlan(
-        ack_remaining_ms(arrival_true_ns, cfg) if resync else None,
-        arrival_true_ns + cfg.rx_delay_ns,
-    )
+    return AckPlan(ack_remaining_ms(arrival_true_ns, cfg) if resync else None)
 
 
 def ns_on_run_end(s: NetworkServerState, end_true_ns: int):

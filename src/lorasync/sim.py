@@ -1,15 +1,17 @@
 """Deterministic discrete-event execution of synchronization scenarios.
 
 A `Scenario` is checked when it is built, and so is every copy
-`_replace` makes of it: `run` takes any scenario as it is.
+`_replace` makes of it: `run` takes any scenario as it is.  Its clocks'
+walks and its frames are bounded (`MAX_WALK_STEPS`, `MAX_FRAMES`).
 
 Everything runs on virtual time.  Events are popped from a heap keyed by
 (time, insertion sequence), so identical (scenario, seed) pairs replay
 bit for bit.  A frame is the only event, pushed at its uplink end.  Its
 handler counts the collisions of the uplink, judges it at the server,
-then opens RX1 (counted only if RX1 opens within the run) and applies
-the ACK and asks the device for its next transmission (only if the ACK
-ends within the run).
+which decides the ACK's remaining-time field, then opens RX1 rx_delay
+after the uplink end (counted only if RX1 opens within the run) and
+applies the ACK and asks the device for its next transmission (only if
+the ACK ends within the run).
 
 Fixed-rate round boundaries fall every round_s from 0 and need no
 events: the server counts those since a device's previous uplink when it
@@ -45,8 +47,9 @@ downlink loss exercises the protocol's self-correction.
 length, and its `TraceRow`s in time order, one per frame.  It stores what
 the run decided, the device, the uplink end and whether the server
 attached a correction, in typed columns of 13 bytes a frame;
-`Trace.fields` derives the rest of each row, the slot judgement of its
-uplink end and the remaining time of a correction, as it is read.
+`Trace.fields` derives the rest of each row as it is read: the slot
+judgement of its uplink end, one `slot.uplink_end_in_sync` call as the
+server made, and the remaining time of a correction.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from .protocol import (
     ns_on_run_end,
     ns_on_uplink_end,
 )
-from .slot import SlotConfig, position_in_slot, uplink_end_in_sync
+from .slot import SlotConfig, uplink_end_in_sync
 from .units import NS_PER_S, s_to_ns
 
 SLOT_PICK_RANDOM = "random"
@@ -85,6 +88,10 @@ SLOT_PICK_ALIGNED = "aligned"
 # steps a random walk may draw over duration_s + 2 * tx_period_s: at about
 # 0.75 us a step (Python 3.11, Xeon) a clock draws for under 10 s
 MAX_WALK_STEPS = 10_000_000
+# frames a run may send, counted as duration_s / tx_period_s summed over
+# its devices: the trace keeps 13 B of each, 130 MB at the bound, and
+# 1000 devices over 6 h at 30 s periods send about 720,000
+MAX_FRAMES = 10_000_000
 
 
 class DeviceSpec(NamedTuple):
@@ -164,6 +171,10 @@ class Scenario(Frozen):
                     raise ConfigError(f"device {d.name}: a random walk may draw at most "
                                       f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
                                       device=i)
+        # after every device's own checks: a 0 s period is reported, not divided by
+        if sum(duration_s / d.tx_period_s for d in devices) > MAX_FRAMES:
+            raise ConfigError(f"duration_s / tx_period_s summed over the devices must be at most "
+                              f"{MAX_FRAMES}, the frames a run may send")
         self._set(duration_s, cfg, devices, strategy, round_s,
                   seed, duty_cycle_limit, downlink_loss, slot_pick)
 
@@ -217,13 +228,12 @@ class Trace:
         for lo in range(0, len(self), _CHUNK_ROWS):
             chunk = slice(lo, lo + _CHUNK_ROWS)
             times = self.true_time_ns[chunk]
-            positions = [position_in_slot(t, cfg) for t in times]
             yield [
                 (i, names[dev], t, pos, drift, in_sync, "resync" if resync else "none",
                  ack_remaining_ms(t, cfg) if resync else None, strategy)
-                for i, dev, t, pos, (in_sync, drift), resync in zip(
-                    count(lo), self.device_index[chunk], times, positions,
-                    map(uplink_end_in_sync, positions, repeat(cfg)), self.resync[chunk],
+                for i, dev, t, (pos, drift, in_sync), resync in zip(
+                    count(lo), self.device_index[chunk], times,
+                    map(uplink_end_in_sync, times, repeat(cfg)), self.resync[chunk],
                 )
             ]
 
@@ -283,6 +293,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     trace = Trace([spec.name for spec in scenario.devices], scenario.strategy, cfg)
 
     t_tx = cfg.t_tx_ns
+    rx_delay = cfg.rx_delay_ns
     t_rx = cfg.t_rx_ns
     # (uplink end, insertion sequence, device index); the sequence breaks
     # ties in push order
@@ -317,13 +328,14 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
                 active_ends.popleft()
             collisions += len(active_ends)  # one per overlapping pair
             active_ends.append(t)
-            remaining_ms, t_rx1 = ns_on_uplink_end(server, i, t)
+            remaining_ms = ns_on_uplink_end(server, i, t).remaining_ms
             add_device(i)
             add_time(t)
             add_resync(remaining_ms is not None)
 
             # RX1 opens and the ACK ends at fixed offsets from the uplink
             # end, so handling both here keeps their order across devices
+            t_rx1 = t + rx_delay
             if t_rx1 > duration_ns:
                 continue
             t_ack = t_rx1 + t_rx

@@ -11,7 +11,9 @@ ideal end sits at offset t_tx, and the signed drift is how far before
 (+) or after (-) the ideal end the frame actually landed.
 
 The server's grid starts at reference time 0: slot n starts at
-n * t_slot, and times before 0 have no position in it.
+n * t_slot, and times before 0 have no position in it.  One call,
+`uplink_end_in_sync`, makes the whole judgement of an uplink end: its
+position in the slot, its signed drift and the verdict.
 """
 
 from __future__ import annotations
@@ -57,29 +59,29 @@ class SlotConfig(Frozen):
         return self._t_slot_ns
 
 
-def position_in_slot(time_ns: int, cfg: SlotConfig) -> int:
-    if time_ns < 0:
-        raise UsageError("time precedes the slot grid's origin")
-    return time_ns % cfg.t_slot_ns
-
-
 def remaining_to_next_slot(time_ns: int, cfg: SlotConfig) -> int:
     """Time until the next slot boundary; a full t_slot exactly on one."""
-    return cfg.t_slot_ns - position_in_slot(time_ns, cfg)
-
-
-def uplink_end_in_sync(arrival_pos_ns: int, cfg: SlotConfig) -> tuple[bool, int]:
-    """Judge an uplink by where it ended inside the slot.
-
-    Returns (in_sync, signed_drift).  signed_drift = t_tx - arrival_pos,
-    wrapped into (-t_slot/2, t_slot/2]: positive means the frame ended
-    early (fast clock, charged against tb1), negative means late (slow
-    clock, charged against tb2).  In-sync iff -tb2 < drift < tb1, strict.
-    """
+    if time_ns < 0:
+        raise UsageError("time precedes the slot grid's origin")
     t_slot = cfg.t_slot_ns
-    if not 0 <= arrival_pos_ns < t_slot:
-        raise UsageError(f"arrival position must be in [0, {t_slot})")
-    d = (cfg.t_tx_ns - arrival_pos_ns) % t_slot
+    return t_slot - time_ns % t_slot
+
+
+def uplink_end_in_sync(time_ns: int, cfg: SlotConfig) -> tuple[int, int, bool]:
+    """Judge an uplink by where it ended inside its slot.
+
+    Returns (arrival_position, signed_drift, in_sync), in TraceRow order.
+    arrival_position = time_ns mod t_slot.  signed_drift = t_tx -
+    arrival_position, wrapped into (-t_slot/2, t_slot/2]: positive means
+    the frame ended early (fast clock, charged against tb1), negative
+    means late (slow clock, charged against tb2).  In-sync iff
+    -tb2 < drift < tb1, strict.
+    """
+    if time_ns < 0:
+        raise UsageError("time precedes the slot grid's origin")
+    t_slot = cfg.t_slot_ns
+    pos = time_ns % t_slot
+    d = (cfg.t_tx_ns - pos) % t_slot
     if 2 * d > t_slot:
         d -= t_slot
-    return (-cfg.tb2_ns < d < cfg.tb1_ns), d
+    return pos, d, -cfg.tb2_ns < d < cfg.tb1_ns

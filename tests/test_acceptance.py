@@ -24,7 +24,6 @@ from lorasync import (
     decode_uplink,
     encode_ack,
     encode_uplink,
-    position_in_slot,
     remaining_time_bit_width,
     remaining_to_next_slot,
     run,
@@ -223,7 +222,7 @@ def test_a8_protocol_invariants(criterion, bench_scenario):
     ident_ok = True
     for _ in range(10_000):
         t = rng.randrange(0, 10**15)
-        pos = position_in_slot(t, BENCH_CFG)
+        pos = uplink_end_in_sync(t, BENCH_CFG)[0]
         ident_ok = ident_ok and pos + remaining_to_next_slot(t, BENCH_CFG) == BENCH_CFG.t_slot_ns
 
     # bit-identical replay: same scenario, same seed, same trace hash
@@ -253,8 +252,9 @@ def test_a8_protocol_invariants(criterion, bench_scenario):
         in_tb1 = uplink_end_in_sync(cfg.t_tx_ns - tb1 + 1, cfg)
         at_tb2 = uplink_end_in_sync(cfg.t_tx_ns + tb2, cfg)
         in_tb2 = uplink_end_in_sync(cfg.t_tx_ns + tb2 - 1, cfg)
-        edges_ok = edges_ok and at_tb1 == (False, tb1) and at_tb2 == (False, -tb2)
-        edges_ok = edges_ok and in_tb1 == (True, tb1 - 1) and in_tb2 == (True, -(tb2 - 1))
+        # each judgement is (position, drift, in_sync)
+        edges_ok = edges_ok and at_tb1[1:] == (tb1, False) and at_tb2[1:] == (-tb2, False)
+        edges_ok = edges_ok and in_tb1[1:] == (tb1 - 1, True) and in_tb2[1:] == (-(tb2 - 1), True)
 
     elapsed = time.monotonic() - t0
     criterion(

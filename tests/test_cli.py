@@ -7,6 +7,7 @@ import re
 import string
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,38 @@ def test_simulate_trace_csv(tmp_path, capsys):
     for raw in rows[1:]:
         row = dict(zip(CSV_HEADER, raw))
         assert (row["remaining_ms"] != "") == (row["action"] == "resync")
+
+
+def test_each_frame_is_judged_once_by_the_server_and_once_by_the_writer(tmp_path):
+    # counted with sys.setprofile, so no name in the package is patched:
+    # the server judges each uplink end with one slot call and derives a
+    # correction's remaining time with one more; the trace writer does
+    # the same for each row it renders
+    from lorasync import protocol, slot
+
+    slot_codes = {f.__code__ for f in vars(slot).values()
+                  if isinstance(f, types.FunctionType) and f.__module__ == slot.__name__}
+    server_code = protocol.ns_on_uplink_end.__code__
+    calls = {"slot": 0, "server": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code in slot_codes:
+                calls["slot"] += 1
+            elif frame.f_code is server_code:
+                calls["server"] += 1
+
+    sc = load_scenario(BENCH)._replace(downlink_loss=0.3)
+    sys.setprofile(profile)
+    try:
+        _, trace = run(sc)
+        cli.write_trace_csv(tmp_path / "trace.csv", trace)
+    finally:
+        sys.setprofile(None)
+    frames = len(trace)
+    resync_rows = sum(row.action == "resync" for row in trace)
+    assert frames > 100 and resync_rows > 0
+    assert calls == {"slot": 2 * frames + 2 * resync_rows, "server": frames}
 
 
 def test_simulate_csv_quotes_device_names_like_csv_writer(tmp_path, capsys, monkeypatch):
@@ -268,6 +301,25 @@ def test_simulate_rejects_a_walk_with_too_many_steps(tmp_path):
     assert proc.stderr == (
         "error: line 11: device d: a random walk may draw at most 10000000 steps "
         "over duration_s + 2 * tx_period_s\n"
+    )
+
+
+def test_simulate_rejects_a_run_of_too_many_frames(tmp_path):
+    # one device every 30 s for 4.6e9 s is about 1.5e8 frames, each kept
+    # in the trace: minutes of run and gigabytes of memory.  It runs in a
+    # child, so a regression fails on the timeout, not hangs
+    path = tmp_path / "frames.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s="4.6e9", clock="clock = ideal", tx_period_s=30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorasync.cli", "simulate", str(path)],
+        env=_child_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    # the error points at [scenario]
+    assert proc.stderr == (
+        "error: line 1: duration_s / tx_period_s summed over the devices must be at most "
+        "10000000, the frames a run may send\n"
     )
 
 

@@ -210,10 +210,30 @@ MUTANTS = (
     Mutant(
         "the in-sync judgement charges each drift against the other guard",
         "slot.py",
-        "return (-cfg.tb2_ns < d < cfg.tb1_ns), d",
-        "return (-cfg.tb1_ns < d < cfg.tb2_ns), d",
+        "return pos, d, -cfg.tb2_ns < d < cfg.tb1_ns",
+        "return pos, d, -cfg.tb1_ns < d < cfg.tb2_ns",
         (
             "tests/test_sim_properties.py::test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift",
+        ),
+    ),
+    Mutant(
+        "the in-sync judgement sends the half-slot tie to the negative side",
+        "slot.py",
+        "if 2 * d > t_slot:",
+        "if 2 * d >= t_slot:",
+        (
+            "tests/test_slot.py::test_judgement_matches_an_independent_oracle",
+            "tests/test_slot.py::test_in_sync_judgement_examples",
+        ),
+    ),
+    Mutant(
+        "the in-sync judgement counts the tb1 edge as in sync",
+        "slot.py",
+        "-cfg.tb2_ns < d < cfg.tb1_ns",
+        "-cfg.tb2_ns < d <= cfg.tb1_ns",
+        (
+            "tests/test_slot.py::test_judgement_matches_an_independent_oracle",
+            "tests/test_slot.py::test_in_sync_guard_edges_exact",
         ),
     ),
     Mutant(
@@ -249,6 +269,13 @@ MUTANTS = (
             "tests/test_sim.py::test_walk_step_count_is_bounded_over_the_clock_horizon",
             "tests/test_cli.py::test_simulate_rejects_a_walk_with_too_many_steps",
         ),
+    ),
+    Mutant(
+        "frame bound checks each device alone, not their sum",
+        "sim.py",
+        "if sum(duration_s / d.tx_period_s for d in devices) > MAX_FRAMES:",
+        "if max(duration_s / d.tx_period_s for d in devices) > MAX_FRAMES:",
+        ("tests/test_sim.py::test_frame_count_is_bounded_over_all_devices",),
     ),
     Mutant(
         "a device's out-of-sync count reads its resyncs",

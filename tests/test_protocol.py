@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorasync import (
+    AckPlan,
     EndDeviceState,
     NetworkServerState,
     SlotConfig,
@@ -44,8 +45,8 @@ def test_in_sync_uplink_gets_empty_ack():
     s = _server()
     # frame ends exactly at the ideal offset of slot 2
     plan = ns_on_uplink_end(s, device_index=7, arrival_true_ns=2 * T_SLOT + CFG.t_tx_ns)
-    assert plan.remaining_ms is None
-    assert plan.scheduled_tx_true_time_ns == 2 * T_SLOT + CFG.t_tx_ns + CFG.rx_delay_ns
+    # the plan holds only the server's decision: an empty ACK
+    assert plan == AckPlan(remaining_ms=None)
     assert s.resync_count[7] == 0
     assert s.out_sync_count[7] == 0
 
@@ -195,7 +196,8 @@ def test_server_correction_lands_device_on_grid():
         plan = ns_on_uplink_end(s, device_index=trial, arrival_true_ns=end)
         if plan.remaining_ms is None:
             continue  # got lucky, already inside the guards
-        ack_end = plan.scheduled_tx_true_time_ns + CFG.t_rx_ns
+        # RX1 opens rx_delay after the uplink end
+        ack_end = end + CFG.rx_delay_ns + CFG.t_rx_ns
         ed_on_ack(d, end, ack_end, plan.remaining_ms)
         # remaining_ms is whole milliseconds and all inputs are whole ms
         # here, so the reconstructed grid must sit exactly on the server's

@@ -27,12 +27,11 @@ from lorasync import (
     NetworkServerState,
     encode_ack,
     ns_on_uplink_end,
-    position_in_slot,
     remaining_to_next_slot,
     uplink_end_in_sync,
 )
 from lorasync import sim
-from lorasync.sim import MAX_WALK_STEPS
+from lorasync.sim import MAX_FRAMES, MAX_WALK_STEPS
 from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round, s_to_ns
 
@@ -81,7 +80,7 @@ def test_trace_invariants(bench_scenario):
         # drift is the wrapped distance from the ideal end
         assert (row.arrival_position_ns + row.signed_drift_ns - CFG.t_tx_ns) % CFG.t_slot_ns == 0
         assert row.in_sync == (-CFG.tb2_ns < row.signed_drift_ns < CFG.tb1_ns)
-        assert row.in_sync == uplink_end_in_sync(row.arrival_position_ns, CFG)[0]
+        assert row.in_sync == uplink_end_in_sync(row.arrival_position_ns, CFG)[2]
         # adaptive: correction attached exactly when out of sync
         assert row.action == ("none" if row.in_sync else "resync")
         assert (row.remaining_ms is not None) == (row.action == "resync")
@@ -115,9 +114,8 @@ def test_trace_rows_match_an_independent_judgement(bench_scenario):
     for i, row in enumerate(trace):
         assert row.frame_index == i
         assert row.device_id in names and row.strategy == FIXED_RATE
-        pos = position_in_slot(row.true_time_ns, cfg)
-        assert row.arrival_position_ns == pos
-        assert (row.in_sync, row.signed_drift_ns) == uplink_end_in_sync(pos, cfg)
+        judged = (row.arrival_position_ns, row.signed_drift_ns, row.in_sync)
+        assert judged == uplink_end_in_sync(row.true_time_ns, cfg)
         assert type(row.in_sync) is bool
         if row.action == "resync":
             want = ns_to_ms_round(remaining_to_next_slot(row.true_time_ns, cfg))
@@ -450,6 +448,25 @@ def test_walk_step_count_is_bounded_over_the_clock_horizon():
     assert e.value.device == 1
     assert str(e.value) == (f"device w: a random walk may draw at most {MAX_WALK_STEPS} "
                             "steps over duration_s + 2 * tx_period_s")
+
+
+def test_frame_count_is_bounded_over_all_devices():
+    # devices every 10 s and 30 s send 4 frames per 30 s between them
+    def scenario(duration_s, periods=(10.0, 30.0)):
+        devices = tuple(DeviceSpec(name=f"d{i}", clock_model=Ideal(), tx_period_s=p)
+                        for i, p in enumerate(periods))
+        return Scenario(duration_s=duration_s, cfg=CFG, devices=devices)
+
+    scenario(7.5 * MAX_FRAMES)  # the bound itself: no raise
+    with pytest.raises(ConfigError) as e:
+        scenario(7.5 * MAX_FRAMES + 7.5)  # one frame over it
+    assert e.value.device is None
+    assert str(e.value) == ("duration_s / tx_period_s summed over the devices must be at most "
+                            f"{MAX_FRAMES}, the frames a run may send")
+    # each device's own checks come first: a 0 s period is reported as such
+    with pytest.raises(ConfigError, match="tx_period_s must be positive") as e:
+        scenario(4.6e9, periods=(30.0, 0.0))
+    assert e.value.device == 1
 
 
 def test_one_nanosecond_rounds_finish():
