@@ -6,9 +6,10 @@ and with 10% and 50% downlink loss, the sha256 of the trace CSV and of the
 block of `compare configs/testbench.ini`, and the outputs of a small
 fixed-rate scenario built to make events tie on the nanosecond (see
 `_ties_config`) and of a scenario whose period windows hold from none
-to about two thousand slot starts (see `_slot_draw_config`).  A change
-that alters any of
-these bytes is a behaviour change: it re-pins the file and says why.
+to about two thousand slot starts (see `_slot_draw_config`), and of a
+scenario with one device per clock kind the config accepts (see
+`_clocks_config`).  A change that alters any of these bytes is a
+behaviour change: it re-pins the file and says why.
 
 Replay must also hold across interpreter processes: two different
 PYTHONHASHSEED values give byte-identical output.
@@ -166,6 +167,51 @@ def test_slot_draws_are_pinned(tmp_path, capsys):
         "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
     }
     assert got == GOLDEN["simulate"]["slot-draws"]
+
+
+def _clocks_config() -> str:
+    """One device of every clock kind the config accepts, with ACK loss.
+
+    The piecewise clock has three segments, a boundary at a fractional
+    second and a negative rate; the random walk has its own seed; the
+    constant offset is negative and fractional.  A fifth of the ACKs
+    are lost, so corrections are retried.
+    """
+    parts = [
+        "[scenario]\nduration_s = 10800\nseed = 5\nstrategy = adaptive\ndownlink_loss = 0.2\n",
+        "[slot]\nt_tx_ms = 306\nt_rx_ms = 91\nrx_delay_ms = 1000\ntb1_ms = 40\ntb2_ms = 40\n",
+    ]
+    clocks = {
+        "ideal": "clock = ideal",
+        "ttgo": "clock = ttgo-like",
+        "offset": "clock = constant_ppm\noffset_ppm = -12.75",
+        "staged": "clock = piecewise\nsegments = 0:25, 1800.25:-30.5, 5400:12",
+        "walk": "clock = random_walk\nstep_interval_s = 90\nstep_std_ppm = 3\n"
+        "initial_ppm = -20\nseed = 17",
+        "feather": "clock = feather-like",
+    }
+    for label, clock in clocks.items():
+        parts.append(f"[device {label}]\n{clock}\ntx_period_s = 30\n")
+    return "\n".join(parts)
+
+
+def test_every_clock_kind_is_pinned(tmp_path, capsys):
+    text = _clocks_config()
+    _, trace = run(parse_scenario(text))
+    resyncs = {}
+    for r in trace:
+        resyncs[r.device_id] = resyncs.get(r.device_id, 0) + (r.action == "resync")
+    assert len(resyncs) == 6 and sum(resyncs.values()) > 2 * 6  # corrections past the first
+
+    ini = tmp_path / "clocks.ini"
+    ini.write_text(text)
+    csv_path = tmp_path / "trace.csv"
+    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
+    got = {
+        "trace_csv": _sha256(csv_path.read_bytes()),
+        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
+    }
+    assert got == GOLDEN["simulate"]["clocks"]
 
 
 def test_compare_block_is_pinned(capsys):
