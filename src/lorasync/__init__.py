@@ -14,7 +14,7 @@ from .airtime import (
     symbol_duration_ns,
     time_on_air,
 )
-from .clock import ConstantPpm, Ideal, Piecewise, RandomWalk, SimClock, preset
+from .clock import Piecewise, RandomWalk, SimClock, preset
 from .config import load_scenario, parse_scenario
 from .errors import (
     ConfigError,

@@ -5,9 +5,10 @@ A device whose oscillator runs at f0 + df sees its local clock advance by
 (reference - local): a fast device is ahead, so its drift is negative.
 
 Every model is a stream of rate segments (start, end, local start, local
-end, ppm) in time order: a table for Ideal, ConstantPpm and Piecewise, a
-generator that draws each step as it is first needed for RandomWalk.  The
-last segment's local end is unbounded.  _forward() is the one rate map;
+end, ppm) in time order: a Piecewise model builds its table once, and a
+constant rate is a Piecewise model of one segment; a RandomWalk is a
+generator that draws each step as it is first needed.  The last
+segment's local end is unbounded.  _forward() is the one rate map;
 it rounds the offset once over the whole interval since a segment start,
 so querying a clock in many small steps or one big step yields
 bit-identical local times (the simulator depends on that).
@@ -57,21 +58,6 @@ def _forward(dt: int, ppm: float) -> int:
     return dt + round(dt * ppm / 1_000_000)
 
 
-class Ideal(Frozen):
-    """Perfect oscillator, local time equals reference time."""
-
-    __slots__ = ()
-
-
-class ConstantPpm(Frozen):
-    __slots__ = _fields = ("offset_ppm",)
-
-    def __init__(self, offset_ppm: float):
-        if not abs(offset_ppm) < _PPM_LIMIT:
-            raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
-        self._set(offset_ppm)
-
-
 class RandomWalk(Frozen):
     """Piecewise-constant ppm that takes a Gaussian step every interval.
 
@@ -113,11 +99,18 @@ class RandomWalk(Frozen):
 
 
 class Piecewise(Frozen):
-    """Explicit (from_time_s, offset_ppm) segments, first at t=0."""
+    """Explicit (from_time_s, offset_ppm) segments, first at t=0; a
+    constant rate is one segment.
 
-    __slots__ = _fields = ("segments",)
+    segments is held as a tuple of pairs.  table holds its rate segments,
+    in nanoseconds, built once here for every SimClock of the model.
+    """
+
+    _fields = ("segments",)
+    __slots__ = (*_fields, "table")
 
     def __init__(self, segments: tuple[tuple[float, float], ...]):
+        segments = tuple((t, ppm) for t, ppm in segments)
         if not segments:
             raise ParamError("piecewise model needs at least one segment")
         if segments[0][0] != 0:
@@ -132,13 +125,20 @@ class Piecewise(Frozen):
             )
         if any(not abs(ppm) < _PPM_LIMIT for _, ppm in segments):
             raise ParamError(f"|offset_ppm| must be < {_PPM_LIMIT}")
-        for (t0, ppm), (t1, _) in zip(segments, segments[1:]):
-            if _forward(round(t1 * NS_PER_S) - round(t0 * NS_PER_S), ppm) <= 0:
-                raise ParamError(f"piecewise segment at {t0} s must advance local time")
+        starts = [round(t * NS_PER_S) for t in times]
+        table, local_start = [], 0
+        for (t, ppm), start, end in zip(segments, starts, starts[1:]):
+            local_end = local_start + _forward(end - start, ppm)
+            if local_end <= local_start:
+                raise ParamError(f"piecewise segment at {t} s must advance local time")
+            table.append((start, end, local_start, local_end, ppm))
+            local_start = local_end
+        table.append((starts[-1], REF_NS_MAX + 1, local_start, inf, segments[-1][1]))
         self._set(segments)
+        object.__setattr__(self, "table", tuple(table))
 
 
-ClockModel = Ideal | ConstantPpm | RandomWalk | Piecewise
+ClockModel = Piecewise | RandomWalk
 
 
 def _walk(model: RandomWalk):
@@ -180,18 +180,7 @@ class SimClock:
                 raise ParamError("RandomWalk clock needs a concrete seed to run")
             self._next = _walk(model).__next__
         else:
-            if isinstance(model, Piecewise):
-                rows = [(round(t * NS_PER_S), ppm) for t, ppm in model.segments]
-            else:
-                rows = [(0, 0.0 if isinstance(model, Ideal) else model.offset_ppm)]
-            table, local_start = [], 0
-            for (start, ppm), (end, _) in zip(rows, rows[1:]):
-                local_end = local_start + _forward(end - start, ppm)
-                table.append((start, end, local_start, local_end, ppm))
-                local_start = local_end
-            start, ppm = rows[-1]
-            table.append((start, REF_NS_MAX + 1, local_start, inf, ppm))
-            self._next = iter(table).__next__
+            self._next = iter(model.table).__next__
         self._seg = self._prev = self._next()
 
     def _advance(self, true_time_ns: int, local_ns: int = -1):
@@ -263,4 +252,4 @@ def preset(name: str, seed: int | None = None) -> ClockModel:
         raise ParamError(f"unknown clock preset {name!r}")
     if seed is not None:
         raise ParamError(f"clock preset {name!r} draws nothing, so takes no seed")
-    return Ideal() if name == "ideal" else ConstantPpm(2.0)
+    return Piecewise(((0.0, 0.0 if name == "ideal" else 2.0),))

@@ -21,7 +21,7 @@ of [scenario].
 from __future__ import annotations
 
 from .airtime import RadioParams, time_on_air
-from .clock import ClockModel, ConstantPpm, Piecewise, RandomWalk, preset
+from .clock import ClockModel, Piecewise, RandomWalk, preset
 from .errors import ConfigError, ParamError
 from .sim import DeviceSpec, Scenario
 from .slot import SlotConfig
@@ -140,7 +140,7 @@ def _clock_from(sec: _Section, device: str) -> ClockModel:
         if kind == "feather-like":
             return preset(kind, **sec.given(seed=int))
         if kind == "constant_ppm":
-            return ConstantPpm(sec.take("offset_ppm", float))
+            return Piecewise(((0.0, sec.take("offset_ppm", float)),))
         if kind == "random_walk":
             return RandomWalk(
                 step_interval_s=sec.take("step_interval_s", float),

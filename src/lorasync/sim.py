@@ -283,9 +283,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         clock_seed = dev_master.getrandbits(64)
         model = spec.clock_model
         if isinstance(model, RandomWalk) and model.seed is None:
-            model = RandomWalk(
-                model.step_interval_s, model.step_std_ppm, model.initial_ppm, clock_seed
-            )
+            model = model._replace(seed=clock_seed)
         states.append(EndDeviceState(s_to_ns(spec.tx_period_s), cfg.t_slot_ns, rng=sched_rng))
         clocks.append(SimClock(model))
     loss_rng = random.Random(master.getrandbits(64))

@@ -3,13 +3,14 @@
 It keeps every rate segment from t=0 and finds a reference time's
 segment by bisection, and the inverse by bisection over reference time.  Random-walk steps are
 random.Random(seed).gauss(0.0, std), drawn as far as a query needs;
-Piecewise and ConstantPpm segments come straight from the model.
+Piecewise segments come straight from the model's (time, ppm) pairs,
+converted to nanoseconds here.
 """
 
 import random
 from bisect import bisect_left, bisect_right
 
-from lorasync import ConstantPpm, Ideal, Piecewise, RandomWalk
+from lorasync import Piecewise, RandomWalk
 from lorasync.units import NS_PER_S
 
 
@@ -18,11 +19,7 @@ class ReferenceClock:
         self.starts = [0]
         self.local_starts = [0]
         self._rng = None
-        if isinstance(model, Ideal):
-            self.ppms = [0.0]
-        elif isinstance(model, ConstantPpm):
-            self.ppms = [model.offset_ppm]
-        elif isinstance(model, RandomWalk):
+        if isinstance(model, RandomWalk):
             self.ppms = [model.initial_ppm]
             self._rng = random.Random(model.seed)
             self._step = round(model.step_interval_s * NS_PER_S)

@@ -14,7 +14,6 @@ from lorasync import (
     ADAPTIVE,
     DeviceSpec,
     FIXED_RATE,
-    Ideal,
     RadioParams,
     Scenario,
     SlotConfig,
@@ -24,6 +23,7 @@ from lorasync import (
     decode_uplink,
     encode_ack,
     encode_uplink,
+    preset,
     remaining_time_bit_width,
     remaining_to_next_slot,
     run,
@@ -93,7 +93,7 @@ def test_a4_bootstrap_in_sync_rate(criterion):
     total = hits = 0
     for seed in range(3):
         devices = tuple(
-            DeviceSpec(name=f"d{i}", clock_model=Ideal(), tx_period_s=30.0)
+            DeviceSpec(name=f"d{i}", clock_model=preset("ideal"), tx_period_s=30.0)
             for i in range(10_000)
         )
         sc = Scenario(duration_s=30.4, cfg=BENCH_CFG, devices=devices, seed=seed)
@@ -120,7 +120,7 @@ def test_a5_single_correction_is_exact(criterion):
     worst = 0
     for seed in range(50):
         devices = tuple(
-            DeviceSpec(name=f"d{i}", clock_model=Ideal(), tx_period_s=30.0)
+            DeviceSpec(name=f"d{i}", clock_model=preset("ideal"), tx_period_s=30.0)
             for i in range(2)
         )
         sc = Scenario(duration_s=120.0, cfg=BENCH_CFG, devices=devices, seed=seed)

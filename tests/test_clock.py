@@ -2,12 +2,11 @@
 
 import random
 import tracemalloc
+from math import inf
 
 import pytest
 
 from lorasync import (
-    ConstantPpm,
-    Ideal,
     ParamError,
     Piecewise,
     RandomWalk,
@@ -21,7 +20,7 @@ from reference_clock import ReferenceClock
 
 
 def test_ideal_clock_is_identity():
-    c = SimClock(Ideal())
+    c = SimClock(preset("ideal"))
     for t in (0, 1, 999, 10**12, 10**15):
         assert c.local_time(t) == t
         assert t - c.local_time(t) == 0
@@ -30,21 +29,21 @@ def test_ideal_clock_is_identity():
 def test_fast_clock_has_negative_drift():
     # +33 ppm over 90 minutes: local is ahead by 178.2 ms, so
     # reference - local = -178.2 ms
-    c = SimClock(ConstantPpm(33.0))
+    c = SimClock(Piecewise(((0.0, 33.0),)))
     t = 5400 * NS_PER_S
     assert t - c.local_time(t) == -round(178.2 * NS_PER_MS)
     assert c.local_time(t) == t + round(178.2 * NS_PER_MS)
 
 
 def test_slow_clock_has_positive_drift():
-    c = SimClock(ConstantPpm(-20.0))
+    c = SimClock(Piecewise(((0.0, -20.0),)))
     t = 500 * NS_PER_S
     assert t - c.local_time(t) == 10 * NS_PER_MS
 
 
 def test_integer_ppm_is_exact_linear():
     # with integer ppm and t a multiple of 1e6 ns the offset is exact
-    c = SimClock(ConstantPpm(7.0))
+    c = SimClock(Piecewise(((0.0, 7.0),)))
     for k in range(1, 50):
         t = k * 10**6
         assert c.local_time(t) == t + 7 * k
@@ -52,7 +51,7 @@ def test_integer_ppm_is_exact_linear():
 
 def test_offsets_compose_across_queries():
     # many small queries must land where one big query lands
-    model = ConstantPpm(12.7)
+    model = Piecewise(((0.0, 12.7),))
     stepper = SimClock(model)
     jumper = SimClock(model)
     t = 0
@@ -181,7 +180,7 @@ def test_peek_does_not_move_cursor():
     # looking ahead through the inverse moves the cursor no further than
     # its answer's segment: forward queries from the start of that segment
     # read exactly, and only those behind it raise
-    for model in (ConstantPpm(10.0), Piecewise(((0.0, 10.0), (2000.0, -5.0))),
+    for model in (Piecewise(((0.0, 10.0),)), Piecewise(((0.0, 10.0), (2000.0, -5.0))),
                   RandomWalk(10.0, 3.0, 10.0, seed=2)):
         c = SimClock(model)
         ref = ReferenceClock(model)
@@ -200,9 +199,9 @@ def test_true_time_at_local_inverse_property():
     # the inverse answers ascending local times exactly, as sim.run asks them
     rng = random.Random(99)
     models = [
-        Ideal(),
-        ConstantPpm(33.0),
-        ConstantPpm(-87.5),
+        preset("ideal"),
+        Piecewise(((0.0, 33.0),)),
+        Piecewise(((0.0, -87.5),)),
         RandomWalk(step_interval_s=5.0, step_std_ppm=12.0, initial_ppm=-40.0, seed=4),
         Piecewise(((0.0, 100.0), (50.0, -200.0), (120.0, 0.5))),
     ]
@@ -272,7 +271,7 @@ def test_random_walk_beyond_the_queried_horizon_is_not_drawn():
 
 def test_times_past_the_int64_range_raise_param_error():
     # the fastest clock still reads below 2**63 at the last valid instant
-    c = SimClock(ConstantPpm(999_999.0))
+    c = SimClock(Piecewise(((0.0, 999_999.0),)))
     top = c.local_time(REF_NS_MAX)
     assert top < 2**63
     with pytest.raises(ParamError):
@@ -282,7 +281,7 @@ def test_times_past_the_int64_range_raise_param_error():
     with pytest.raises(ParamError):
         c.true_time_at_local(top + 1)
     with pytest.raises(ParamError):
-        SimClock(ConstantPpm(-999_999.0)).true_time_at_local(10**15)
+        SimClock(Piecewise(((0.0, -999_999.0),))).true_time_at_local(10**15)
     half_rate_tail = Piecewise(((0.0, 0.0), (1.0, -500_000.0)))
     tail_top = ReferenceClock(half_rate_tail).local_time(REF_NS_MAX)
     assert SimClock(half_rate_tail).true_time_at_local(tail_top) <= REF_NS_MAX
@@ -339,14 +338,16 @@ def test_every_segment_advances_local_time():
 
 
 def test_true_time_at_local_ideal_is_identity():
-    c = SimClock(Ideal())
+    c = SimClock(preset("ideal"))
     for local in (0, 1, 12345, 10**14):
         assert c.true_time_at_local(local) == local
 
 
 def test_presets():
-    assert preset("ideal") == Ideal()
-    assert preset("ttgo-like") == ConstantPpm(2.0)
+    # a constant rate is a one-segment Piecewise, equal to any other built so
+    assert preset("ideal") == Piecewise(((0.0, 0.0),))
+    assert preset("ttgo-like") == Piecewise(((0.0, 2.0),))
+    assert preset("ideal").table == ((0, REF_NS_MAX + 1, 0, inf, 0.0),)
     fl = preset("feather-like", seed=42)
     assert isinstance(fl, RandomWalk)
     assert fl.seed == 42

@@ -1,16 +1,32 @@
 """Hypothesis properties of the clock and its query rule."""
 
+from math import inf
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorasync import ConstantPpm, Piecewise, RandomWalk, SimClock, UsageError
+from lorasync import ParamError, Piecewise, RandomWalk, SimClock, UsageError
+from lorasync.clock import REF_NS_MAX
 from lorasync.units import NS_PER_S
 from reference_clock import ReferenceClock
 
 _PPM = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
+# segment boundaries within the first hour, at whole seconds and at
+# millisecond and nanosecond resolution
+_BOUNDARY_S = st.one_of(
+    st.integers(min_value=1, max_value=3_600).map(float),
+    st.integers(min_value=1, max_value=3_600_000).map(lambda ms: ms / 1_000),
+    st.integers(min_value=1, max_value=3_600 * NS_PER_S).map(lambda ns: ns / NS_PER_S),
+)
+_PIECEWISE = st.lists(_PPM, min_size=1, max_size=6).flatmap(
+    lambda ppms: st.lists(
+        _BOUNDARY_S, min_size=len(ppms) - 1, max_size=len(ppms) - 1, unique=True
+    ).map(lambda ts: Piecewise(tuple(zip([0.0] + sorted(ts), ppms))))
+)
 _CLOCK_MODELS = st.one_of(
-    st.builds(ConstantPpm, _PPM),
+    # a constant rate is a one-segment Piecewise
+    _PPM.map(lambda ppm: Piecewise(((0.0, ppm),))),
     st.builds(
         RandomWalk,
         step_interval_s=st.sampled_from([1.0, 7.5, 60.0]),
@@ -18,15 +34,36 @@ _CLOCK_MODELS = st.one_of(
         initial_ppm=_PPM,
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     ),
-    st.lists(_PPM, min_size=1, max_size=6).flatmap(
-        lambda ppms: st.lists(
-            st.integers(min_value=1, max_value=3_600),
-            min_size=len(ppms) - 1,
-            max_size=len(ppms) - 1,
-            unique=True,
-        ).map(lambda ts: Piecewise(tuple(zip([0.0] + sorted(map(float, ts)), ppms))))
-    ),
+    _PIECEWISE,
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_PIECEWISE)
+def test_a_piecewise_table_matches_the_reference(model):
+    # the table is built once from the segments' seconds; the reference
+    # converts them to nanoseconds and accumulates local starts on its own
+    ref = ReferenceClock(model)
+    starts, ends, local_starts, local_ends, ppms = zip(*model.table)
+    assert list(starts) == ref.starts and list(ends) == ref.starts[1:] + [REF_NS_MAX + 1]
+    assert list(local_starts) == ref.local_starts
+    assert list(local_ends) == ref.local_starts[1:] + [inf]
+    assert list(ppms) == ref.ppms
+
+
+@settings(max_examples=100, deadline=None)
+@given(ppm=st.floats(min_value=-999_999.0, max_value=999_999.0), first_ns=st.integers(1, 4))
+@example(ppm=-600_000.0, first_ns=1)  # 1 + round(-0.6) = 0
+@example(ppm=-500_000.0, first_ns=1)  # 1 + round(-0.5) = 1
+def test_a_piecewise_clock_is_built_only_if_each_segment_advances(ppm, first_ns):
+    # a first segment of a few nanoseconds at any valid rate: it is
+    # rejected exactly when it would add no local time
+    segments = ((0.0, ppm), (first_ns / NS_PER_S, 0.0))
+    if first_ns + round(first_ns * ppm / 1_000_000) > 0:
+        assert Piecewise(segments).table[0][3] > 0
+    else:
+        with pytest.raises(ParamError, match="must advance local time"):
+            Piecewise(segments)
 
 
 class _Rule:
@@ -87,9 +124,7 @@ def _next_start(model, t):
     if isinstance(model, RandomWalk):
         step = round(model.step_interval_s * NS_PER_S)
         return -(-t // step) * step
-    if isinstance(model, Piecewise):
-        return next((s for s in (round(ts * NS_PER_S) for ts, _ in model.segments) if s >= t), None)
-    return 0 if t == 0 else None
+    return next((s for s in (round(ts * NS_PER_S) for ts, _ in model.segments) if s >= t), None)
 
 
 _FORWARD = st.tuples(

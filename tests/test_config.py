@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lorasync import ConfigError, ConstantPpm, Ideal, Piecewise, RandomWalk
+from lorasync import ConfigError, Piecewise, RandomWalk
 from lorasync.cli import main
 from lorasync.config import load_scenario, parse_scenario
 from lorasync.units import ms_to_ns
@@ -49,7 +49,7 @@ def test_minimal_scenario_defaults():
     assert sc.slot_pick == "random"
     (dev,) = sc.devices
     assert dev.name == "one"
-    assert dev.clock_model == Ideal()
+    assert dev.clock_model == Piecewise(((0.0, 0.0),))
     assert dev.payload_bytes == 0
     # devices are known by their section; an address key is not accepted
     bad = MINIMAL.replace("tx_period_s = 30", "tx_period_s = 30\ndev_addr = 7")
@@ -82,7 +82,7 @@ tx_period_s = 30
     sc = parse_scenario(text)
     models = {d.name: d.clock_model for d in sc.devices}
     assert models["walking"] == RandomWalk(60.0, 4.0, 30.0, seed=5)
-    assert models["steady"] == ConstantPpm(-12.5)
+    assert models["steady"] == Piecewise(((0.0, -12.5),))
     assert models["staged"] == Piecewise(((0.0, 50.0), (100.0, -50.0)))
 
 

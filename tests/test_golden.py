@@ -82,6 +82,18 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, config, variant):
     assert got == GOLDEN["simulate"][f"{config}/{variant}"]
 
 
+def _simulate_digests(tmp_path, capsys, text: str) -> dict:
+    """The digests of `simulate --out` on the config text, as golden.json keeps them."""
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(text)
+    csv_path = tmp_path / "trace.csv"
+    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
+    return {
+        "trace_csv": _sha256(csv_path.read_bytes()),
+        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
+    }
+
+
 def _ties_config(slot_pick: str) -> str:
     """Twenty ideal clocks on a 4 s slot with 1 s fixed-rate rounds.
 
@@ -112,15 +124,7 @@ def test_tied_events_keep_their_order(tmp_path, capsys, slot_pick):
     assert len(set(ends)) < len(ends) - 2  # more equal-end pairs than the first
     assert sum(1 for t in ends if t % 1_000_000_000 == 0) > len(ends) // 2
 
-    ini = tmp_path / f"ties-{slot_pick}.ini"
-    ini.write_text(text)
-    csv_path = tmp_path / "trace.csv"
-    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
-    got = {
-        "trace_csv": _sha256(csv_path.read_bytes()),
-        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
-    }
-    assert got == GOLDEN["simulate"][f"ties/{slot_pick}"]
+    assert _simulate_digests(tmp_path, capsys, text) == GOLDEN["simulate"][f"ties/{slot_pick}"]
 
 
 def _slot_draw_config() -> str:
@@ -158,15 +162,7 @@ def test_slot_draws_are_pinned(tmp_path, capsys):
         frames[r.device_id] = frames.get(r.device_id, 0) + 1
     assert len(frames) == 15 and min(frames.values()) >= 3  # draws past the bootstrap
 
-    ini = tmp_path / "slot-draws.ini"
-    ini.write_text(text)
-    csv_path = tmp_path / "trace.csv"
-    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
-    got = {
-        "trace_csv": _sha256(csv_path.read_bytes()),
-        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
-    }
-    assert got == GOLDEN["simulate"]["slot-draws"]
+    assert _simulate_digests(tmp_path, capsys, text) == GOLDEN["simulate"]["slot-draws"]
 
 
 def _clocks_config() -> str:
@@ -203,15 +199,7 @@ def test_every_clock_kind_is_pinned(tmp_path, capsys):
         resyncs[r.device_id] = resyncs.get(r.device_id, 0) + (r.action == "resync")
     assert len(resyncs) == 6 and sum(resyncs.values()) > 2 * 6  # corrections past the first
 
-    ini = tmp_path / "clocks.ini"
-    ini.write_text(text)
-    csv_path = tmp_path / "trace.csv"
-    assert main(["simulate", str(ini), "--out", str(csv_path)]) == 0
-    got = {
-        "trace_csv": _sha256(csv_path.read_bytes()),
-        "summary": _sha256(_block(capsys.readouterr().out, "summary").encode()),
-    }
-    assert got == GOLDEN["simulate"]["clocks"]
+    assert _simulate_digests(tmp_path, capsys, text) == GOLDEN["simulate"]["clocks"]
 
 
 def test_compare_block_is_pinned(capsys):

@@ -64,6 +64,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a piecewise segment's local end is taken at the next segment's rate",
+        "clock.py",
+        "local_end = local_start + _forward(end - start, ppm)",
+        "local_end = local_start + _forward(end - start, segments[len(table) + 1][1])",
+        (
+            "tests/test_clock.py::test_piecewise_model",
+            "tests/test_clock_properties.py::test_a_piecewise_table_matches_the_reference",
+            "tests/test_golden.py::test_every_clock_kind_is_pinned",
+        ),
+    ),
+    Mutant(
+        "a piecewise segment that adds no local time is accepted",
+        "clock.py",
+        "if local_end <= local_start:",
+        "if local_end < local_start:",
+        (
+            "tests/test_clock.py::test_every_segment_advances_local_time",
+            "tests/test_clock_properties.py::test_a_piecewise_clock_is_built_only_if_each_segment_advances",
+        ),
+    ),
+    Mutant(
         "inverse raises instead of answering in the segment before the cursor's",
         "clock.py",
         """\

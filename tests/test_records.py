@@ -11,17 +11,17 @@ import pytest
 from lorasync import (
     AirTime,
     ConfigError,
-    ConstantPpm,
     DeviceMetrics,
     DeviceSpec,
-    Ideal,
     ParamError,
     Piecewise,
     RadioParams,
     RandomWalk,
     Scenario,
+    SimClock,
     SlotConfig,
     UplinkFrame,
+    preset,
 )
 from lorasync.config import load_scenario
 from lorasync.units import ms_to_ns
@@ -38,13 +38,24 @@ CFG = SlotConfig(
 WALK = RandomWalk(step_interval_s=60.0, step_std_ppm=4.0, initial_ppm=30.0, seed=5)
 SPEC = DeviceSpec(name="walker", clock_model=WALK, tx_period_s=30.0)
 
+STAGED = Piecewise(((0.0, 50.0), (100.0, -50.0)))
+CONSTANT = Piecewise(((0.0, -12.5),))
+
+
+def _id(record) -> str:
+    # a one-segment Piecewise is named for the clock it models: ideal, or a constant rate
+    if record == preset("ideal"):
+        return "Ideal"
+    return "ConstantPpm" if record == CONSTANT else type(record).__name__
+
+
 CONFIG_RECORDS = [
     CFG,
     RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255),
-    Ideal(),
-    ConstantPpm(-12.5),
+    preset("ideal"),
+    CONSTANT,
     WALK,
-    Piecewise(((0.0, 50.0), (100.0, -50.0))),
+    STAGED,
     SPEC,
     Scenario(duration_s=600.0, cfg=CFG, devices=(SPEC,), seed=3),
 ]
@@ -59,21 +70,19 @@ def _fields(record) -> tuple:
     return tuple(getattr(record, name) for name in record._fields)
 
 
-@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=_id)
 def test_config_records_are_read_only(record):
     before = _fields(record)
-    # a record without fields takes no new attribute either
-    for name in record._fields or ("offset_ppm",):
+    for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, 1)
-        if name in record._fields:
-            with pytest.raises(AttributeError):
-                delattr(record, name)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     assert _fields(record) == before
 
 
 @pytest.mark.parametrize(
-    "record", CONFIG_RECORDS + VALUE_RECORDS, ids=lambda r: type(r).__name__
+    "record", CONFIG_RECORDS + VALUE_RECORDS, ids=_id
 )
 def test_records_with_equal_fields_compare_equal(record):
     twin = type(record)(*_fields(record))
@@ -85,8 +94,8 @@ def test_records_with_equal_fields_compare_equal(record):
 
 
 def test_records_of_different_fields_or_classes_differ():
-    assert ConstantPpm(2.0) != ConstantPpm(3.0)
-    assert Ideal() != ConstantPpm(0.0)
+    assert Piecewise(((0.0, 2.0),)) != Piecewise(((0.0, 3.0),))
+    assert preset("ideal") != WALK._replace(step_std_ppm=0.0, initial_ppm=0.0)
     assert RadioParams(7, 125_000, 1, 10) != RadioParams(7, 125_000, 1, 10, crc_on=False)
 
 
@@ -100,20 +109,20 @@ def test_copying_a_scenario_with_one_field_changed_keeps_the_original():
 
 
 # each config record, one field put out of its range, and the record's own
-# error; Ideal has no field, so any field it is given is unknown to it
+# error; a name that is not a field is unknown to the constructor
 BAD_COPIES = [
     (CFG, dict(tb1_ns=CFG.t_tx_ns), ParamError),
     (RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255), dict(sf=13), ParamError),
-    (Ideal(), dict(offset_ppm=1.0), TypeError),
-    (ConstantPpm(-12.5), dict(offset_ppm=1e6), ParamError),
+    (preset("ideal"), dict(offset_ppm=1.0), TypeError),
+    (CONSTANT, dict(segments=((0.0, 1e6),)), ParamError),
     (WALK, dict(step_interval_s=0.0), ParamError),
-    (Piecewise(((0.0, 50.0), (100.0, -50.0))), dict(segments=((1.0, 0.0),)), ParamError),
+    (STAGED, dict(segments=((1.0, 0.0),)), ParamError),
     (Scenario(duration_s=600.0, cfg=CFG, devices=(SPEC,)), dict(downlink_loss=1.5), ConfigError),
 ]
 
 
 @pytest.mark.parametrize(
-    "record, changes, error", BAD_COPIES, ids=[type(r).__name__ for r, _, _ in BAD_COPIES]
+    "record, changes, error", BAD_COPIES, ids=[_id(r) for r, _, _ in BAD_COPIES]
 )
 def test_a_copy_with_a_field_out_of_range_is_rejected(record, changes, error):
     before = _fields(record)
@@ -122,6 +131,19 @@ def test_a_copy_with_a_field_out_of_range_is_rejected(record, changes, error):
     assert _fields(record) == before
     # a copy of every field as it is equals the original
     assert record._replace() == record
+
+
+def test_a_piecewise_clock_holds_its_segments_as_a_tuple():
+    # a list the caller changes later changes neither its equality nor its rates
+    segs = [(0.0, 10.0)]
+    model = Piecewise(segs)
+    segs.append((-5.0, 2e6))
+    assert model.segments == ((0.0, 10.0),) and type(model.segments) is tuple
+    assert model == Piecewise(((0.0, 10.0),)) and hash(model) == hash(Piecewise(((0.0, 10.0),)))
+    assert SimClock(model).local_time(10**9) == 10**9 + 10_000
+    assert Piecewise([[0.0, 5.0], [1.0, 6.0]]).segments == ((0.0, 5.0), (1.0, 6.0))
+    with pytest.raises(AttributeError):
+        model.table = ()
 
 
 def test_a_scenario_holds_its_devices_as_a_tuple():

@@ -12,10 +12,9 @@ from lorasync import (
     ADAPTIVE,
     FIXED_RATE,
     ConfigError,
-    ConstantPpm,
     DeviceSpec,
     SyncAck,
-    Ideal,
+    Piecewise,
     ParamError,
     RandomWalk,
     Scenario,
@@ -27,6 +26,7 @@ from lorasync import (
     NetworkServerState,
     encode_ack,
     ns_on_uplink_end,
+    preset,
     remaining_to_next_slot,
     uplink_end_in_sync,
 )
@@ -46,7 +46,7 @@ CFG = SlotConfig(
 
 def _ideal_scenario(seed=0, duration_s=600.0, n_devices=2, **kw):
     devices = tuple(
-        DeviceSpec(name=f"d{i}", clock_model=Ideal(), tx_period_s=30.0, payload_bytes=16)
+        DeviceSpec(name=f"d{i}", clock_model=preset("ideal"), tx_period_s=30.0, payload_bytes=16)
         for i in range(n_devices)
     )
     return Scenario(duration_s=duration_s, cfg=CFG, devices=devices, seed=seed, **kw)
@@ -262,7 +262,7 @@ def test_fixed_rate_lets_drift_grow_between_rounds():
     # a 50 ppm clock drifts ~180 ms in ~3600 s: hourly rounds are too slow
     # to keep it inside the guards, so violations appear under fixed-rate
     # but not under the drift-triggered adaptive strategy
-    dev = DeviceSpec(name="hot", clock_model=ConstantPpm(80.0), tx_period_s=30.0)
+    dev = DeviceSpec(name="hot", clock_model=Piecewise(((0.0, 80.0),)), tx_period_s=30.0)
     base = Scenario(duration_s=23_400.0, cfg=CFG, devices=(dev,), seed=1)
     m_ad, _ = run(base)
     m_fx, _ = run(base._replace(strategy=FIXED_RATE, round_s=3600))
@@ -283,7 +283,7 @@ def test_collisions_counted_not_destructive():
         tb2_ns=ms_to_ns(180),
     )
     devices = tuple(
-        DeviceSpec(name=f"d{i}", clock_model=Ideal(), tx_period_s=2.0) for i in range(2)
+        DeviceSpec(name=f"d{i}", clock_model=preset("ideal"), tx_period_s=2.0) for i in range(2)
     )
     seen = None
     for seed in range(30):
@@ -304,7 +304,7 @@ def test_collision_count_matches_brute_force_overlaps():
     devices = tuple(
         DeviceSpec(
             name=f"d{i}",
-            clock_model=Ideal() if i % 2 else ConstantPpm((i % 7 - 3) * 20.0),
+            clock_model=preset("ideal") if i % 2 else Piecewise(((0.0, (i % 7 - 3) * 20.0),)),
             tx_period_s=5.0,
         )
         for i in range(200)
@@ -374,7 +374,7 @@ def test_short_run_produces_no_frames():
 
 
 def test_scenario_validation():
-    dev = DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=30.0)
+    dev = DeviceSpec(name="a", clock_model=preset("ideal"), tx_period_s=30.0)
     ok = Scenario(duration_s=10.0, cfg=CFG, devices=(dev,))  # no raise
     cases = [
         dict(duration_s=0.0),
@@ -390,13 +390,14 @@ def test_scenario_validation():
         dict(duty_cycle_limit=0.0),
         dict(slot_pick="bursty"),
         dict(duration_s=5e9),  # past the int64 nanosecond range
-        dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=2.4e9),)),
-        *(dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=p),))
+        dict(devices=(DeviceSpec(name="a", clock_model=preset("ideal"), tx_period_s=2.4e9),)),
+        *(dict(devices=(DeviceSpec(name="a", clock_model=preset("ideal"), tx_period_s=p),))
           for p in (0.0, 1e-10)),  # 1e-10 s rounds to a 0 ns period
-        dict(devices=(DeviceSpec(name="a", clock_model=Ideal(), tx_period_s=30.0,
+        dict(devices=(DeviceSpec(name="a", clock_model=preset("ideal"), tx_period_s=30.0,
                                  payload_bytes=247),)),
         # a name with '=' would split the summary's key=value lines
-        dict(devices=(dev, DeviceSpec(name="fea=ther", clock_model=Ideal(), tx_period_s=30.0))),
+        dict(devices=(dev, DeviceSpec(name="fea=ther", clock_model=preset("ideal"),
+                                      tx_period_s=30.0))),
     ]
     fields = {f: getattr(ok, f) for f in ok._fields}
     for overrides in cases:
@@ -406,7 +407,7 @@ def test_scenario_validation():
         with pytest.raises(ConfigError):
             ok._replace(**overrides)
     # a repeated name is blamed on the repeat, by its index and name
-    other = DeviceSpec(name="b", clock_model=Ideal(), tx_period_s=30.0)
+    other = DeviceSpec(name="b", clock_model=preset("ideal"), tx_period_s=30.0)
     with pytest.raises(ConfigError) as e:
         ok._replace(devices=(dev, other, dev))
     assert e.value.device == 2
@@ -436,7 +437,7 @@ def test_walk_step_count_is_bounded_over_the_clock_horizon():
     # each clock is read up to duration_s + 2 * tx_period_s = 100 s
     def scenario(step_interval_s):
         walk = RandomWalk(step_interval_s, 1.0, 10.0, seed=1)
-        devices = (DeviceSpec(name="i", clock_model=Ideal(), tx_period_s=20.0),
+        devices = (DeviceSpec(name="i", clock_model=preset("ideal"), tx_period_s=20.0),
                    DeviceSpec(name="w", clock_model=walk, tx_period_s=20.0))
         return Scenario(duration_s=60.0, cfg=CFG, devices=devices)
 
@@ -453,7 +454,7 @@ def test_walk_step_count_is_bounded_over_the_clock_horizon():
 def test_frame_count_is_bounded_over_all_devices():
     # devices every 10 s and 30 s send 4 frames per 30 s between them
     def scenario(duration_s, periods=(10.0, 30.0)):
-        devices = tuple(DeviceSpec(name=f"d{i}", clock_model=Ideal(), tx_period_s=p)
+        devices = tuple(DeviceSpec(name=f"d{i}", clock_model=preset("ideal"), tx_period_s=p)
                         for i, p in enumerate(periods))
         return Scenario(duration_s=duration_s, cfg=CFG, devices=devices)
 
@@ -533,7 +534,7 @@ def test_remaining_time_fits_the_wire_field_at_the_largest_slot():
     )
     assert cfg.t_slot_ns == ms_to_ns(MAX_SLOT_MS)
     devices = tuple(
-        DeviceSpec(name=f"d{i}", clock_model=ConstantPpm(ppm), tx_period_s=600.0)
+        DeviceSpec(name=f"d{i}", clock_model=Piecewise(((0.0, ppm),)), tx_period_s=600.0)
         for i, ppm in enumerate((-150.0, -40.0, 0.0, 25.0, 90.0, 200.0) * 3)
     )
     sc = Scenario(duration_s=6 * 3600.0, cfg=cfg, devices=devices, seed=4)

@@ -20,7 +20,7 @@ one guard / |ppm| apart.
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from lorasync import FIXED_RATE, ConstantPpm, DeviceSpec, Ideal, Scenario, SlotConfig, run
+from lorasync import FIXED_RATE, DeviceSpec, Piecewise, Scenario, SlotConfig, preset, run
 from lorasync.units import NS_PER_MS, NS_PER_S, ms_to_ns
 
 # every field a whole number of half seconds and a 4 s grid: a resynced
@@ -34,15 +34,15 @@ CFG = SlotConfig(
 )
 
 _CLOCKS = st.one_of(
-    st.just(Ideal()),
-    st.builds(ConstantPpm, st.sampled_from([-300.0, -40.0, 25.0, 200.0])),
+    st.just(preset("ideal")),
+    st.sampled_from([-300.0, -40.0, 25.0, 200.0]).map(lambda ppm: Piecewise(((0.0, ppm),))),
 )
 # a 1 ms period means a bootstrap phase of 0: the first uplink ends at
 # t_tx, exactly on the first boundary of 1 s rounds
 _PERIODS = st.sampled_from([0.001, 4.0, 5.0, 8.0, 30.0])
 
 _TIED = dict(
-    devices=[(Ideal(), 0.001), (ConstantPpm(-40.0), 0.001), (Ideal(), 4.0)],
+    devices=[(preset("ideal"), 0.001), (Piecewise(((0.0, -40.0),)), 0.001), (preset("ideal"), 4.0)],
     round_s=1,
     duration_s=60,
     loss=0.3,
@@ -178,19 +178,19 @@ def _resync_interval_bounds(ppm: float, tx_period_s: int) -> tuple[float, float]
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift(devices, seed):
+    ppms = {f"d{i}": ppm if fast else -ppm for i, (ppm, fast, _) in enumerate(devices)}
     specs = tuple(
-        DeviceSpec(name=f"d{i}", clock_model=ConstantPpm(ppm if fast else -ppm),
-                   tx_period_s=float(period))
-        for i, (ppm, fast, period) in enumerate(devices)
+        DeviceSpec(name=name, clock_model=Piecewise(((0.0, ppm),)), tx_period_s=float(period))
+        for (name, ppm), (_, _, period) in zip(ppms.items(), devices)
     )
     bounds = {
-        spec.name: _resync_interval_bounds(spec.clock_model.offset_ppm, int(spec.tx_period_s))
+        spec.name: _resync_interval_bounds(ppms[spec.name], int(spec.tx_period_s))
         for spec in specs
     }
     # a device first leaves the in-sync window once its drift has crossed
     # at most both guards; three intervals after that fit in the run
     duration_s = max(
-        (UNEVEN.tb1_ns + UNEVEN.tb2_ns) * 1e6 / abs(spec.clock_model.offset_ppm)
+        (UNEVEN.tb1_ns + UNEVEN.tb2_ns) * 1e6 / abs(ppms[spec.name])
         + 4 * bounds[spec.name][1]
         for spec in specs
     ) / NS_PER_S
