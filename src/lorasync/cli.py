@@ -21,7 +21,7 @@ from .config import load_scenario
 from .errors import ConfigError, LorasyncError, ParamError
 from .protocol import ADAPTIVE, FIXED_RATE
 from .sim import Metrics, Scenario, Trace, TraceRow, run
-from .units import fmt_ms
+from .units import fmt_ms, s_to_ns
 
 # TraceRow's fields, times in milliseconds
 CSV_HEADER = [f"{f[:-3]}_ms" if f.endswith("_ns") else f for f in TraceRow._fields]
@@ -84,6 +84,8 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
     """Every reported fact of one run, each computed and formatted once:
     (key, text, whether the [summary] block prints it), in block order."""
     cfg, gw, devices = sc.cfg, m.gateway, m.per_device.values()
+    # every downlink costs t_rx
+    airtime_ns = gw.downlink_count * cfg.t_rx_ns
     facts = [
         ("strategy", sc.strategy, True),
         ("duration_s", f"{sc.duration_s:g}", True),
@@ -99,8 +101,8 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
         ("frames_total", str(m.frames_total), True),
         ("collision_count", str(m.collision_count), True),
         ("downlink_count", str(gw.downlink_count), True),
-        ("downlink_airtime_ms", fmt_ms(gw.downlink_airtime_ns), True),
-        ("duty_cycle_fraction", f"{gw.duty_cycle_used_fraction:.6f}", True),
+        ("downlink_airtime_ms", fmt_ms(airtime_ns), True),
+        ("duty_cycle_fraction", f"{airtime_ns / s_to_ns(sc.duration_s):.6f}", True),
         ("duty_cycle_limit", f"{sc.duty_cycle_limit:.6f}", True),
         ("sync_overhead_bytes", str(gw.sync_overhead_bytes), True),
         ("resyncs_total", str(sum(d.resync_count for d in devices)), True),

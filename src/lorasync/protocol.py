@@ -35,9 +35,10 @@ one correction, and one resync per boundary.  A first uplink counts none.
 `SYNC_BYTES` holds each strategy's price of a resync.
 
 The server is built for the devices of a run and knows each by its
-index: it keeps one list per count (resyncs, out-of-sync frames, and
-under fixed-rate the last uplink end) with an entry for every device,
-heard or not.  It judges each uplink end with one
+index: it keeps a list per count with an entry for every device, heard
+or not.  Under adaptive a resync is an out-of-sync frame, so one list
+holds both counts; fixed-rate keeps its resyncs, and each device's last
+uplink end, in lists of their own.  It judges each uplink end with one
 `slot.uplink_end_in_sync` call, and its `AckPlan` holds only its
 decision, the ACK's remaining-time field or None; the ACK goes out when
 RX1 opens, rx_delay after the uplink end.  `ack_remaining_ms` is the one
@@ -69,8 +70,9 @@ class NetworkServerState:
     def __init__(self, cfg: SlotConfig, n_devices: int, round_ns: int | None):
         self.cfg = cfg
         self.round_ns = round_ns  # fixed-rate round length; None: adaptive
-        self.resync_count = [0] * n_devices
         self.out_sync_count = [0] * n_devices
+        # adaptive resyncs are its out-of-sync frames: one list, two names
+        self.resync_count = self.out_sync_count if round_ns is None else [0] * n_devices
         # fixed-rate only: the last uplink end; None until the device is heard
         self.last_arrival_ns: list[int | None] = [None] * n_devices
 
@@ -110,21 +112,18 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
     when a round boundary fell in (the device's previous uplink end, this
     one].
     """
-    cfg = s.cfg
-    in_sync = uplink_end_in_sync(arrival_true_ns, cfg)[2]
+    in_sync = uplink_end_in_sync(arrival_true_ns, s.cfg)[2]
     if not in_sync:
         s.out_sync_count[device_index] += 1
-
-    if s.round_ns is None:
-        resync = not in_sync
-        s.resync_count[device_index] += resync
-    else:
+    # adaptive: counted above, as resync_count is out_sync_count
+    resync = not in_sync
+    if s.round_ns is not None:
         last = s.last_arrival_ns[device_index]
         s.last_arrival_ns[device_index] = arrival_true_ns
         boundaries = 0 if last is None else arrival_true_ns // s.round_ns - last // s.round_ns
         s.resync_count[device_index] += boundaries
         resync = boundaries > 0
-    return AckPlan(ack_remaining_ms(arrival_true_ns, cfg) if resync else None)
+    return AckPlan(ack_remaining_ms(arrival_true_ns, s.cfg) if resync else None)
 
 
 def ns_on_run_end(s: NetworkServerState, end_true_ns: int):
@@ -191,19 +190,16 @@ def ed_next_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
     return nxt
 
 
-def ed_on_ack(
-    d: EndDeviceState, beg_local_ns: int, end_local_ns: int, remaining_ms: int | None
-):
-    """Apply one received ACK.
+def ed_on_ack(d: EndDeviceState, beg_local_ns: int, end_local_ns: int, remaining_ms: int):
+    """Apply one received correction: the device's grid moves onto the server's.
 
     beg is the local timestamp of the own uplink's end, end the local
     timestamp of the ACK's end, remaining_ms the ACK's remaining-time
-    field.  An empty ACK (remaining_ms None) changes nothing.
+    field.  An empty or lost ACK changes nothing, so the caller does not
+    apply it.
     """
     if end_local_ns < beg_local_ns:
         raise UsageError("ACK cannot end before the uplink it answers")
-    if remaining_ms is None:
-        return
     elapsed = end_local_ns - beg_local_ns
     t = remaining_ms * NS_PER_MS - elapsed
     if t < 0:

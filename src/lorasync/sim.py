@@ -1,8 +1,9 @@
 """Deterministic discrete-event execution of synchronization scenarios.
 
 A `Scenario` is checked when it is built, and so is every copy
-`_replace` makes of it: `run` takes any scenario as it is.  Its clocks'
-walks and its frames are bounded (`MAX_WALK_STEPS`, `MAX_FRAMES`).
+`_replace` makes of it: `run` takes any scenario as it is.  Its walks'
+steps, each walk's and their sum, and its frames are bounded
+(`MAX_WALK_STEPS`, `MAX_FRAMES`).
 
 Everything runs on virtual time.  Events are popped from a heap keyed by
 (time, insertion sequence), so identical (scenario, seed) pairs replay
@@ -85,8 +86,9 @@ from .units import NS_PER_S, s_to_ns
 SLOT_PICK_RANDOM = "random"
 SLOT_PICK_ALIGNED = "aligned"
 
-# steps a random walk may draw over duration_s + 2 * tx_period_s: at about
-# 0.75 us a step (Python 3.11, Xeon) a clock draws for under 10 s
+# steps a run's random walks may draw, each over duration_s + 2 * tx_period_s,
+# alone and summed: at about 0.75 us a step (Python 3.11, Xeon) a run draws
+# for under 10 s
 MAX_WALK_STEPS = 10_000_000
 # frames a run may send, counted as duration_s / tx_period_s summed over
 # its devices: the trace keeps 13 B of each, 130 MB at the bound, and
@@ -144,6 +146,7 @@ class Scenario(Frozen):
             raise ConfigError("duty_cycle_limit must be in (0, 1]")
         if slot_pick not in (SLOT_PICK_RANDOM, SLOT_PICK_ALIGNED):
             raise ConfigError(f"unknown slot_pick {slot_pick!r}")
+        walk_steps = []
         for i, d in enumerate(devices):
             # the summary prints one device.<name>.<key>=value line per fact
             if "=" in d.name:
@@ -171,10 +174,14 @@ class Scenario(Frozen):
                     raise ConfigError(f"device {d.name}: a random walk may draw at most "
                                       f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
                                       device=i)
+                walk_steps.append(horizon_s * NS_PER_S / model.step_ns)
         # after every device's own checks: a 0 s period is reported, not divided by
         if sum(duration_s / d.tx_period_s for d in devices) > MAX_FRAMES:
             raise ConfigError(f"duration_s / tx_period_s summed over the devices must be at most "
                               f"{MAX_FRAMES}, the frames a run may send")
+        if sum(walk_steps) > MAX_WALK_STEPS:
+            raise ConfigError(f"the random walks' steps over duration_s + 2 * tx_period_s, summed "
+                              f"over the devices, must be at most {MAX_WALK_STEPS}")
         self._set(duration_s, cfg, devices, strategy, round_s,
                   seed, duty_cycle_limit, downlink_loss, slot_pick)
 
@@ -251,10 +258,10 @@ class DeviceMetrics(NamedTuple):
 
 
 class GatewayMetrics(NamedTuple):
-    downlink_count: int  # RX1 downlinks that opened within the run
+    """What the gateway counted; the CLI derives air time and duty cycle from it."""
+
+    downlink_count: int  # RX1 downlinks that opened within the run, each t_rx of air time
     sync_overhead_bytes: int  # protocol.SYNC_BYTES of the strategy per resync
-    downlink_airtime_ns: int  # downlink_count * t_rx
-    duty_cycle_used_fraction: float  # downlink air-time over the run length
 
 
 class Metrics(NamedTuple):
@@ -366,17 +373,10 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
             scenario.devices, server.resync_count, server.out_sync_count
         )
     }
-    airtime_ns = rx1_opened * t_rx
-    gateway = GatewayMetrics(
-        downlink_count=rx1_opened,
-        sync_overhead_bytes=SYNC_BYTES[scenario.strategy] * sum(server.resync_count),
-        downlink_airtime_ns=airtime_ns,
-        duty_cycle_used_fraction=airtime_ns / duration_ns,
-    )
-    metrics = Metrics(
+    sync_bytes = SYNC_BYTES[scenario.strategy] * sum(server.resync_count)
+    return Metrics(
         per_device=per_device,
-        gateway=gateway,
+        gateway=GatewayMetrics(downlink_count=rx1_opened, sync_overhead_bytes=sync_bytes),
         collision_count=collisions,
         frames_total=len(trace),
-    )
-    return metrics, trace
+    ), trace

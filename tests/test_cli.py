@@ -16,7 +16,7 @@ from lorasync import cli
 from lorasync.cli import CSV_HEADER, main
 from lorasync.config import load_scenario
 from lorasync.sim import _CHUNK_ROWS, DeviceMetrics, run
-from lorasync.units import fmt_ms
+from lorasync.units import NS_PER_S, fmt_ms, ms_to_ns
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 BENCH = str(CONFIGS / "testbench.ini")
@@ -92,6 +92,10 @@ def test_simulate_summary(capsys):
     assert "device.feather.resyncs" in kv
     assert "device.ttgo.resyncs" in kv
     assert float(kv["duty_cycle_fraction"]) < float(kv["duty_cycle_limit"])
+    # every downlink costs t_rx, over the 23400 s run
+    airtime_ns = int(kv["downlink_count"]) * ms_to_ns(91)
+    assert kv["downlink_airtime_ms"] == fmt_ms(airtime_ns)
+    assert kv["duty_cycle_fraction"] == f"{airtime_ns / (23400 * NS_PER_S):.6f}"
 
 
 def test_simulate_trace_csv(tmp_path, capsys):
@@ -301,6 +305,31 @@ def test_simulate_rejects_a_walk_with_too_many_steps(tmp_path):
     assert proc.stderr == (
         "error: line 11: device d: a random walk may draw at most 10000000 steps "
         "over duration_s + 2 * tx_period_s\n"
+    )
+
+
+def test_simulate_rejects_a_fleet_of_walks_with_too_many_steps_between_them(tmp_path):
+    # 1000 walks of 10 ms steps over 99,000 s + 2 * 10 s each pass their
+    # own bound and send 9.9e6 frames, under MAX_FRAMES, but draw about
+    # 9.9e9 steps between them, hours of drawing.  It runs in a child, so
+    # a regression fails on the timeout, not hangs
+    path = tmp_path / "fleet.ini"
+    fleet = "".join(
+        f"\n[device d{i}]\nclock = random_walk\nstep_interval_s = 0.01\n"
+        f"step_std_ppm = 0\ninitial_ppm = 20\ntx_period_s = 10\n"
+        for i in range(1000)
+    )
+    path.write_text(_ONE_DEVICE.split("\n[device d]")[0].format(duration_s=99000) + fleet)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorasync.cli", "simulate", str(path)],
+        env=_child_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    # the error points at [scenario]
+    assert proc.stderr == (
+        "error: line 1: the random walks' steps over duration_s + 2 * tx_period_s, summed "
+        "over the devices, must be at most 10000000\n"
     )
 
 

@@ -299,6 +299,36 @@ MUTANTS = (
         ("tests/test_sim.py::test_frame_count_is_bounded_over_all_devices",),
     ),
     Mutant(
+        "walk bound checks each device alone, not their sum",
+        "sim.py",
+        "if sum(walk_steps) > MAX_WALK_STEPS:",
+        "if max(walk_steps, default=0) > MAX_WALK_STEPS:",
+        (
+            "tests/test_sim.py::test_walk_step_count_is_bounded_summed_over_all_walks",
+            "tests/test_cli.py::test_simulate_rejects_a_fleet_of_walks_with_too_many_steps_between_them",
+        ),
+    ),
+    Mutant(
+        "the adaptive resync count is a separate list that nothing increments",
+        "protocol.py",
+        "self.resync_count = self.out_sync_count if round_ns is None else [0] * n_devices",
+        "self.resync_count = [0] * n_devices",
+        (
+            "tests/test_protocol.py::test_out_of_sync_uplink_gets_remaining_time",
+            "tests/test_sim_properties.py::test_an_adaptive_resync_is_an_out_of_sync_frame",
+        ),
+    ),
+    Mutant(
+        "the duty-cycle fraction divides the air time by seconds",
+        "cli.py",
+        "airtime_ns / s_to_ns(sc.duration_s)",
+        "airtime_ns / sc.duration_s",
+        (
+            "tests/test_cli.py::test_simulate_summary",
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
+        ),
+    ),
+    Mutant(
         "a device's out-of-sync count reads its resyncs",
         "cli.py",
         "out_sync = str(dm.out_sync_frames)",

@@ -209,7 +209,6 @@ def test_uplinks_all_answered_and_accounted():
         assert sum(d.out_sync_frames for d in m.per_device.values()) == sum(
             1 for r in trace if not r.in_sync
         )
-        assert m.gateway.downlink_airtime_ns == m.gateway.downlink_count * CFG.t_rx_ns
 
 
 def test_ideal_clocks_stay_locked_after_one_correction():
@@ -370,7 +369,7 @@ def test_short_run_produces_no_frames():
     m, trace = run(sc)
     assert len(trace) == 0 and list(trace) == []
     assert m.frames_total == 0
-    assert m.gateway.duty_cycle_used_fraction == 0.0
+    assert m.gateway.downlink_count == 0
 
 
 def test_scenario_validation():
@@ -451,6 +450,31 @@ def test_walk_step_count_is_bounded_over_the_clock_horizon():
                             "steps over duration_s + 2 * tx_period_s")
 
 
+def test_walk_step_count_is_bounded_summed_over_all_walks():
+    # each clock is read up to duration_s + 2 * tx_period_s = 100 s
+    def scenario(*step_intervals_s):
+        walks = tuple(
+            DeviceSpec(name=f"w{j}", clock_model=RandomWalk(s, 1.0, 10.0, seed=j),
+                       tx_period_s=20.0)
+            for j, s in enumerate(step_intervals_s)
+        )
+        ideal = DeviceSpec(name="i", clock_model=preset("ideal"), tx_period_s=20.0)
+        return Scenario(duration_s=60.0, cfg=CFG, devices=(ideal, *walks))
+
+    half = 200.0 / MAX_WALK_STEPS  # 20 us steps: half the bound each
+    scenario(half, half)  # the bound itself: no raise
+    # two walks, each under the bound, whose sum is over it
+    with pytest.raises(ConfigError) as e:
+        scenario(half, 199.9 / MAX_WALK_STEPS)
+    assert e.value.device is None
+    assert str(e.value) == ("the random walks' steps over duration_s + 2 * tx_period_s, summed "
+                            f"over the devices, must be at most {MAX_WALK_STEPS}")
+    # each walk's own check comes first and names its device
+    with pytest.raises(ConfigError) as e:
+        scenario(half, 99.9 / MAX_WALK_STEPS)
+    assert e.value.device == 2
+
+
 def test_frame_count_is_bounded_over_all_devices():
     # devices every 10 s and 30 s send 4 frames per 30 s between them
     def scenario(duration_s, periods=(10.0, 30.0)):
@@ -519,7 +543,8 @@ def test_uplink_end_is_not_read_when_the_ack_ends_past_the_run():
 def test_bench_gateway_stays_inside_duty_limit(bench_scenario):
     sc = bench_scenario()
     m, _ = run(sc)
-    assert m.gateway.duty_cycle_used_fraction < sc.duty_cycle_limit
+    airtime_ns = m.gateway.downlink_count * sc.cfg.t_rx_ns
+    assert airtime_ns / s_to_ns(sc.duration_s) < sc.duty_cycle_limit
 
 
 def test_remaining_time_fits_the_wire_field_at_the_largest_slot():

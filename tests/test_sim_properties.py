@@ -1,5 +1,5 @@
-"""Hypothesis properties of the simulator: fixed-rate rounds, and the
-adaptive resync interval of a constant-ppm clock.
+"""Hypothesis properties of the simulator: fixed-rate rounds, the adaptive
+resync count, and the adaptive resync interval of a constant-ppm clock.
 
 A round boundary at the same instant as an uplink end comes first: it
 flags every device the server has heard of, and the uplink it ties with
@@ -10,6 +10,9 @@ rounds make them land exactly on boundaries.
 Each run is checked twice: by counting boundaries between uplink ends,
 and by replaying the rounds as events over the trace, one boundary at a
 time.
+
+Under the adaptive strategy a resync is an out-of-sync frame: each
+device's two counts and its trace rows tell the same number.
 
 Under the adaptive strategy a device whose clock runs at a constant
 ppm drifts away from its corrected grid at |ppm| and is resynchronized
@@ -138,6 +141,33 @@ def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
         assert (row.remaining_ms is not None) == was_flagged, row
     for spec in specs:
         assert m.per_device[spec.name].resync_count == charged.get(spec.name, 0), spec.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    devices=st.lists(st.tuples(_CLOCKS, _PERIODS), min_size=1, max_size=6),
+    duration_s=st.integers(min_value=10, max_value=120),
+    loss=st.sampled_from([0.0, 0.3]),
+    slot_pick=st.sampled_from(["aligned", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_an_adaptive_resync_is_an_out_of_sync_frame(devices, duration_s, loss, slot_pick, seed):
+    specs = tuple(
+        DeviceSpec(name=f"d{i}", clock_model=clock, tx_period_s=period)
+        for i, (clock, period) in enumerate(devices)
+    )
+    sc = Scenario(duration_s=float(duration_s), cfg=CFG, devices=specs, seed=seed,
+                  downlink_loss=loss, slot_pick=slot_pick)
+    m, trace = run(sc)
+    out_sync = dict.fromkeys((spec.name for spec in specs), 0)
+    resynced = dict(out_sync)
+    for row in trace:
+        out_sync[row.device_id] += not row.in_sync
+        resynced[row.device_id] += row.action == "resync"
+    for spec in specs:
+        dm = m.per_device[spec.name]
+        assert (dm.resync_count == dm.out_sync_frames == out_sync[spec.name]
+                == resynced[spec.name]), spec.name
 
 
 # the testbench slot with its 360 ms of guards split unevenly, so that a
