@@ -225,13 +225,28 @@ class SimClock:
                 raise UsageError(
                     f"inverse at local {local_ns} ns, behind the clock's last two segments"
                 )
-        # the earliest offset d into that segment that reads local_ns or more
+        # the earliest offset d into that segment that reads local_ns or
+        # more.  1 ns steps from a float guess near it find it exactly where
+        # the map never decreases: at every ppm >= 0, and at negative rates
+        # short of extreme ones far into a segment, where float rounding
+        # makes the map fall back
         target = local_ns - local_start
         d = int(target / (1.0 + ppm / 1_000_000))
-        while _forward(d, ppm) < target:
+        reading = _forward(d, ppm)
+        if reading < target:
+            # short: so is every offset below, and each step up was read
+            # short, so the first that reaches the target is the earliest
             d += 1
-        while d > 0 and _forward(d - 1, ppm) >= target:
-            d -= 1
+            while _forward(d, ppm) < target:
+                d += 1
+        elif reading > target or ppm < 0:
+            # it reaches the target, and so may offsets below: step down to
+            # the lowest that still does
+            while d > 0 and _forward(d - 1, ppm) >= target:
+                d -= 1
+        # else an exact hit at ppm >= 0 is the answer: there dt * ppm / 1e6
+        # in floats, and its rounding, never decrease as dt grows, so the
+        # map rises by at least 1 ns a ns and the offset below reads short
         t = start + d
         # the last segment's local end is unbounded
         if t > REF_NS_MAX:

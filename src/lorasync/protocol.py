@@ -40,9 +40,10 @@ or not.  Under adaptive a resync is an out-of-sync frame, so one list
 holds both counts; fixed-rate keeps its resyncs, and each device's last
 uplink end, in lists of their own.  It judges each uplink end with one
 `slot.uplink_end_in_sync` call, and its `AckPlan` holds only its
-decision, the ACK's remaining-time field or None; the ACK goes out when
-RX1 opens, rx_delay after the uplink end.  `ack_remaining_ms` is the one
-derivation of that field; a trace derives it again when it is read.
+decision, the ACK's remaining-time field or None; every empty ACK is one
+shared plan.  The ACK goes out when RX1 opens, rx_delay after the uplink
+end.  `ack_remaining_ms` is the one derivation of that field; a trace
+derives it again when it is read.
 """
 
 from __future__ import annotations
@@ -74,13 +75,19 @@ class NetworkServerState:
         # adaptive resyncs are its out-of-sync frames: one list, two names
         self.resync_count = self.out_sync_count if round_ns is None else [0] * n_devices
         # fixed-rate only: the last uplink end; None until the device is heard
-        self.last_arrival_ns: list[int | None] = [None] * n_devices
+        self.last_arrival_ns: list[int | None] | None = (
+            None if round_ns is None else [None] * n_devices
+        )
 
 
 class AckPlan(NamedTuple):
     """The server's decision on one uplink: its ACK's remaining-time field, None if empty."""
 
     remaining_ms: int | None
+
+
+# every empty ACK is this one plan: a tuple cannot change, so frames share it
+_EMPTY_ACK = AckPlan(None)
 
 
 class EndDeviceState:
@@ -123,7 +130,7 @@ def ns_on_uplink_end(s: NetworkServerState, device_index: int, arrival_true_ns: 
         boundaries = 0 if last is None else arrival_true_ns // s.round_ns - last // s.round_ns
         s.resync_count[device_index] += boundaries
         resync = boundaries > 0
-    return AckPlan(ack_remaining_ms(arrival_true_ns, s.cfg) if resync else None)
+    return AckPlan(ack_remaining_ms(arrival_true_ns, s.cfg)) if resync else _EMPTY_ACK
 
 
 def ns_on_run_end(s: NetworkServerState, end_true_ns: int):
@@ -136,15 +143,6 @@ def ns_on_run_end(s: NetworkServerState, end_true_ns: int):
         for i, last in enumerate(s.last_arrival_ns):
             if last is not None:
                 s.resync_count[i] += end_true_ns // s.round_ns - last // s.round_ns
-
-
-def _grid_point_at_or_after(d: EndDeviceState, t_local_ns: int) -> int:
-    """The earliest grid point slot_start + k*t_slot, k >= 0, not before t_local_ns."""
-    s0 = d.slot_start_local_ns
-    k = -((s0 - t_local_ns) // d.t_slot_ns)
-    if k < 0:
-        k = 0
-    return s0 + k * d.t_slot_ns
 
 
 def ed_first_tx_time(d: EndDeviceState) -> int:
@@ -163,11 +161,13 @@ def ed_pick_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
     """
     lo = d.window_start_local_ns
     hi = d.window_start_local_ns = lo + d.tx_period_ns
-    nxt = _grid_point_at_or_after(d, now_local_ns if lo < now_local_ns else lo)
+    # the first grid point slot_start + k*t_slot, k >= 0, at or after max(lo, now)
+    s0, t_slot = d.slot_start_local_ns, d.t_slot_ns
+    k = -((s0 - (now_local_ns if lo < now_local_ns else lo)) // t_slot)
+    nxt = s0 + k * t_slot if k > 0 else s0
     if nxt < hi:
         # d.rng.randrange(n), drawn inline: the same getrandbits
         # calls of the same width, rejected while out of range
-        t_slot = d.t_slot_ns
         n = 1 + (hi - 1 - nxt) // t_slot
         k = n.bit_length()
         getrandbits = d.rng.getrandbits
@@ -185,7 +185,9 @@ def ed_next_tx_time(d: EndDeviceState, now_local_ns: int) -> int:
     period after the boot phase, each pick is at least one tx_period
     after the previous start (periods effectively round up to the grid).
     """
-    nxt = _grid_point_at_or_after(d, max(now_local_ns, d.window_start_local_ns))
+    s0, t_slot = d.slot_start_local_ns, d.t_slot_ns
+    k = -((s0 - max(now_local_ns, d.window_start_local_ns)) // t_slot)
+    nxt = s0 + k * t_slot if k > 0 else s0
     d.window_start_local_ns = nxt + d.tx_period_ns
     return nxt
 

@@ -307,11 +307,6 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     heappush, heappop = heapq.heappush, heapq.heappop
     pick_tx_time = ed_pick_tx_time if scenario.slot_pick == SLOT_PICK_RANDOM else ed_next_tx_time
 
-    def push_uplink(i: int, tx_local: int):
-        end = clocks[i].true_time_at_local(tx_local) + t_tx
-        if end <= duration_ns:  # only complete frames
-            heappush(heap, (end, next(seq), i))
-
     loss = scenario.downlink_loss
     collisions = 0
     rx1_opened = 0
@@ -323,8 +318,12 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     active_ends: deque[int] = deque()
 
     try:
+        # each transmit instant maps to its uplink end in reference time;
+        # only complete frames are pushed
         for i, d in enumerate(states):
-            push_uplink(i, ed_first_tx_time(d))
+            end = clocks[i].true_time_at_local(ed_first_tx_time(d)) + t_tx
+            if end <= duration_ns:
+                heappush(heap, (end, next(seq), i))
 
         while heap:
             t, _, i = heappop(heap)
@@ -359,7 +358,9 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
                 # an empty or lost ACK changes nothing: the device keeps
                 # its grid and simply picks the next uplink
                 end_local = clock.local_time(t_ack)
-            push_uplink(i, pick_tx_time(states[i], end_local))
+            end = clock.true_time_at_local(pick_tx_time(states[i], end_local)) + t_tx
+            if end <= duration_ns:
+                heappush(heap, (end, next(seq), i))
     except ParamError as exc:  # only device i's clock raises it
         raise ParamError(f"device {scenario.devices[i].name}: {exc}") from exc
 

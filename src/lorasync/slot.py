@@ -51,7 +51,7 @@ class SlotConfig(Frozen):
         if t_slot > MAX_SLOT_MS * NS_PER_MS:
             raise ParamError(f"t_slot must not exceed {MAX_SLOT_MS} ms")
         self._set(*fields)
-        # summed once: the simulator reads it for every frame
+        # summed once; the per-frame slot arithmetic reads this field, not the property
         object.__setattr__(self, "_t_slot_ns", t_slot)
 
     @property
@@ -63,7 +63,7 @@ def remaining_to_next_slot(time_ns: int, cfg: SlotConfig) -> int:
     """Time until the next slot boundary; a full t_slot exactly on one."""
     if time_ns < 0:
         raise UsageError("time precedes the slot grid's origin")
-    t_slot = cfg.t_slot_ns
+    t_slot = cfg._t_slot_ns
     return t_slot - time_ns % t_slot
 
 
@@ -79,7 +79,7 @@ def uplink_end_in_sync(time_ns: int, cfg: SlotConfig) -> tuple[int, int, bool]:
     """
     if time_ns < 0:
         raise UsageError("time precedes the slot grid's origin")
-    t_slot = cfg.t_slot_ns
+    t_slot = cfg._t_slot_ns
     pos = time_ns % t_slot
     d = (cfg.t_tx_ns - pos) % t_slot
     if 2 * d > t_slot:

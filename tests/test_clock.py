@@ -14,7 +14,7 @@ from lorasync import (
     UsageError,
     preset,
 )
-from lorasync.clock import REF_NS_MAX
+from lorasync.clock import REF_NS_MAX, _forward
 from lorasync.units import NS_PER_MS, NS_PER_S
 from reference_clock import ReferenceClock
 
@@ -214,6 +214,24 @@ def test_true_time_at_local_inverse_property():
             assert ref.local_time(t) >= local
             if t > 0:
                 assert ref.local_time(t - 1) < local
+
+
+@pytest.mark.parametrize("ppm", [-500000.0, -30.0, 0.5, 30.0, 500000.0, 999999.0])
+def test_inverse_is_exact_on_every_target_of_a_constant_rate(ppm):
+    # consecutive local targets across the plateaus of slow clocks (two
+    # offsets with one reading), the skips of fast ones (a reading no
+    # offset has) and, far out, float guesses that miss by several ns
+    # either way; at -500000 ppm the map falls back from about 5 * 10**15 ns on
+    sweeps = [range(1, 2000), range(16_000, 18_000), range(999_000, 1_001_000),
+              range(10**15, 10**15 + 2000)]
+    if ppm > -500000:
+        sweeps.append(range(4 * 10**18, 4 * 10**18 + 2000))
+    c = SimClock(Piecewise(((0.0, ppm),)))
+    for sweep in sweeps:
+        for target in sweep:
+            # one segment from 0: the answer is the offset into it
+            d = c.true_time_at_local(target)
+            assert _forward(d, ppm) >= target > _forward(d - 1, ppm), (target, d)
 
 
 def test_inverse_behind_the_window_raises():

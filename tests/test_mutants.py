@@ -100,6 +100,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "inverse steps up from a short guess by 2 ns",
+        "clock.py",
+        """\
+            while _forward(d, ppm) < target:
+                d += 1
+""",
+        """\
+            while _forward(d, ppm) < target:
+                d += 2
+""",
+        ("tests/test_clock.py::test_inverse_is_exact_on_every_target_of_a_constant_rate",),
+    ),
+    Mutant(
+        "inverse steps down from a guess that reaches the target at most once",
+        "clock.py",
+        "while d > 0 and _forward(d - 1, ppm) >= target:",
+        "if d > 0 and _forward(d - 1, ppm) >= target:",
+        ("tests/test_clock.py::test_inverse_is_exact_on_every_target_of_a_constant_rate",),
+    ),
+    Mutant(
+        "inverse takes an exact hit at a negative rate as the answer",
+        "clock.py",
+        "elif reading > target or ppm < 0:",
+        "elif reading > target:",
+        ("tests/test_clock.py::test_inverse_is_exact_on_every_target_of_a_constant_rate",),
+    ),
+    Mutant(
         "local_time's behind-check misses by one segment",
         "clock.py",
         "if true_time_ns < start:",
@@ -132,8 +159,8 @@ MUTANTS = (
     Mutant(
         "random pick ignores now",
         "protocol.py",
-        "nxt = _grid_point_at_or_after(d, now_local_ns if lo < now_local_ns else lo)",
-        "nxt = _grid_point_at_or_after(d, lo)",
+        "k = -((s0 - (now_local_ns if lo < now_local_ns else lo)) // t_slot)",
+        "k = -((s0 - lo) // t_slot)",
         ("tests/test_protocol.py::test_pick_tx_time_matches_an_independent_draw",),
     ),
     Mutant(
@@ -144,15 +171,28 @@ MUTANTS = (
         ("tests/test_protocol.py::test_first_tx_time_matches_randrange",),
     ),
     Mutant(
-        "grid point ceiling clamped at k = -1",
+        "random pick's grid point ceiling clamped at k = -1",
         "protocol.py",
         """\
-    if k < 0:
-        k = 0
+    nxt = s0 + k * t_slot if k > 0 else s0
+    if nxt < hi:
 """,
         """\
-    if k < -1:
-        k = -1
+    nxt = s0 + k * t_slot if k > -1 else s0 - t_slot
+    if nxt < hi:
+""",
+        ("tests/test_protocol.py::test_pick_tx_time_matches_an_independent_draw",),
+    ),
+    Mutant(
+        "aligned pick's grid point ceiling clamped at k = -1",
+        "protocol.py",
+        """\
+    nxt = s0 + k * t_slot if k > 0 else s0
+    d.window_start_local_ns = nxt + d.tx_period_ns
+""",
+        """\
+    nxt = s0 + k * t_slot if k > -1 else s0 - t_slot
+    d.window_start_local_ns = nxt + d.tx_period_ns
 """,
         ("tests/test_protocol.py::test_pick_tx_time_matches_an_independent_draw",),
     ),
@@ -269,6 +309,16 @@ MUTANTS = (
         (
             "tests/test_records.py::test_a_copy_with_a_field_out_of_range_is_rejected",
             "tests/test_sim.py::test_scenario_validation",
+        ),
+    ),
+    Mutant(
+        "the shared empty ACK carries a remaining time of 0",
+        "protocol.py",
+        "_EMPTY_ACK = AckPlan(None)",
+        "_EMPTY_ACK = AckPlan(0)",
+        (
+            "tests/test_protocol.py::test_in_sync_uplink_gets_empty_ack",
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
         ),
     ),
     Mutant(

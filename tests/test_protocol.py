@@ -65,7 +65,12 @@ def test_arrival_before_reference_rejected():
     s = _server()
     with pytest.raises(UsageError):
         ns_on_uplink_end(s, device_index=1, arrival_true_ns=-1)
-    # no count moved
+    # no count moved; adaptive keeps no uplink ends at all
+    assert s.resync_count == s.out_sync_count == [0] * N_DEVICES
+    assert s.last_arrival_ns is None
+    s = _server(round_ns=ms_to_ns(10_000))
+    with pytest.raises(UsageError):
+        ns_on_uplink_end(s, device_index=1, arrival_true_ns=-1)
     assert s.resync_count == s.out_sync_count == [0] * N_DEVICES
     assert s.last_arrival_ns == [None] * N_DEVICES
 
@@ -295,6 +300,9 @@ def test_pick_tx_time_matches_an_independent_draw(case, seed):
         a.window_start_local_ns = last_tx + period
         aligned = ed_next_tx_time(a, now)
         assert aligned == _first_grid_point(origin, t_slot, max(now, last_tx + period))
+        # and from this window, which may open slots before the grid's origin
+        a.window_start_local_ns = lo
+        assert ed_next_tx_time(a, now) == first
         last_tx = got
     # both drew the same numbers, no more and no fewer
     assert d.rng.random() == oracle_rng.random()

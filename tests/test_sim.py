@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from inspect import CO_GENERATOR
 from pathlib import Path
 
 import pytest
@@ -538,6 +540,32 @@ def test_uplink_end_is_not_read_when_the_ack_ends_past_the_run():
     m, trace = run(Scenario(duration_s=0.5, cfg=CFG, devices=(dev,)))
     assert [r.true_time_ns for r in trace] == [CFG.t_tx_ns]
     assert m.gateway.downlink_count == 0
+
+
+def test_lorasync_calls_per_frame_are_pinned(bench_scenario):
+    # the Python calls the package makes on the frame path, counted with
+    # sys.setprofile over one run of the bench with 10% ACK loss; each
+    # added call a frame adds about 1558 here.  Comprehensions are skipped,
+    # as 3.12 inlines them, and so are generator resumptions (a walk's
+    # draws), which count the walk's steps, not calls on the frame path
+    pkg = os.path.dirname(sim.__file__) + os.sep
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(pkg)
+                and not code.co_name.startswith("<") and not code.co_flags & CO_GENERATOR):
+            calls[f"{Path(code.co_filename).stem}.{code.co_name}"] += 1
+
+    sc = bench_scenario(downlink_loss=0.1)
+    sys.setprofile(profile)
+    try:
+        m, _ = run(sc)
+    finally:
+        sys.setprofile(None)
+    breakdown = ", ".join(f"{name} {n}" for name, n in calls.most_common())
+    # 8.14 calls a frame
+    assert (sum(calls.values()), m.frames_total) == (12689, 1558), breakdown
 
 
 def test_bench_gateway_stays_inside_duty_limit(bench_scenario):
