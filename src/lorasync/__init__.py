@@ -38,16 +38,7 @@ from .protocol import (
     ns_on_run_end,
     ns_on_uplink_end,
 )
-from .sim import (
-    DeviceMetrics,
-    DeviceSpec,
-    GatewayMetrics,
-    Metrics,
-    Scenario,
-    Trace,
-    TraceRow,
-    run,
-)
+from .sim import DeviceSpec, Metrics, Scenario, Trace, TraceRow, run
 from .slot import SlotConfig, remaining_to_next_slot, uplink_end_in_sync
 from .units import ms_to_ns, ns_to_ms_round, s_to_ns
 

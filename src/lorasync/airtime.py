@@ -58,6 +58,10 @@ class RadioParams(Frozen):
         self._set(sf, bw_hz, cr, pl_bytes, n_preamble, crc_on, implicit_header, low_datarate_opt)
 
 
+# the longest uplink: the slowest data rate, the most coding, the largest payload
+WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=MAX_PL_BYTES)
+
+
 class AirTime(NamedTuple):
     """Durations of one transmission, exact nanoseconds."""
 
@@ -107,8 +111,8 @@ def time_on_air(p: RadioParams) -> AirTime:
 def remaining_time_bit_width(max_slot_ms: int) -> int:
     """Bits needed to carry a remaining-time value up to max_slot_ms.
 
-    ceil(log2(n)) in integer arithmetic; the 2-byte wire field caps the
-    slot length at 65535 ms.
+    ceil(log2(n)) in integer arithmetic; the ACK's remaining-time field
+    caps the slot length at slot.MAX_SLOT_MS.
     """
     if max_slot_ms < 1:
         raise ParamError(f"max_slot_ms must be >= 1, got {max_slot_ms}")

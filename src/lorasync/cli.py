@@ -16,7 +16,13 @@ import io
 import os
 import sys
 
-from .airtime import RadioParams, remaining_time_bit_width, symbol_duration_ns, time_on_air
+from .airtime import (
+    WORST_CASE,
+    RadioParams,
+    remaining_time_bit_width,
+    symbol_duration_ns,
+    time_on_air,
+)
 from .config import load_scenario
 from .errors import ConfigError, LorasyncError, ParamError
 from .protocol import ADAPTIVE, FIXED_RATE
@@ -26,7 +32,6 @@ from .units import fmt_ms, s_to_ns
 # TraceRow's fields, times in milliseconds
 CSV_HEADER = [f"{f[:-3]}_ms" if f.endswith("_ns") else f for f in TraceRow._fields]
 
-WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=255)
 # RadioParams fields the airtime command sets only from a flag given
 _RADIO_OPTIONS = ("n_preamble", "crc_on", "implicit_header", "low_datarate_opt")
 
@@ -41,21 +46,20 @@ def _csv_field(value: str) -> str:
 def write_trace_csv(path, rows: Trace):
     """The trace as CSV, byte for byte what csv.writer makes of its rows.
 
-    Only device_id and strategy are free text, so only they go through
-    csv.writer, once per trace; every other field is a number, "none"
-    or "resync", which csv.writer never quotes.  The trace derives its
-    rows a chunk at a time, and each chunk is formatted and written as
-    one piece.
+    Only device_id is free text, so only the device names go through
+    csv.writer, once per trace; every other field, the strategy's name
+    among them, is a number or a fixed word that csv.writer never quotes.
+    The trace derives its rows a chunk at a time, and each chunk is
+    formatted and written as one piece.
     """
     quoted = {name: _csv_field(name) for name in rows.device_names}
-    strategy = _csv_field(rows.strategy)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
         for chunk in rows.fields():
             fh.write("".join([
                 f"{i},{quoted[name]},{fmt_ms(t)},{fmt_ms(pos)},{fmt_ms(drift)},"
                 f"{'1' if in_sync else '0'},{action},{'' if rem is None else rem},{strategy}\n"
-                for i, name, t, pos, drift, in_sync, action, rem, _ in chunk
+                for i, name, t, pos, drift, in_sync, action, rem, strategy in chunk
             ]))
 
 
@@ -80,15 +84,20 @@ def _cmd_airtime(args) -> int:
     return 0
 
 
+def _fmt_s(seconds: float) -> str:
+    """Seconds as the shortest text that reads back as the same float, less a trailing ".0"."""
+    return repr(float(seconds)).removesuffix(".0")
+
+
 def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
     """Every reported fact of one run, each computed and formatted once:
     (key, text, whether the [summary] block prints it), in block order."""
-    cfg, gw, devices = sc.cfg, m.gateway, m.per_device.values()
+    cfg = sc.cfg
     # every downlink costs t_rx
-    airtime_ns = gw.downlink_count * cfg.t_rx_ns
+    airtime_ns = m.downlink_count * cfg.t_rx_ns
     facts = [
         ("strategy", sc.strategy, True),
-        ("duration_s", f"{sc.duration_s:g}", True),
+        ("duration_s", _fmt_s(sc.duration_s), True),
         ("seed", str(sc.seed), True),
         ("t_slot_ms", fmt_ms(cfg.t_slot_ns), True),
         ("ideal_arrival_ms", fmt_ms(cfg.t_tx_ns), True),
@@ -100,20 +109,20 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
         ("in_sync_upper_ms", fmt_ms(cfg.t_tx_ns + cfg.tb2_ns), True),
         ("frames_total", str(m.frames_total), True),
         ("collision_count", str(m.collision_count), True),
-        ("downlink_count", str(gw.downlink_count), True),
+        ("downlink_count", str(m.downlink_count), True),
         ("downlink_airtime_ms", fmt_ms(airtime_ns), True),
         ("duty_cycle_fraction", f"{airtime_ns / s_to_ns(sc.duration_s):.6f}", True),
         ("duty_cycle_limit", f"{sc.duty_cycle_limit:.6f}", True),
-        ("sync_overhead_bytes", str(gw.sync_overhead_bytes), True),
-        ("resyncs_total", str(sum(d.resync_count for d in devices)), True),
-        ("out_sync_frames_total", str(sum(d.out_sync_frames for d in devices)), False),
+        ("sync_overhead_bytes", str(m.sync_overhead_bytes), True),
+        ("resyncs_total", str(sum(m.resyncs.values())), True),
+        ("out_sync_frames_total", str(sum(m.out_sync_frames.values())), False),
     ]
     if sc.strategy == FIXED_RATE:
-        facts.insert(1, ("round_s", str(sc.round_s), True))
-    for name, dm in sorted(m.per_device.items()):
-        out_sync = str(dm.out_sync_frames)
+        facts.insert(1, ("round_s", _fmt_s(sc.round_s), True))
+    for name in sorted(m.resyncs):
+        out_sync = str(m.out_sync_frames[name])
         facts += [
-            (f"device.{name}.resyncs", str(dm.resync_count), True),
+            (f"device.{name}.resyncs", str(m.resyncs[name]), True),
             (f"device.{name}.out_sync_frames", out_sync, True),
             # out-of-sync frames are the slot violations; the key stays as pinned
             (f"device.{name}.violations", out_sync, True),
@@ -136,7 +145,7 @@ def _print_summary(sc: Scenario, m: Metrics):
           f" + guards {t['tb1_ms']}/{t['tb2_ms']}")
     print(f"  in-sync window   uplink end in ({t['in_sync_lower_ms']}, "
           f"{t['in_sync_upper_ms']}) ms, ideal {t['ideal_arrival_ms']} ms")
-    for name in sorted(m.per_device):
+    for name in sorted(m.resyncs):
         print(f"  device {name:<10} resyncs {t[f'device.{name}.resyncs']}, "
               f"out-of-sync {t[f'device.{name}.out_sync_frames']}")
     print(f"  gateway          {t['downlink_count']} acks, {t['sync_overhead_bytes']} sync bytes, "
@@ -182,9 +191,9 @@ def _cmd_compare(args) -> int:
         return [t[key] for t in tables]
 
     def ratios(key):
-        """Each fixed-rate value over the adaptive one, which reads "-"."""
+        """Each fixed-rate value over the adaptive one, which reads "-"; 0 over 0 reads "nan"."""
         base, *rest = (int(t[key]) for t in tables)
-        return ["-"] + [f"{v / base:.2f}" if base else "inf" for v in rest]
+        return ["-"] + [f"{v / base:.2f}" if base else "inf" if v else "nan" for v in rest]
 
     # (table row, its key in the [compare] block or None, a value per variant)
     rows = [

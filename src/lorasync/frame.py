@@ -6,9 +6,11 @@ LoRaWAN-1.0-shaped layouts, MIC and encryption deliberately absent:
     ack     MHDR 0x60 | DevAddr u32 LE | FCtrl | FCnt u16 LE | FOpts (0 or 2 bytes)
 
 FCtrl carries the FOpts length in its low nibble.  An ACK with no options
-bytes is itself the in-sync signal; two options bytes carry the remaining
-time to the next slot boundary, whole milliseconds, big-endian.  The sync
-traffic runs on FPort 198.
+bytes is itself the in-sync signal; its one option, `REMAINING_MS`, carries
+the remaining time to the next slot boundary, whole milliseconds,
+big-endian.  Its width caps the slot length (`slot.MAX_SLOT_MS`) and prices
+an adaptive resync (`protocol.SYNC_BYTES`).  The sync traffic runs on FPort
+198.
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
+from .airtime import MAX_PL_BYTES
 from .errors import DecodeError, EncodeError
 
 SYNC_FPORT = 198
 MHDR_UPLINK = 0x40
 MHDR_DOWNLINK = 0x60
-MAX_FRAME_BYTES = 255
+MAX_FRAME_BYTES = MAX_PL_BYTES
 _UPLINK_HEADER = 9  # MHDR + DevAddr + FCtrl + FCnt + FPort
 MAX_UPLINK_PAYLOAD = MAX_FRAME_BYTES - _UPLINK_HEADER
 _ACK_BASE = 8  # MHDR + DevAddr + FCtrl + FCnt
+# the ACK's remaining-time field, the whole of its FOpts
+REMAINING_MS = struct.Struct(">H")
 
 
 class UplinkFrame(NamedTuple):
@@ -77,9 +82,9 @@ def encode_ack(a: SyncAck) -> bytes:
     _check_u(a.fcnt, 16, "fcnt")
     if a.remaining_ms is None:
         return struct.pack("<BIBH", MHDR_DOWNLINK, a.dev_addr, 0, a.fcnt)
-    _check_u(a.remaining_ms, 16, "remaining_ms")
-    head = struct.pack("<BIBH", MHDR_DOWNLINK, a.dev_addr, 2, a.fcnt)
-    return head + struct.pack(">H", a.remaining_ms)
+    _check_u(a.remaining_ms, 8 * REMAINING_MS.size, "remaining_ms")
+    head = struct.pack("<BIBH", MHDR_DOWNLINK, a.dev_addr, REMAINING_MS.size, a.fcnt)
+    return head + REMAINING_MS.pack(a.remaining_ms)
 
 
 def decode_ack(data: bytes) -> SyncAck:
@@ -93,9 +98,9 @@ def decode_ack(data: bytes) -> SyncAck:
     fopts_len = fctrl & 0x0F
     if fopts_len == 0:
         return SyncAck(dev_addr, fcnt, None)
-    if fopts_len != 2:
+    if fopts_len != REMAINING_MS.size:
         raise DecodeError(f"unsupported FOpts length {fopts_len}", 5)
-    if len(data) < _ACK_BASE + 2:
+    if len(data) < _ACK_BASE + REMAINING_MS.size:
         raise DecodeError("truncated FOpts", len(data))
-    (remaining_ms,) = struct.unpack_from(">H", data, _ACK_BASE)
+    (remaining_ms,) = REMAINING_MS.unpack_from(data, _ACK_BASE)
     return SyncAck(dev_addr, fcnt, remaining_ms)

@@ -3,9 +3,9 @@
 The network server never initiates traffic.  It watches where each uplink
 ends inside its slot grid, which starts at reference time 0; while a
 device is in-sync the ACK stays empty, and the moment it is not, the ACK
-carries the remaining time to the next slot boundary (2 bytes).  The
-device reconstructs the boundary from that single number plus two local
-timestamps:
+carries the remaining time to the next slot boundary (`frame.REMAINING_MS`,
+2 bytes).  The device reconstructs the boundary from that single number
+plus two local timestamps:
 
     beg      local time when its uplink ended
     end      local time when the ACK finished arriving
@@ -51,6 +51,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import UsageError
+from .frame import REMAINING_MS
 from .slot import SlotConfig, remaining_to_next_slot, uplink_end_in_sync
 from .units import NS_PER_MS, ns_to_ms_round
 
@@ -60,7 +61,7 @@ FIXED_RATE = "fixed_rate"
 
 # downlink bytes one resync costs, by strategy: the ACK's remaining-time
 # field, or a fixed-rate correction
-SYNC_BYTES = {ADAPTIVE: 2, FIXED_RATE: 8}
+SYNC_BYTES = {ADAPTIVE: REMAINING_MS.size, FIXED_RATE: 8}
 
 
 class NetworkServerState:

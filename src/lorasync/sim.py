@@ -37,17 +37,20 @@ has one frame in flight at a time.
 
 Frames skip the wire codec: the server's verdict reaches the device as
 the ACK's remaining-time field itself, a whole number of milliseconds
-that never exceeds the slot length, which SlotConfig caps at the 16-bit
-field's 65535 ms (`frame` holds the on-air layout).
+that never exceeds the slot length, which SlotConfig caps at the field's
+largest value, `slot.MAX_SLOT_MS` (`frame.REMAINING_MS` defines the
+field, and `frame` the on-air layout).
 
 The medium is lossless by default: collisions are counted as time
 overlaps between uplinks but do not destroy frames.  An optional uniform
 downlink loss exercises the protocol's self-correction.
 
-`run` returns the metrics and a `Trace` of the frames, read forward: its
-length, and its `TraceRow`s in time order, one per frame.  It stores what
-the run decided, the device, the uplink end and whether the server
-attached a correction, in typed columns of 13 bytes a frame;
+`run` returns the `Metrics`, one flat record of what the run counted,
+with a count per device name for every device of the run, and a `Trace`
+of the frames, read forward: its length, and its `TraceRow`s in time
+order, one per frame.  It stores what the run decided, the device, the
+uplink end and whether the server attached a correction, in typed
+columns of 13 bytes a frame;
 `Trace.fields` derives the rest of each row as it is read: the slot
 judgement of its uplink end, one `slot.uplink_end_in_sync` call as the
 server made, and the remaining time of a correction.
@@ -252,21 +255,13 @@ class Trace:
             yield from map(TraceRow._make, rows)
 
 
-class DeviceMetrics(NamedTuple):
-    resync_count: int
-    out_sync_frames: int
+class Metrics(NamedTuple):
+    """What one run counted; the CLI derives air time and duty cycle from it."""
 
-
-class GatewayMetrics(NamedTuple):
-    """What the gateway counted; the CLI derives air time and duty cycle from it."""
-
+    resyncs: dict  # device name -> the resyncs the server charged it
+    out_sync_frames: dict  # device name -> its uplinks that ended out of sync
     downlink_count: int  # RX1 downlinks that opened within the run, each t_rx of air time
     sync_overhead_bytes: int  # protocol.SYNC_BYTES of the strategy per resync
-
-
-class Metrics(NamedTuple):
-    per_device: dict
-    gateway: GatewayMetrics
     collision_count: int
     frames_total: int
 
@@ -368,16 +363,12 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     ns_on_run_end(server, duration_ns)
 
     # the server counts every resync, for every device of the run
-    per_device = {
-        spec.name: DeviceMetrics(resyncs, out_sync)
-        for spec, resyncs, out_sync in zip(
-            scenario.devices, server.resync_count, server.out_sync_count
-        )
-    }
-    sync_bytes = SYNC_BYTES[scenario.strategy] * sum(server.resync_count)
+    names = trace.device_names
     return Metrics(
-        per_device=per_device,
-        gateway=GatewayMetrics(downlink_count=rx1_opened, sync_overhead_bytes=sync_bytes),
+        resyncs=dict(zip(names, server.resync_count)),
+        out_sync_frames=dict(zip(names, server.out_sync_count)),
+        downlink_count=rx1_opened,
+        sync_overhead_bytes=SYNC_BYTES[scenario.strategy] * sum(server.resync_count),
         collision_count=collisions,
         frames_total=len(trace),
     ), trace

@@ -19,14 +19,16 @@ position in the slot, its signed drift and the verdict.
 from __future__ import annotations
 
 from ._record import Frozen
+from .airtime import WORST_CASE, time_on_air
 from .errors import ParamError, UsageError
+from .frame import REMAINING_MS
 from .units import NS_PER_MS
 
-# the 2-byte millisecond wire field caps the slot length
-MAX_SLOT_MS = 65_535
-# and the worst-case uplink air-time (11936 ms) leaves this much of it
+# the ACK's remaining-time field caps the slot length, 65535 ms
+MAX_SLOT_MS = (1 << 8 * REMAINING_MS.size) - 1
+# and the worst-case uplink's air time (11936 ms) leaves this much of it
 # for everything else, guards included
-GUARD_HEADROOM_MS = 53_599
+GUARD_HEADROOM_MS = MAX_SLOT_MS - time_on_air(WORST_CASE).t_packet_ms
 
 
 class SlotConfig(Frozen):

@@ -144,9 +144,9 @@ def test_a6_fixed_rate_resync_counts(criterion, bench_scenario):
     """Unconditional resync once per round: 6.5 h bench crosses 6 hourly
     boundaries and exactly 13 half-hourly ones, two devices each."""
     m1, _ = run(bench_scenario(strategy=FIXED_RATE, round_s=3600))
-    total_1h = sum(d.resync_count for d in m1.per_device.values())
+    total_1h = sum(m1.resyncs.values())
     m2, _ = run(bench_scenario(strategy=FIXED_RATE, round_s=1800))
-    total_30m = sum(d.resync_count for d in m2.per_device.values())
+    total_30m = sum(m2.resyncs.values())
     criterion(
         "A6 fixed-rate bench resyncs: exactly 12 (1 h rounds) and 26 (30 min rounds)",
         total_1h == 12 and total_30m == 26,
@@ -170,9 +170,9 @@ def test_a7_adaptive_vs_fixed_overhead(criterion, bench_scenario):
     m_30m, _ = run(sc._replace(strategy=FIXED_RATE, round_s=1800))
     t_30m = time.monotonic() - t0
 
-    adaptive = sum(d.resync_count for d in m_ad.per_device.values())
-    fixed_1h = sum(d.resync_count for d in m_1h.per_device.values())
-    fixed_30m = sum(d.resync_count for d in m_30m.per_device.values())
+    adaptive = sum(m_ad.resyncs.values())
+    fixed_1h = sum(m_1h.resyncs.values())
+    fixed_30m = sum(m_30m.resyncs.values())
     ratio_1h = fixed_1h / adaptive
     ratio_30m = fixed_30m / adaptive
 
@@ -180,16 +180,16 @@ def test_a7_adaptive_vs_fixed_overhead(criterion, bench_scenario):
         3 <= adaptive <= 7
         and ratio_1h >= 2.0
         and ratio_30m >= 4.0
-        and m_ad.gateway.sync_overhead_bytes == 2 * adaptive
-        and m_1h.gateway.sync_overhead_bytes == 8 * fixed_1h
-        and m_30m.gateway.sync_overhead_bytes == 8 * fixed_30m
+        and m_ad.sync_overhead_bytes == 2 * adaptive
+        and m_1h.sync_overhead_bytes == 8 * fixed_1h
+        and m_30m.sync_overhead_bytes == 8 * fixed_30m
         and max(t_ad, t_1h, t_30m) < 5.0
     )
     criterion(
         "A7 adaptive bench needs 3..7 resyncs; fixed-rate overhead >= 2x (1 h) "
         "and >= 4x (30 min)",
         ok,
-        f"adaptive {adaptive} ({m_ad.gateway.sync_overhead_bytes} B), "
+        f"adaptive {adaptive} ({m_ad.sync_overhead_bytes} B), "
         f"ratios {ratio_1h:.1f}/{ratio_30m:.1f}, "
         f"slowest run {max(t_ad, t_1h, t_30m):.2f} s",
     )

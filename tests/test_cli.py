@@ -15,7 +15,7 @@ import pytest
 from lorasync import cli
 from lorasync.cli import CSV_HEADER, main
 from lorasync.config import load_scenario
-from lorasync.sim import _CHUNK_ROWS, DeviceMetrics, run
+from lorasync.sim import _CHUNK_ROWS, run
 from lorasync.units import NS_PER_S, fmt_ms, ms_to_ns
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -585,8 +585,8 @@ def test_device_never_heard_is_reported_with_zero_counts(capsys, tmp_path, strat
     # the quiet device's first uplink, at a random phase inside its first
     # 10^6 s, ends past the 600 s run: the server never hears from it
     assert {r.device_id for r in trace} == {"busy"}
-    assert m.per_device["quiet"] == DeviceMetrics(resync_count=0, out_sync_frames=0)
-    assert m.per_device["busy"].resync_count > 0
+    assert m.resyncs["quiet"] == m.out_sync_frames["quiet"] == 0
+    assert m.resyncs["busy"] > 0
 
     code, out, _ = _run(capsys, "simulate", str(path))
     assert code == 0
@@ -600,3 +600,44 @@ def test_device_never_heard_is_reported_with_zero_counts(capsys, tmp_path, strat
     assert kv["device.quiet.out_sync_frames"] == "0"
     per_resync = 2 if sc.strategy == "adaptive" else 8
     assert int(kv["sync_overhead_bytes"]) == per_resync * int(kv["resyncs_total"]) > 0
+
+
+@pytest.mark.parametrize("duration_s", ["1234567", "1800.123456789"])
+def test_summary_prints_run_and_round_lengths_exactly(capsys, tmp_path, duration_s):
+    path = tmp_path / "long.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s=duration_s, clock="clock = ideal",
+                                       tx_period_s=3600))
+    code, out, _ = _run(capsys, "simulate", str(path))
+    assert code == 0
+    assert f"  duration         {duration_s} s, " in out
+    assert _summary_block(out)["duration_s"] == duration_s
+    # a config's round_s is a whole number; the library also takes a fraction
+    sc = load_scenario(path)
+    fixed = sc._replace(strategy="fixed_rate", round_s=float(duration_s))
+    facts = {key: text for key, text, _ in cli._facts(fixed, run(fixed)[0])}
+    assert facts["round_s"] == duration_s
+
+
+def _compare_block(out: str) -> dict:
+    _, block = out.split("\n\n[compare]\n")
+    return dict(line.split("=", 1) for line in block.splitlines())
+
+
+def test_compare_ratio_of_nothing_over_nothing_is_nan(capsys, tmp_path):
+    # a 0.1 s run hears no device, so no variant resyncs
+    path = tmp_path / "short.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s=0.1, clock="clock = ideal", tx_period_s=30))
+    code, out, _ = _run(capsys, "compare", str(path), "--rounds", "3600")
+    assert code == 0
+    kv = _compare_block(out)
+    assert kv["adaptive.resyncs"] == kv["fixed_3600.resyncs"] == "0"
+    assert kv["fixed_3600.overhead_ratio"] == kv["fixed_3600.byte_ratio"] == "nan"
+
+    # at seed 2 the ideal clock boots in sync and never needs a correction,
+    # while every minute's round still costs one: a positive count over 0
+    path.write_text(_ONE_DEVICE.format(duration_s=600, clock="clock = ideal", tx_period_s=30))
+    code, out, _ = _run(capsys, "compare", str(path), "--rounds", "60", "--seed", "2")
+    assert code == 0
+    kv = _compare_block(out)
+    assert kv["adaptive.resyncs"] == "0" and int(kv["fixed_60.resyncs"]) > 0
+    assert kv["fixed_60.overhead_ratio"] == kv["fixed_60.byte_ratio"] == "inf"

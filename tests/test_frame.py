@@ -15,7 +15,10 @@ from lorasync import (
     encode_ack,
     encode_uplink,
 )
+from lorasync.airtime import MAX_PL_BYTES, WORST_CASE, time_on_air
 from lorasync.frame import MAX_FRAME_BYTES, SYNC_FPORT
+from lorasync.protocol import ADAPTIVE, SYNC_BYTES
+from lorasync.slot import GUARD_HEADROOM_MS, MAX_SLOT_MS
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,3 +148,18 @@ def test_decode_never_crashes_on_noise():
                 dec(blob)
             except DecodeError:
                 pass  # rejecting is fine, raising anything else is not
+
+
+def test_each_limit_derives_from_its_one_definition():
+    # the ACK's remaining-time field: what it adds to an ACK prices an
+    # adaptive resync, and its largest value caps the slot length
+    field_bytes = len(encode_ack(SyncAck(1, 0, 0))) - len(encode_ack(SyncAck(1, 0)))
+    assert field_bytes == SYNC_BYTES[ADAPTIVE] == 2
+    assert MAX_SLOT_MS == 65535
+    assert decode_ack(encode_ack(SyncAck(1, 0, MAX_SLOT_MS))).remaining_ms == MAX_SLOT_MS
+    with pytest.raises(EncodeError):
+        encode_ack(SyncAck(1, 0, MAX_SLOT_MS + 1))
+    # the worst-case uplink leaves the guards the rest of the longest slot
+    assert GUARD_HEADROOM_MS == 53599 == MAX_SLOT_MS - time_on_air(WORST_CASE).t_packet_ms
+    # one payload limit for the radio and the frame
+    assert MAX_FRAME_BYTES == MAX_PL_BYTES == 255

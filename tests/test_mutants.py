@@ -324,11 +324,41 @@ MUTANTS = (
     Mutant(
         "adaptive and fixed-rate resync prices swapped",
         "protocol.py",
-        "SYNC_BYTES = {ADAPTIVE: 2, FIXED_RATE: 8}",
-        "SYNC_BYTES = {ADAPTIVE: 8, FIXED_RATE: 2}",
+        "SYNC_BYTES = {ADAPTIVE: REMAINING_MS.size, FIXED_RATE: 8}",
+        "SYNC_BYTES = {ADAPTIVE: 8, FIXED_RATE: REMAINING_MS.size}",
         (
             "tests/test_cli.py::test_compare_table_and_machine_block",
             "tests/test_acceptance.py::test_a7_adaptive_vs_fixed_overhead",
+        ),
+    ),
+    Mutant(
+        "the ACK's remaining-time field is one byte wide",
+        "frame.py",
+        'REMAINING_MS = struct.Struct(">H")',
+        'REMAINING_MS = struct.Struct(">B")',
+        (
+            "tests/test_frame.py::test_each_limit_derives_from_its_one_definition",
+            "tests/test_frame.py::test_ack_golden_bytes",
+        ),
+    ),
+    Mutant(
+        "the worst-case uplink codes at 4/7",
+        "airtime.py",
+        "WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=4, pl_bytes=MAX_PL_BYTES)",
+        "WORST_CASE = RadioParams(sf=12, bw_hz=125_000, cr=3, pl_bytes=MAX_PL_BYTES)",
+        (
+            "tests/test_frame.py::test_each_limit_derives_from_its_one_definition",
+            "tests/test_cli.py::test_airtime_worst_case",
+        ),
+    ),
+    Mutant(
+        "the out-of-sync counts read the fixed-rate resync list",
+        "sim.py",
+        "out_sync_frames=dict(zip(names, server.out_sync_count))",
+        "out_sync_frames=dict(zip(names, server.resync_count))",
+        (
+            "tests/test_sim_properties.py::test_a_boundary_flags_the_next_uplink_of_every_device_heard",
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
         ),
     ),
     Mutant(
@@ -381,8 +411,8 @@ MUTANTS = (
     Mutant(
         "a device's out-of-sync count reads its resyncs",
         "cli.py",
-        "out_sync = str(dm.out_sync_frames)",
-        "out_sync = str(dm.resync_count)",
+        "out_sync = str(m.out_sync_frames[name])",
+        "out_sync = str(m.resyncs[name])",
         (
             "tests/test_golden.py::test_simulate_outputs_are_pinned",
             "tests/test_cli.py::test_compare_rows_read_each_variant_as_simulate_prints_it",
@@ -391,8 +421,8 @@ MUTANTS = (
     Mutant(
         "the out-of-sync total sums resyncs",
         "cli.py",
-        "sum(d.out_sync_frames for d in devices)",
-        "sum(d.resync_count for d in devices)",
+        "sum(m.out_sync_frames.values())",
+        "sum(m.resyncs.values())",
         ("tests/test_cli.py::test_compare_rows_read_each_variant_as_simulate_prints_it",),
     ),
     Mutant(

@@ -11,7 +11,6 @@ import pytest
 from lorasync import (
     AirTime,
     ConfigError,
-    DeviceMetrics,
     DeviceSpec,
     ParamError,
     Piecewise,
@@ -62,7 +61,6 @@ CONFIG_RECORDS = [
 VALUE_RECORDS = [
     AirTime(1_000, 2_000, 8),
     UplinkFrame(dev_addr=0x01020304, fcnt=7, payload=b"\x01"),
-    DeviceMetrics(resync_count=2, out_sync_frames=5),
 ]
 
 

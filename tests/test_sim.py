@@ -127,9 +127,7 @@ def test_trace_rows_match_an_independent_judgement(bench_scenario):
     # both outcomes and both actions occur, so every branch above ran
     assert {r.in_sync for r in trace} == {True, False}
     assert {r.action for r in trace} == {"none", "resync"}
-    assert sum(r.action == "resync" for r in trace) <= sum(
-        d.resync_count for d in m.per_device.values()
-    )
+    assert sum(r.action == "resync" for r in trace) <= sum(m.resyncs.values())
 
 
 def _retained_bytes(sc) -> tuple[int, int, int]:
@@ -203,12 +201,12 @@ def test_uplinks_all_answered_and_accounted():
         m, trace = run(_ideal_scenario(seed=5, duration_s=duration_s))
         # every uplink gets one RX1 downlink, except those whose receive
         # window opens after the end of the run (at 619 s, one does)
-        assert m.gateway.downlink_count == sum(
+        assert m.downlink_count == sum(
             1 for r in trace if r.true_time_ns + CFG.rx_delay_ns <= s_to_ns(duration_s)
         )
         resyncs = sum(1 for r in trace if r.action == "resync")
-        assert m.gateway.sync_overhead_bytes == 2 * resyncs
-        assert sum(d.out_sync_frames for d in m.per_device.values()) == sum(
+        assert m.sync_overhead_bytes == 2 * resyncs
+        assert sum(m.out_sync_frames.values()) == sum(
             1 for r in trace if not r.in_sync
         )
 
@@ -248,15 +246,15 @@ def test_fixed_rate_resync_counts_are_rounds_times_devices(bench_scenario):
     sc = bench_scenario(strategy=FIXED_RATE, round_s=3600)
     m, trace = run(sc)
     # 23400 s of run time crosses 6 full hourly boundaries
-    assert all(d.resync_count == 6 for d in m.per_device.values())
-    assert sum(d.resync_count for d in m.per_device.values()) == 12
-    assert m.gateway.sync_overhead_bytes == 8 * 12
+    assert all(n == 6 for n in m.resyncs.values())
+    assert sum(m.resyncs.values()) == 12
+    assert m.sync_overhead_bytes == 8 * 12
 
     sc = bench_scenario(strategy=FIXED_RATE, round_s=1800)
     m, _ = run(sc)
     # 23400 / 1800 = 13 exactly; the boundary on the final instant counts
-    assert all(d.resync_count == 13 for d in m.per_device.values())
-    assert m.gateway.sync_overhead_bytes == 8 * 26
+    assert all(n == 13 for n in m.resyncs.values())
+    assert m.sync_overhead_bytes == 8 * 26
 
 
 def test_fixed_rate_lets_drift_grow_between_rounds():
@@ -267,8 +265,8 @@ def test_fixed_rate_lets_drift_grow_between_rounds():
     base = Scenario(duration_s=23_400.0, cfg=CFG, devices=(dev,), seed=1)
     m_ad, _ = run(base)
     m_fx, _ = run(base._replace(strategy=FIXED_RATE, round_s=3600))
-    viol_ad = sum(d.out_sync_frames for d in m_ad.per_device.values())
-    viol_fx = sum(d.out_sync_frames for d in m_fx.per_device.values())
+    viol_ad = sum(m_ad.out_sync_frames.values())
+    viol_fx = sum(m_fx.out_sync_frames.values())
     assert viol_fx > viol_ad
 
 
@@ -341,7 +339,7 @@ def test_downlink_loss_devices_eventually_resync(bench_scenario):
     out0 = [r for r in traced if r.device_id == "feather"]
     if out0 and not out0[0].in_sync:
         assert all(not r.in_sync for r in out0)
-    assert md.gateway.downlink_count > 0  # gateway still transmits
+    assert md.downlink_count > 0  # gateway still transmits
 
 
 def test_aligned_slot_pick_is_periodic():
@@ -371,7 +369,7 @@ def test_short_run_produces_no_frames():
     m, trace = run(sc)
     assert len(trace) == 0 and list(trace) == []
     assert m.frames_total == 0
-    assert m.gateway.downlink_count == 0
+    assert m.downlink_count == 0
 
 
 def test_scenario_validation():
@@ -513,8 +511,8 @@ def test_one_nanosecond_rounds_finish():
         "for r in trace:\n"
         "    first.setdefault(r.device_id, r.true_time_ns)\n"
         "    assert (r.remaining_ms is None) == (first[r.device_id] == r.true_time_ns)\n"
-        "for name, dm in m.per_device.items():\n"
-        "    assert dm.resync_count == s_to_ns(sc.duration_s) - first[name], name\n"
+        "for name, resyncs in m.resyncs.items():\n"
+        "    assert resyncs == s_to_ns(sc.duration_s) - first[name], name\n"
         "print(elapsed)\n"
     )
     root = Path(__file__).parent.parent
@@ -539,7 +537,7 @@ def test_uplink_end_is_not_read_when_the_ack_ends_past_the_run():
     dev = DeviceSpec(name="a", clock_model=walk, tx_period_s=0.001)
     m, trace = run(Scenario(duration_s=0.5, cfg=CFG, devices=(dev,)))
     assert [r.true_time_ns for r in trace] == [CFG.t_tx_ns]
-    assert m.gateway.downlink_count == 0
+    assert m.downlink_count == 0
 
 
 def test_lorasync_calls_per_frame_are_pinned(bench_scenario):
@@ -571,7 +569,7 @@ def test_lorasync_calls_per_frame_are_pinned(bench_scenario):
 def test_bench_gateway_stays_inside_duty_limit(bench_scenario):
     sc = bench_scenario()
     m, _ = run(sc)
-    airtime_ns = m.gateway.downlink_count * sc.cfg.t_rx_ns
+    airtime_ns = m.downlink_count * sc.cfg.t_rx_ns
     assert airtime_ns / s_to_ns(sc.duration_s) < sc.duty_cycle_limit
 
 

@@ -122,7 +122,10 @@ def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
 
     first: dict[str, int] = {}
     previous: dict[str, int] = {}
+    # fixed-rate keeps its resyncs apart from its out-of-sync frames
+    out_sync = dict.fromkeys((spec.name for spec in specs), 0)
     for row in trace:
+        out_sync[row.device_id] += not row.in_sync
         last = previous.get(row.device_id)
         # a boundary at this uplink's end comes first and flags it; one at
         # the previous end came before that uplink and was answered there
@@ -130,17 +133,18 @@ def test_a_boundary_flags_the_next_uplink_of_every_device_heard(
         assert (row.remaining_ms is not None) == flagged, row
         first.setdefault(row.device_id, row.true_time_ns)
         previous[row.device_id] = row.true_time_ns
+    assert m.out_sync_frames == out_sync
 
     for spec in specs:
         heard = spec.name in first
         want = _boundaries(first[spec.name], horizon_ns, round_ns) if heard else 0
-        assert m.per_device[spec.name].resync_count == want, spec.name
+        assert m.resyncs[spec.name] == want, spec.name
 
     verdicts, charged = _replay_rounds(trace, round_ns, horizon_ns)
     for row, was_flagged in zip(trace, verdicts, strict=True):
         assert (row.remaining_ms is not None) == was_flagged, row
     for spec in specs:
-        assert m.per_device[spec.name].resync_count == charged.get(spec.name, 0), spec.name
+        assert m.resyncs[spec.name] == charged.get(spec.name, 0), spec.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,8 +169,7 @@ def test_an_adaptive_resync_is_an_out_of_sync_frame(devices, duration_s, loss, s
         out_sync[row.device_id] += not row.in_sync
         resynced[row.device_id] += row.action == "resync"
     for spec in specs:
-        dm = m.per_device[spec.name]
-        assert (dm.resync_count == dm.out_sync_frames == out_sync[spec.name]
+        assert (m.resyncs[spec.name] == m.out_sync_frames[spec.name] == out_sync[spec.name]
                 == resynced[spec.name]), spec.name
 
 
