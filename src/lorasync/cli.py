@@ -89,6 +89,11 @@ def _fmt_s(seconds: float) -> str:
     return repr(float(seconds)).removesuffix(".0")
 
 
+def _fmt_limit(limit: float) -> str:
+    """Six decimals when they read back as the same float, else the shortest text that does."""
+    return text if float(text := f"{limit:.6f}") == limit else repr(limit)
+
+
 def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
     """Every reported fact of one run, each computed and formatted once:
     (key, text, whether the [summary] block prints it), in block order."""
@@ -112,7 +117,7 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
         ("downlink_count", str(m.downlink_count), True),
         ("downlink_airtime_ms", fmt_ms(airtime_ns), True),
         ("duty_cycle_fraction", f"{airtime_ns / s_to_ns(sc.duration_s):.6f}", True),
-        ("duty_cycle_limit", f"{sc.duty_cycle_limit:.6f}", True),
+        ("duty_cycle_limit", _fmt_limit(sc.duty_cycle_limit), True),
         ("sync_overhead_bytes", str(m.sync_overhead_bytes), True),
         ("resyncs_total", str(sum(m.resyncs.values())), True),
         ("out_sync_frames_total", str(sum(m.out_sync_frames.values())), False),

@@ -1,9 +1,11 @@
 """Wire codec for the uplink and acknowledgement frames.
 
-LoRaWAN-1.0-shaped layouts, MIC and encryption deliberately absent:
+Both frames open with one LoRaWAN-1.0-shaped header, `_HEADER`, written
+and read in one place; MIC and encryption are deliberately absent:
 
-    uplink  MHDR 0x40 | DevAddr u32 LE | FCtrl | FCnt u16 LE | FPort u8 | payload
-    ack     MHDR 0x60 | DevAddr u32 LE | FCtrl | FCnt u16 LE | FOpts (0 or 2 bytes)
+    header  MHDR | DevAddr u32 LE | FCtrl | FCnt u16 LE | FOpts
+    uplink  header with MHDR 0x40 and no FOpts | FPort u8 | payload
+    ack     header with MHDR 0x60 and FOpts of 0 or 2 bytes
 
 FCtrl carries the FOpts length in its low nibble.  An ACK with no options
 bytes is itself the in-sync signal; its one option, `REMAINING_MS`, carries
@@ -25,9 +27,12 @@ SYNC_FPORT = 198
 MHDR_UPLINK = 0x40
 MHDR_DOWNLINK = 0x60
 MAX_FRAME_BYTES = MAX_PL_BYTES
-_UPLINK_HEADER = 9  # MHDR + DevAddr + FCtrl + FCnt + FPort
+# MHDR, DevAddr, FCtrl (the FOpts length in its low nibble), FCnt
+_HEADER = struct.Struct("<BIBH")
+# FCtrl's offset: the one byte set in a header with only FCtrl set
+_FCTRL_AT = _HEADER.pack(0, 0, 1, 0).index(1)
+_UPLINK_HEADER = _HEADER.size + 1  # and FPort
 MAX_UPLINK_PAYLOAD = MAX_FRAME_BYTES - _UPLINK_HEADER
-_ACK_BASE = 8  # MHDR + DevAddr + FCtrl + FCnt
 # the ACK's remaining-time field, the whole of its FOpts
 REMAINING_MS = struct.Struct(">H")
 
@@ -50,57 +55,60 @@ def _check_u(value: int, bits: int, what: str):
         raise EncodeError(f"{what} must fit in {bits} bits, got {value}")
 
 
+def _encode_header(mhdr: int, dev_addr: int, fcnt: int, fopts_len: int = 0) -> bytes:
+    """The header, FCtrl holding fopts_len; the caller checks its FOpts
+    after the header fields, as it always has, and then appends them."""
+    _check_u(dev_addr, 32, "dev_addr")
+    _check_u(fcnt, 16, "fcnt")
+    return _HEADER.pack(mhdr, dev_addr, fopts_len, fcnt)
+
+
+def _decode_header(data: bytes, mhdr: int, direction: str, kind: str) -> tuple[int, int, int]:
+    """DevAddr, FOpts length and FCnt of a frame that must open with mhdr."""
+    if len(data) < 1:
+        raise DecodeError("empty frame", 0)
+    if data[0] != mhdr:
+        raise DecodeError(f"expected {direction} MHDR 0x{mhdr:02x}, got 0x{data[0]:02x}", 0)
+    if len(data) < _HEADER.size:
+        raise DecodeError(f"truncated {kind} header", len(data))
+    _, dev_addr, fctrl, fcnt = _HEADER.unpack_from(data)
+    return dev_addr, fctrl & 0x0F, fcnt
+
+
 def encode_uplink(f: UplinkFrame) -> bytes:
-    _check_u(f.dev_addr, 32, "dev_addr")
-    _check_u(f.fcnt, 16, "fcnt")
+    head = _encode_header(MHDR_UPLINK, f.dev_addr, f.fcnt)
     _check_u(f.fport, 8, "fport")
     if len(f.payload) > MAX_UPLINK_PAYLOAD:
         raise EncodeError(
             f"frame would be {_UPLINK_HEADER + len(f.payload)} bytes, max {MAX_FRAME_BYTES}"
         )
-    head = struct.pack("<BIBHB", MHDR_UPLINK, f.dev_addr, 0, f.fcnt, f.fport)
-    return head + f.payload
+    return head + bytes((f.fport,)) + f.payload
 
 
 def decode_uplink(data: bytes) -> UplinkFrame:
-    if len(data) < 1:
-        raise DecodeError("empty frame", 0)
-    if data[0] != MHDR_UPLINK:
-        raise DecodeError(f"expected uplink MHDR 0x{MHDR_UPLINK:02x}, got 0x{data[0]:02x}", 0)
-    if len(data) < 8:
-        raise DecodeError("truncated uplink header", len(data))
-    dev_addr, fctrl, fcnt = struct.unpack_from("<IBH", data, 1)
-    fopts_len = fctrl & 0x0F
-    port_at = 8 + fopts_len
-    if len(data) < port_at + 1:
+    dev_addr, fopts_len, fcnt = _decode_header(data, MHDR_UPLINK, "uplink", "uplink")
+    port_at = _HEADER.size + fopts_len
+    if len(data) <= port_at:
         raise DecodeError("truncated before FPort", len(data))
     return UplinkFrame(dev_addr, fcnt, data[port_at], bytes(data[port_at + 1:]))
 
 
 def encode_ack(a: SyncAck) -> bytes:
-    _check_u(a.dev_addr, 32, "dev_addr")
-    _check_u(a.fcnt, 16, "fcnt")
-    if a.remaining_ms is None:
-        return struct.pack("<BIBH", MHDR_DOWNLINK, a.dev_addr, 0, a.fcnt)
-    _check_u(a.remaining_ms, 8 * REMAINING_MS.size, "remaining_ms")
-    head = struct.pack("<BIBH", MHDR_DOWNLINK, a.dev_addr, REMAINING_MS.size, a.fcnt)
-    return head + REMAINING_MS.pack(a.remaining_ms)
+    fopts_len = 0 if a.remaining_ms is None else REMAINING_MS.size
+    frame = _encode_header(MHDR_DOWNLINK, a.dev_addr, a.fcnt, fopts_len)
+    if fopts_len:
+        _check_u(a.remaining_ms, 8 * fopts_len, "remaining_ms")
+        frame += REMAINING_MS.pack(a.remaining_ms)
+    return frame
 
 
 def decode_ack(data: bytes) -> SyncAck:
-    if len(data) < 1:
-        raise DecodeError("empty frame", 0)
-    if data[0] != MHDR_DOWNLINK:
-        raise DecodeError(f"expected downlink MHDR 0x{MHDR_DOWNLINK:02x}, got 0x{data[0]:02x}", 0)
-    if len(data) < _ACK_BASE:
-        raise DecodeError("truncated ack header", len(data))
-    dev_addr, fctrl, fcnt = struct.unpack_from("<IBH", data, 1)
-    fopts_len = fctrl & 0x0F
+    dev_addr, fopts_len, fcnt = _decode_header(data, MHDR_DOWNLINK, "downlink", "ack")
     if fopts_len == 0:
         return SyncAck(dev_addr, fcnt, None)
     if fopts_len != REMAINING_MS.size:
-        raise DecodeError(f"unsupported FOpts length {fopts_len}", 5)
-    if len(data) < _ACK_BASE + REMAINING_MS.size:
+        raise DecodeError(f"unsupported FOpts length {fopts_len}", _FCTRL_AT)
+    if len(data) < _HEADER.size + fopts_len:
         raise DecodeError("truncated FOpts", len(data))
-    (remaining_ms,) = REMAINING_MS.unpack_from(data, _ACK_BASE)
+    (remaining_ms,) = REMAINING_MS.unpack_from(data, _HEADER.size)
     return SyncAck(dev_addr, fcnt, remaining_ms)

@@ -641,3 +641,16 @@ def test_compare_ratio_of_nothing_over_nothing_is_nan(capsys, tmp_path):
     kv = _compare_block(out)
     assert kv["adaptive.resyncs"] == "0" and int(kv["fixed_60.resyncs"]) > 0
     assert kv["fixed_60.overhead_ratio"] == kv["fixed_60.byte_ratio"] == "inf"
+
+
+@pytest.mark.parametrize("limit, text", [("0.01", "0.010000"), ("0.0000004", "4e-07"),
+                                         ("0.0123456789", "0.0123456789"), ("1", "1.000000")])
+def test_a_positive_duty_cycle_limit_prints_as_a_positive_number(capsys, tmp_path, limit, text):
+    path = tmp_path / "limit.ini"
+    path.write_text(Path(BENCH).read_text().replace("duty_cycle_limit = 0.01",
+                                                    f"duty_cycle_limit = {limit}"))
+    code, out, _ = _run(capsys, "simulate", str(path))
+    assert code == 0
+    assert _summary_block(out)["duty_cycle_limit"] == text
+    assert float(text) == float(limit)
+    assert f" of {text} allowed\n" in out

@@ -331,6 +331,23 @@ def test_times_past_the_int64_range_raise_param_error():
         RandomWalk(step_interval_s=float("nan"), step_std_ppm=0.0, initial_ppm=0.0)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=ParamError,
+    reason="ROADMAP item 3: the float forward map is not monotone this far into a "
+           "half-rate segment, so the inverse raises for a local time read before "
+           "REF_NS_MAX; the exact integer map must make this pass",
+)
+def test_the_inverse_answers_every_local_time_read_by_the_int64_limit():
+    # readings in the 1024 ns before REF_NS_MAX climb 64 ns past the one
+    # at REF_NS_MAX, and the inverse raises from 33 ns past it on
+    walk = RandomWalk(step_interval_s=4e9, step_std_ppm=0.0, initial_ppm=-500_000.0, seed=1)
+    clock = SimClock(walk)
+    readings = sorted({clock.local_time(t) for t in range(REF_NS_MAX - 1023, REF_NS_MAX + 1)})
+    inverse = SimClock(walk)
+    for local in readings:
+        assert inverse.true_time_at_local(local) <= REF_NS_MAX
+
+
 def test_every_segment_advances_local_time():
     # a segment that adds 0 ns of local time would let the inverse draw
     # walk steps without end: 1 + round(-0.6) = 0 for 1 ns at -600000 ppm

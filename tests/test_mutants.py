@@ -5,14 +5,17 @@ src/lorasync and names the tests that must fail on the changed copy.
 The test applies each to a fresh copy of src/ and runs those tests in a
 subprocess with a timeout; a hang counts as killed, and the child is
 killed with it.  The listed tests must first pass on an unchanged copy.
-A snippet that no longer matches its module fails the test, so a change
-that moves mutated code updates the catalogue with it.
+A snippet that no longer matches its module once, or a killer that
+names no test function of an existing file, fails a fast tier-1 test,
+so a change that moves mutated code or renames a test updates the
+catalogue with it.
 
-Deselected by default; run it with
+The kill run is deselected by default; run it with
 
     PYTHONPATH=src python -m pytest -q -m slow tests/test_mutants.py
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -266,6 +269,17 @@ MUTANTS = (
         (
             "tests/test_protocol.py::test_resync_example",
             "tests/test_sim_properties.py::test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift",
+            "tests/test_sim_properties.py::test_one_correction_leaves_half_a_millisecond_plus_the_drift_since",
+        ),
+    ),
+    Mutant(
+        "the ACK's remaining time is floored, not rounded half up",
+        "protocol.py",
+        "return ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, cfg))",
+        "return remaining_to_next_slot(arrival_true_ns, cfg) // NS_PER_MS",
+        (
+            "tests/test_sim_properties.py::test_one_correction_leaves_half_a_millisecond_plus_the_drift_since",
+            "tests/test_golden.py::test_simulate_outputs_are_pinned",
         ),
     ),
     Mutant(
@@ -339,6 +353,26 @@ MUTANTS = (
         (
             "tests/test_frame.py::test_each_limit_derives_from_its_one_definition",
             "tests/test_frame.py::test_ack_golden_bytes",
+        ),
+    ),
+    Mutant(
+        "the FOpts length is read from FCtrl's high nibble",
+        "frame.py",
+        "return dev_addr, fctrl & 0x0F, fcnt",
+        "return dev_addr, fctrl >> 4, fcnt",
+        (
+            "tests/test_frame.py::test_remaining_zero_is_distinct_from_absent",
+            "tests/test_frame.py::test_decode_errors_carry_offsets",
+        ),
+    ),
+    Mutant(
+        "FCtrl is written 0 for an ACK that carries a correction",
+        "frame.py",
+        "return _HEADER.pack(mhdr, dev_addr, fopts_len, fcnt)",
+        "return _HEADER.pack(mhdr, dev_addr, 0, fcnt)",
+        (
+            "tests/test_frame.py::test_ack_golden_bytes",
+            "tests/test_frame.py::test_ack_roundtrip_random",
         ),
     ),
     Mutant(
@@ -483,14 +517,34 @@ def _run_tests(src: Path, node_ids) -> int | None:
     return proc.returncode
 
 
-@pytest.mark.slow
-def test_catalogued_mutants_are_killed(tmp_path, capsys):
-    stale, survivors = [], []
-    for m in MUTANTS:
-        if (ROOT / "src" / "lorasync" / m.file).read_text().count(m.snippet) != 1:
-            stale.append(m.name)
+def test_every_snippet_matches_its_module_once():
+    stale = [
+        m.name for m in MUTANTS
+        if (ROOT / "src" / "lorasync" / m.file).read_text().count(m.snippet) != 1
+    ]
     assert not stale, f"snippets no longer match the source once: {stale}"
 
+
+def _test_functions(path: Path) -> set:
+    """The names of the test functions defined at the top of a test file."""
+    tree = ast.parse(path.read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_killer_names_an_existing_test():
+    missing = []
+    for m in MUTANTS:
+        for node_id in m.killers:
+            file, _, function = node_id.partition("::")
+            path = ROOT / file
+            if not path.is_file() or function.partition("[")[0] not in _test_functions(path):
+                missing.append(f"{m.name}: {node_id}")
+    assert not missing, f"killers that name no test: {missing}"
+
+
+@pytest.mark.slow
+def test_catalogued_mutants_are_killed(tmp_path, capsys):
+    survivors = []
     pristine = tmp_path / "pristine"
     shutil.copytree(ROOT / "src", pristine, ignore=shutil.ignore_patterns("__pycache__"))
     killers = sorted({k for m in MUTANTS for k in m.killers})

@@ -18,7 +18,13 @@ Under the adaptive strategy a device whose clock runs at a constant
 ppm drifts away from its corrected grid at |ppm| and is resynchronized
 once the drift leaves the guard on its side, so its resyncs come about
 one guard / |ppm| apart.
+
+One correction leaves such a device off the server's grid by the ACK
+field's rounding, at most half a millisecond, plus the drift of its rate
+from the uplink the correction answered to the next uplink's start.
 """
+
+import math
 
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -240,3 +246,53 @@ def test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift(devices, see
             intervals[row.device_id] += 1
         last[row.device_id] = row.true_time_ns
     assert min(intervals.values()) >= 3, intervals
+
+
+def _one_ms_guards(t_guard_ms: int) -> SlotConfig:
+    """The testbench slot with narrow guards, so that a drifting device resyncs often."""
+    return SlotConfig(
+        t_tx_ns=ms_to_ns(306),
+        rx_delay_ns=ms_to_ns(1000),
+        t_rx_ns=ms_to_ns(91),
+        tb1_ns=ms_to_ns(t_guard_ms),
+        tb2_ns=ms_to_ns(t_guard_ms),
+    )
+
+
+# the clock map rounds each reading to the nanosecond: the two readings a
+# correction takes and the inverse of the grid point each shift it by a ns
+_MAP_ROUNDING_NS = 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ppm=st.floats(-100.0, 100.0),
+    t_guard_ms=st.integers(1, 20),
+    tx_period_s=st.integers(5, 300),
+    slot_pick=st.sampled_from(["aligned", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_correction_leaves_half_a_millisecond_plus_the_drift_since(
+    ppm, t_guard_ms, tx_period_s, slot_pick, seed
+):
+    cfg = _one_ms_guards(t_guard_ms)
+    duration_s = 40 * tx_period_s
+    spec = DeviceSpec(name="d", clock_model=Piecewise(((0.0, ppm),)), tx_period_s=tx_period_s)
+    _, trace = run(Scenario(duration_s=duration_s, cfg=cfg, devices=(spec,), seed=seed,
+                            slot_pick=slot_pick))
+    rows = list(trace)
+    checked = 0
+    for resync, nxt in zip(rows, rows[1:]):
+        ack_end = resync.true_time_ns + cfg.rx_delay_ns + cfg.t_rx_ns
+        if resync.remaining_ms is None or ack_end > duration_s * NS_PER_S:
+            continue
+        # the ACK field's round-half-up, then |ppm| over the time from the
+        # uplink end the correction answered to the next uplink's start,
+        # where the device's grid point meets the server's
+        start = nxt.true_time_ns - cfg.t_tx_ns
+        rate_ns = math.ceil(abs(ppm) * (start - resync.true_time_ns) / 1e6)
+        assert abs(nxt.signed_drift_ns) <= NS_PER_MS // 2 + rate_ns + _MAP_ROUNDING_NS, (resync, nxt)
+        checked += 1
+    # the device boots at a random phase: its first uplink is out of sync
+    # unless it lands in the guards
+    assert checked or rows[0].in_sync
