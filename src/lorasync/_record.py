@@ -2,9 +2,11 @@
 
 A record names its fields in `_fields`, in the order its constructor
 takes them, and holds each in a slot.  Its `__init__` checks the
-arguments, then stores them once with `_set`; after that, assigning or
-deleting a field raises AttributeError.  `_replace` makes a changed copy
-through the constructor, so the copy is checked as the original was.
+arguments, then stores them once with `_set`, together with any slot it
+derives from them, given by keyword.  `_set` is the one writer of a
+record: after it, assigning or deleting a field raises AttributeError.
+`_replace` makes a changed copy through the constructor, so the copy is
+checked as the original was.
 Equality, hashing, repr and pickling go by the field values, so two
 records of one class with equal fields are interchangeable.
 """
@@ -16,8 +18,10 @@ class Frozen:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, *values):
+    def _set(self, *values, **derived):
         for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

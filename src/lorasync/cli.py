@@ -52,7 +52,7 @@ def write_trace_csv(path, rows: Trace):
     The trace derives its rows a chunk at a time, and each chunk is
     formatted and written as one piece.
     """
-    quoted = {name: _csv_field(name) for name in rows.device_names}
+    quoted = {d.name: _csv_field(d.name) for d in rows.scenario.devices}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
         for chunk in rows.fields():
@@ -94,6 +94,12 @@ def _fmt_limit(limit: float) -> str:
     return text if float(text := f"{limit:.6f}") == limit else repr(limit)
 
 
+def _fmt_fraction(fraction: float) -> str:
+    """Six decimals, unless a positive fraction reads 0.000000 in them: then its shortest text."""
+    text = f"{fraction:.6f}"
+    return repr(fraction) if fraction > 0 and text == "0.000000" else text
+
+
 def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
     """Every reported fact of one run, each computed and formatted once:
     (key, text, whether the [summary] block prints it), in block order."""
@@ -116,7 +122,7 @@ def _facts(sc: Scenario, m: Metrics) -> list[tuple[str, str, bool]]:
         ("collision_count", str(m.collision_count), True),
         ("downlink_count", str(m.downlink_count), True),
         ("downlink_airtime_ms", fmt_ms(airtime_ns), True),
-        ("duty_cycle_fraction", f"{airtime_ns / s_to_ns(sc.duration_s):.6f}", True),
+        ("duty_cycle_fraction", _fmt_fraction(airtime_ns / s_to_ns(sc.duration_s)), True),
         ("duty_cycle_limit", _fmt_limit(sc.duty_cycle_limit), True),
         ("sync_overhead_bytes", str(m.sync_overhead_bytes), True),
         ("resyncs_total", str(sum(m.resyncs.values())), True),

@@ -94,8 +94,7 @@ class RandomWalk(Frozen):
             raise ParamError(
                 "step_interval_s too small: a step at initial_ppm must advance local time"
             )
-        self._set(step_interval_s, step_std_ppm, initial_ppm, seed)
-        object.__setattr__(self, "step_ns", step_ns)
+        self._set(step_interval_s, step_std_ppm, initial_ppm, seed, step_ns=step_ns)
 
 
 class Piecewise(Frozen):
@@ -134,8 +133,7 @@ class Piecewise(Frozen):
             table.append((start, end, local_start, local_end, ppm))
             local_start = local_end
         table.append((starts[-1], REF_NS_MAX + 1, local_start, inf, segments[-1][1]))
-        self._set(segments)
-        object.__setattr__(self, "table", tuple(table))
+        self._set(segments, table=tuple(table))
 
 
 ClockModel = Piecewise | RandomWalk

@@ -1,8 +1,8 @@
 """Deterministic discrete-event execution of synchronization scenarios.
 
 A `Scenario` is checked when it is built, and so is every copy
-`_replace` makes of it: `run` takes any scenario as it is.  Its walks'
-steps, each walk's and their sum, and its frames are bounded
+`_replace` makes of it: `run` takes any scenario as it is.  The steps
+its walks draw between them, and its frames, are bounded
 (`MAX_WALK_STEPS`, `MAX_FRAMES`).
 
 Everything runs on virtual time.  Events are popped from a heap keyed by
@@ -50,10 +50,11 @@ with a count per device name for every device of the run, and a `Trace`
 of the frames, read forward: its length, and its `TraceRow`s in time
 order, one per frame.  It stores what the run decided, the device, the
 uplink end and whether the server attached a correction, in typed
-columns of 13 bytes a frame;
-`Trace.fields` derives the rest of each row as it is read: the slot
-judgement of its uplink end, one `slot.uplink_end_in_sync` call as the
-server made, and the remaining time of a correction.
+columns of 13 bytes a frame, and the `Scenario` it ran, which holds the
+device names, the strategy and the slot geometry.  `Trace.fields`
+derives the rest of each row as it is read: the slot judgement of its
+uplink end, one `slot.uplink_end_in_sync` call as the server made, and
+the remaining time of a correction.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ from .units import NS_PER_S, s_to_ns
 SLOT_PICK_RANDOM = "random"
 SLOT_PICK_ALIGNED = "aligned"
 
-# steps a run's random walks may draw, each over duration_s + 2 * tx_period_s,
-# alone and summed: at about 0.75 us a step (Python 3.11, Xeon) a run draws
+# steps a run's random walks may draw between them, each over duration_s +
+# 2 * tx_period_s: at about 0.75 us a step (Python 3.11, Xeon) a run draws
 # for under 10 s
 MAX_WALK_STEPS = 10_000_000
 # frames a run may send, counted as duration_s / tx_period_s summed over
@@ -149,7 +150,7 @@ class Scenario(Frozen):
             raise ConfigError("duty_cycle_limit must be in (0, 1]")
         if slot_pick not in (SLOT_PICK_RANDOM, SLOT_PICK_ALIGNED):
             raise ConfigError(f"unknown slot_pick {slot_pick!r}")
-        walk_steps = []
+        walk_steps = 0
         for i, d in enumerate(devices):
             # the summary prints one device.<name>.<key>=value line per fact
             if "=" in d.name:
@@ -173,18 +174,16 @@ class Scenario(Frozen):
                 )
             model = d.clock_model
             if isinstance(model, RandomWalk):
-                if horizon_s * NS_PER_S > MAX_WALK_STEPS * model.step_ns:
-                    raise ConfigError(f"device {d.name}: a random walk may draw at most "
-                                      f"{MAX_WALK_STEPS} steps over duration_s + 2 * tx_period_s",
-                                      device=i)
-                walk_steps.append(horizon_s * NS_PER_S / model.step_ns)
+                # summed in device order: the device that passes the bound is blamed
+                walk_steps += horizon_s * NS_PER_S / model.step_ns
+                if walk_steps > MAX_WALK_STEPS:
+                    raise ConfigError(f"device {d.name}: the random walks' steps over duration_s "
+                                      f"+ 2 * tx_period_s, summed over the devices up to this one, "
+                                      f"must be at most {MAX_WALK_STEPS}", device=i)
         # after every device's own checks: a 0 s period is reported, not divided by
         if sum(duration_s / d.tx_period_s for d in devices) > MAX_FRAMES:
             raise ConfigError(f"duration_s / tx_period_s summed over the devices must be at most "
                               f"{MAX_FRAMES}, the frames a run may send")
-        if sum(walk_steps) > MAX_WALK_STEPS:
-            raise ConfigError(f"the random walks' steps over duration_s + 2 * tx_period_s, summed "
-                              f"over the devices, must be at most {MAX_WALK_STEPS}")
         self._set(duration_s, cfg, devices, strategy, round_s,
                   seed, duty_cycle_limit, downlink_loss, slot_pick)
 
@@ -213,17 +212,16 @@ class Trace:
 
     Three typed columns hold what the run decided, a row per frame: the
     device, the uplink end and whether the server attached a correction.
-    The device names, the strategy and the slot geometry are held once
-    per trace.  `fields` derives every row from them when it is read.
+    The scenario the run executed gives the device names, the strategy
+    and the slot geometry.  `fields` derives every row from them when it
+    is read.
     """
 
-    __slots__ = ("device_names", "strategy", "cfg", "device_index", "true_time_ns", "resync")
+    __slots__ = ("scenario", "device_index", "true_time_ns", "resync")
 
-    def __init__(self, device_names, strategy: str, cfg: SlotConfig):
-        self.device_names = tuple(device_names)
-        self.strategy = strategy
-        self.cfg = cfg
-        self.device_index = array("I")  # into device_names
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.device_index = array("I")  # into scenario.devices
         self.true_time_ns = array("q")  # uplink end, reference clock
         self.resync = bytearray()  # 1: the server attached a correction
 
@@ -234,7 +232,8 @@ class Trace:
         are the slot judgement of the uplink end, and a resync row
         carries the remaining time the server put in its ACK.
         """
-        cfg, names, strategy = self.cfg, self.device_names, self.strategy
+        cfg, strategy = self.scenario.cfg, self.scenario.strategy
+        names = [d.name for d in self.scenario.devices]
         for lo in range(0, len(self), _CHUNK_ROWS):
             chunk = slice(lo, lo + _CHUNK_ROWS)
             times = self.true_time_ns[chunk]
@@ -290,7 +289,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
         clocks.append(SimClock(model))
     loss_rng = random.Random(master.getrandbits(64))
 
-    trace = Trace([spec.name for spec in scenario.devices], scenario.strategy, cfg)
+    trace = Trace(scenario)
 
     t_tx = cfg.t_tx_ns
     rx_delay = cfg.rx_delay_ns
@@ -363,7 +362,7 @@ def run(scenario: Scenario) -> tuple[Metrics, Trace]:
     ns_on_run_end(server, duration_ns)
 
     # the server counts every resync, for every device of the run
-    names = trace.device_names
+    names = [d.name for d in scenario.devices]
     return Metrics(
         resyncs=dict(zip(names, server.resync_count)),
         out_sync_frames=dict(zip(names, server.out_sync_count)),

@@ -52,9 +52,8 @@ class SlotConfig(Frozen):
             raise ParamError(f"tb1 + tb2 must not exceed {GUARD_HEADROOM_MS} ms")
         if t_slot > MAX_SLOT_MS * NS_PER_MS:
             raise ParamError(f"t_slot must not exceed {MAX_SLOT_MS} ms")
-        self._set(*fields)
         # summed once; the per-frame slot arithmetic reads this field, not the property
-        object.__setattr__(self, "_t_slot_ns", t_slot)
+        self._set(*fields, _t_slot_ns=t_slot)
 
     @property
     def t_slot_ns(self) -> int:

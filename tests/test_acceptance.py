@@ -33,14 +33,7 @@ from lorasync import (
 from lorasync.frame import MAX_FRAME_BYTES
 from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import ms_to_ns
-
-BENCH_CFG = SlotConfig(
-    t_tx_ns=ms_to_ns(306),
-    rx_delay_ns=ms_to_ns(1000),
-    t_rx_ns=ms_to_ns(91),
-    tb1_ns=ms_to_ns(180),
-    tb2_ns=ms_to_ns(180),
-)
+from published_slot import PUBLISHED_SLOT as BENCH_CFG
 
 
 def test_a1_worst_case_airtime(criterion):

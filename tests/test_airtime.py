@@ -169,6 +169,9 @@ def test_remaining_time_bit_width():
     assert remaining_time_bit_width(65536) == 16
     assert remaining_time_bit_width(1) == 0
     assert remaining_time_bit_width(2) == 1
+    # a slot of 0 ms leaves no remaining time to count: rejected, not 0 bits
+    with pytest.raises(ParamError, match="max_slot_ms must be >= 1, got 0"):
+        remaining_time_bit_width(0)
 
 
 def test_param_validation():

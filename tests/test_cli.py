@@ -303,16 +303,16 @@ def test_simulate_rejects_a_walk_with_too_many_steps(tmp_path):
     assert proc.stdout == ""
     # the error points at the device's section
     assert proc.stderr == (
-        "error: line 11: device d: a random walk may draw at most 10000000 steps "
-        "over duration_s + 2 * tx_period_s\n"
+        "error: line 11: device d: the random walks' steps over duration_s + 2 * tx_period_s, "
+        "summed over the devices up to this one, must be at most 10000000\n"
     )
 
 
 def test_simulate_rejects_a_fleet_of_walks_with_too_many_steps_between_them(tmp_path):
-    # 1000 walks of 10 ms steps over 99,000 s + 2 * 10 s each pass their
-    # own bound and send 9.9e6 frames, under MAX_FRAMES, but draw about
-    # 9.9e9 steps between them, hours of drawing.  It runs in a child, so
-    # a regression fails on the timeout, not hangs
+    # 1000 walks of 10 ms steps over 99,000 s + 2 * 10 s each stay under
+    # the bound alone and send 9.9e6 frames, under MAX_FRAMES, but draw
+    # about 9.9e9 steps between them, hours of drawing.  It runs in a
+    # child, so a regression fails on the timeout, not hangs
     path = tmp_path / "fleet.ini"
     fleet = "".join(
         f"\n[device d{i}]\nclock = random_walk\nstep_interval_s = 0.01\n"
@@ -326,10 +326,10 @@ def test_simulate_rejects_a_fleet_of_walks_with_too_many_steps_between_them(tmp_
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    # the error points at [scenario]
+    # the error points at the section of d1, whose walk takes the sum past the bound
     assert proc.stderr == (
-        "error: line 1: the random walks' steps over duration_s + 2 * tx_period_s, summed "
-        "over the devices, must be at most 10000000\n"
+        "error: line 18: device d1: the random walks' steps over duration_s + 2 * tx_period_s, "
+        "summed over the devices up to this one, must be at most 10000000\n"
     )
 
 
@@ -654,3 +654,24 @@ def test_a_positive_duty_cycle_limit_prints_as_a_positive_number(capsys, tmp_pat
     assert _summary_block(out)["duty_cycle_limit"] == text
     assert float(text) == float(limit)
     assert f" of {text} allowed\n" in out
+
+
+def test_a_positive_duty_cycle_fraction_prints_as_a_positive_number(capsys, tmp_path):
+    # one ACK, 91 ms of air time, over 30 days: a fraction of about 3.5e-8,
+    # which six decimals would print as 0.000000
+    path = tmp_path / "quiet.ini"
+    path.write_text(_ONE_DEVICE.format(duration_s=30 * 86400, clock="clock = ideal",
+                                       tx_period_s=2_000_000))
+    code, out, _ = _run(capsys, "simulate", str(path))
+    assert code == 0
+    kv = _summary_block(out)
+    assert kv["downlink_count"] == "1"
+    fraction = ms_to_ns(91) / (30 * 86400 * NS_PER_S)
+    assert kv["duty_cycle_fraction"] == repr(fraction) == "3.5108024691358026e-08"
+    assert f"  duty cycle       {repr(fraction)} of 0.010000 allowed\n" in out
+    # six decimals stay wherever they show the fraction, 0 included; the
+    # rule reads the printed text, and the float 5e-7 prints as 0.000000
+    assert cli._fmt_fraction(0.0) == "0.000000"
+    assert cli._fmt_fraction(6e-7) == "0.000001"
+    assert cli._fmt_fraction(5e-7) == "5e-07"
+    assert cli._fmt_fraction(0.006059) == "0.006059"

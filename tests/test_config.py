@@ -38,6 +38,16 @@ def test_shipped_radio_derived_config():
     assert len(sc.devices) == 2
 
 
+@pytest.mark.parametrize("on", ["on", "1", "TRUE", "yes"])
+def test_a_downlink_with_crc_on_derives_a_longer_ack(on):
+    text = (CONFIGS / "radio-derived.ini").read_text()
+    sc = parse_scenario(text.replace("crc = off", f"crc = {on}"))
+    # the 16-bit payload CRC adds 5 symbols of 1.024 ms to the SF8 ACK:
+    # 102.912 ms, which rounds to 103
+    assert sc.cfg.t_rx_ns == ms_to_ns(103)
+    assert sc.cfg.t_slot_ns == ms_to_ns(1770)
+
+
 def test_minimal_scenario_defaults():
     sc = parse_scenario(MINIMAL)
     assert sc.duration_s == 600.0

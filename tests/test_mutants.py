@@ -273,6 +273,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a correction subtracts the exchange time twice",
+        "protocol.py",
+        "t = remaining_ms * NS_PER_MS - elapsed",
+        "t = remaining_ms * NS_PER_MS - 2 * elapsed",
+        (
+            "tests/test_sim_properties.py::test_adaptive_resyncs_follow_the_cost_law",
+            "tests/test_protocol.py::test_resync_example",
+        ),
+    ),
+    Mutant(
+        "a correction puts the grid a millisecond late",
+        "protocol.py",
+        "d.slot_start_local_ns = end_local_ns + t",
+        "d.slot_start_local_ns = end_local_ns + t + NS_PER_MS",
+        (
+            "tests/test_sim_properties.py::test_adaptive_resyncs_follow_the_cost_law",
+            "tests/test_sim_properties.py::test_one_correction_leaves_half_a_millisecond_plus_the_drift_since",
+        ),
+    ),
+    Mutant(
         "the ACK's remaining time is floored, not rounded half up",
         "protocol.py",
         "return ns_to_ms_round(remaining_to_next_slot(arrival_true_ns, cfg))",
@@ -289,6 +309,7 @@ MUTANTS = (
         "return pos, d, -cfg.tb1_ns < d < cfg.tb2_ns",
         (
             "tests/test_sim_properties.py::test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift",
+            "tests/test_sim_properties.py::test_adaptive_resyncs_follow_the_cost_law",
         ),
     ),
     Mutant(
@@ -396,16 +417,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "walk step bound compares seconds against nanoseconds",
-        "sim.py",
-        "horizon_s * NS_PER_S > MAX_WALK_STEPS",
-        "horizon_s > MAX_WALK_STEPS",
-        (
-            "tests/test_sim.py::test_walk_step_count_is_bounded_over_the_clock_horizon",
-            "tests/test_cli.py::test_simulate_rejects_a_walk_with_too_many_steps",
-        ),
-    ),
-    Mutant(
         "frame bound checks each device alone, not their sum",
         "sim.py",
         "if sum(duration_s / d.tx_period_s for d in devices) > MAX_FRAMES:",
@@ -413,13 +424,33 @@ MUTANTS = (
         ("tests/test_sim.py::test_frame_count_is_bounded_over_all_devices",),
     ),
     Mutant(
+        "walk step sum adds seconds over nanoseconds",
+        "sim.py",
+        "walk_steps += horizon_s * NS_PER_S / model.step_ns",
+        "walk_steps += horizon_s / model.step_ns",
+        (
+            "tests/test_sim.py::test_walk_step_count_is_bounded_over_the_clock_horizon",
+            "tests/test_cli.py::test_simulate_rejects_a_walk_with_too_many_steps",
+        ),
+    ),
+    Mutant(
         "walk bound checks each device alone, not their sum",
         "sim.py",
-        "if sum(walk_steps) > MAX_WALK_STEPS:",
-        "if max(walk_steps, default=0) > MAX_WALK_STEPS:",
+        "walk_steps += horizon_s",
+        "walk_steps = horizon_s",
         (
             "tests/test_sim.py::test_walk_step_count_is_bounded_summed_over_all_walks",
             "tests/test_cli.py::test_simulate_rejects_a_fleet_of_walks_with_too_many_steps_between_them",
+        ),
+    ),
+    Mutant(
+        "walk bound rejects the bound itself",
+        "sim.py",
+        "if walk_steps > MAX_WALK_STEPS:",
+        "if walk_steps >= MAX_WALK_STEPS:",
+        (
+            "tests/test_sim.py::test_walk_step_count_is_bounded_over_the_clock_horizon",
+            "tests/test_sim.py::test_walk_step_count_is_bounded_summed_over_all_walks",
         ),
     ),
     Mutant(
@@ -465,6 +496,20 @@ MUTANTS = (
         "{t['duty_cycle_fraction']} of",
         "{float(t['duty_cycle_fraction']):.4f} of",
         ("tests/test_cli.py::test_human_summary_prints_each_fact_as_the_block_does",),
+    ),
+    Mutant(
+        "a positive duty-cycle fraction under six decimals prints 0.000000",
+        "cli.py",
+        'return repr(fraction) if fraction > 0 and text == "0.000000" else text',
+        "return text",
+        ("tests/test_cli.py::test_a_positive_duty_cycle_fraction_prints_as_a_positive_number",),
+    ),
+    Mutant(
+        "a zero duty-cycle fraction prints its shortest text",
+        "cli.py",
+        'fraction > 0 and text == "0.000000"',
+        'text == "0.000000"',
+        ("tests/test_cli.py::test_a_positive_duty_cycle_fraction_prints_as_a_positive_number",),
     ),
     Mutant(
         "a config's byte order mark is read as text",

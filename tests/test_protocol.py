@@ -12,7 +12,6 @@ from lorasync import (
     AckPlan,
     EndDeviceState,
     NetworkServerState,
-    SlotConfig,
     UsageError,
     ed_first_tx_time,
     ed_next_tx_time,
@@ -22,14 +21,8 @@ from lorasync import (
     ns_on_uplink_end,
 )
 from lorasync.units import ms_to_ns
+from published_slot import PUBLISHED_SLOT as CFG
 
-CFG = SlotConfig(
-    t_tx_ns=ms_to_ns(306),
-    rx_delay_ns=ms_to_ns(1000),
-    t_rx_ns=ms_to_ns(91),
-    tb1_ns=ms_to_ns(180),
-    tb2_ns=ms_to_ns(180),
-)
 T_SLOT = CFG.t_slot_ns  # 1757 ms
 
 

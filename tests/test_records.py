@@ -18,22 +18,14 @@ from lorasync import (
     RandomWalk,
     Scenario,
     SimClock,
-    SlotConfig,
     UplinkFrame,
     preset,
 )
 from lorasync.config import load_scenario
-from lorasync.units import ms_to_ns
+from published_slot import PUBLISHED_SLOT as CFG
 
 ROOT = Path(__file__).parent.parent
 
-CFG = SlotConfig(
-    t_tx_ns=ms_to_ns(306),
-    rx_delay_ns=ms_to_ns(1000),
-    t_rx_ns=ms_to_ns(91),
-    tb1_ns=ms_to_ns(180),
-    tb2_ns=ms_to_ns(180),
-)
 WALK = RandomWalk(step_interval_s=60.0, step_std_ppm=4.0, initial_ppm=30.0, seed=5)
 SPEC = DeviceSpec(name="walker", clock_model=WALK, tx_period_s=30.0)
 

@@ -36,14 +36,7 @@ from lorasync import sim
 from lorasync.sim import MAX_FRAMES, MAX_WALK_STEPS
 from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import NS_PER_MS, ms_to_ns, ns_to_ms_round, s_to_ns
-
-CFG = SlotConfig(
-    t_tx_ns=ms_to_ns(306),
-    rx_delay_ns=ms_to_ns(1000),
-    t_rx_ns=ms_to_ns(91),
-    tb1_ns=ms_to_ns(180),
-    tb2_ns=ms_to_ns(180),
-)
+from published_slot import PUBLISHED_SLOT as CFG
 
 
 def _ideal_scenario(seed=0, duration_s=600.0, n_devices=2, **kw):
@@ -446,33 +439,46 @@ def test_walk_step_count_is_bounded_over_the_clock_horizon():
     with pytest.raises(ConfigError) as e:
         scenario(99.9 / MAX_WALK_STEPS)
     assert e.value.device == 1
-    assert str(e.value) == (f"device w: a random walk may draw at most {MAX_WALK_STEPS} "
-                            "steps over duration_s + 2 * tx_period_s")
+    assert str(e.value) == ("device w: the random walks' steps over duration_s + 2 * tx_period_s, "
+                            f"summed over the devices up to this one, must be at most {MAX_WALK_STEPS}")
 
 
 def test_walk_step_count_is_bounded_summed_over_all_walks():
     # each clock is read up to duration_s + 2 * tx_period_s = 100 s
-    def scenario(*step_intervals_s):
+    def scenario(*step_intervals_s, then=()):
         walks = tuple(
             DeviceSpec(name=f"w{j}", clock_model=RandomWalk(s, 1.0, 10.0, seed=j),
                        tx_period_s=20.0)
             for j, s in enumerate(step_intervals_s)
         )
         ideal = DeviceSpec(name="i", clock_model=preset("ideal"), tx_period_s=20.0)
-        return Scenario(duration_s=60.0, cfg=CFG, devices=(ideal, *walks))
+        return Scenario(duration_s=60.0, cfg=CFG, devices=(ideal, *walks, *then))
 
     half = 200.0 / MAX_WALK_STEPS  # 20 us steps: half the bound each
     scenario(half, half)  # the bound itself: no raise
-    # two walks, each under the bound, whose sum is over it
+    # two walks, each under the bound, whose sum is over it: the second is blamed
     with pytest.raises(ConfigError) as e:
         scenario(half, 199.9 / MAX_WALK_STEPS)
-    assert e.value.device is None
-    assert str(e.value) == ("the random walks' steps over duration_s + 2 * tx_period_s, summed "
-                            f"over the devices, must be at most {MAX_WALK_STEPS}")
-    # each walk's own check comes first and names its device
-    with pytest.raises(ConfigError) as e:
-        scenario(half, 99.9 / MAX_WALK_STEPS)
     assert e.value.device == 2
+    assert str(e.value) == ("device w1: the random walks' steps over duration_s + 2 * tx_period_s, "
+                            f"summed over the devices up to this one, must be at most {MAX_WALK_STEPS}")
+    # one rule: a walk over the bound alone is blamed the same way
+    with pytest.raises(ConfigError) as e:
+        scenario(99.9 / MAX_WALK_STEPS, half)
+    assert e.value.device == 1
+    # the sum is checked in the device loop, before a later device's own
+    # checks and before the frame bound
+    bad_period = DeviceSpec(name="z", clock_model=preset("ideal"), tx_period_s=0.0)
+    with pytest.raises(ConfigError) as e:
+        scenario(half, 199.9 / MAX_WALK_STEPS, then=(bad_period,))
+    assert e.value.device == 2
+    many_frames = DeviceSpec(name="f", clock_model=preset("ideal"), tx_period_s=1e-6)
+    with pytest.raises(ConfigError) as e:
+        scenario(half, 199.9 / MAX_WALK_STEPS, then=(many_frames,))
+    assert e.value.device == 2
+    with pytest.raises(ConfigError) as e:
+        scenario(half, then=(many_frames,))
+    assert e.value.device is None and "frames a run may send" in str(e.value)
 
 
 def test_frame_count_is_bounded_over_all_devices():

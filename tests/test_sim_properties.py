@@ -22,15 +22,21 @@ one guard / |ppm| apart.
 One correction leaves such a device off the server's grid by the ACK
 field's rounding, at most half a millisecond, plus the drift of its rate
 from the uplink the correction answered to the next uplink's start.
+
+Summed over a run, those intervals give the adaptive cost law: the
+README states it, and a drawn fleet of constant-ppm clocks keeps each
+device's resync count within it.
 """
 
 import math
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from lorasync import FIXED_RATE, DeviceSpec, Piecewise, Scenario, SlotConfig, preset, run
 from lorasync.units import NS_PER_MS, NS_PER_S, ms_to_ns
+from published_slot import PUBLISHED_SLOT
 
 # every field a whole number of half seconds and a 4 s grid: a resynced
 # ideal device ends its uplinks on whole seconds
@@ -181,13 +187,7 @@ def test_an_adaptive_resync_is_an_out_of_sync_frame(devices, duration_s, loss, s
 
 # the testbench slot with its 360 ms of guards split unevenly, so that a
 # drift charged against the other side's guard shows
-UNEVEN = SlotConfig(
-    t_tx_ns=ms_to_ns(306),
-    rx_delay_ns=ms_to_ns(1000),
-    t_rx_ns=ms_to_ns(91),
-    tb1_ns=ms_to_ns(120),
-    tb2_ns=ms_to_ns(240),
-)
+UNEVEN = PUBLISHED_SLOT._replace(tb1_ns=ms_to_ns(120), tb2_ns=ms_to_ns(240))
 
 
 def _resync_interval_bounds(ppm: float, tx_period_s: int) -> tuple[float, float]:
@@ -250,13 +250,7 @@ def test_adaptive_resyncs_a_constant_ppm_clock_once_per_guard_drift(devices, see
 
 def _one_ms_guards(t_guard_ms: int) -> SlotConfig:
     """The testbench slot with narrow guards, so that a drifting device resyncs often."""
-    return SlotConfig(
-        t_tx_ns=ms_to_ns(306),
-        rx_delay_ns=ms_to_ns(1000),
-        t_rx_ns=ms_to_ns(91),
-        tb1_ns=ms_to_ns(t_guard_ms),
-        tb2_ns=ms_to_ns(t_guard_ms),
-    )
+    return PUBLISHED_SLOT._replace(tb1_ns=ms_to_ns(t_guard_ms), tb2_ns=ms_to_ns(t_guard_ms))
 
 
 # the clock map rounds each reading to the nanosecond: the two readings a
@@ -296,3 +290,74 @@ def test_one_correction_leaves_half_a_millisecond_plus_the_drift_since(
     # the device boots at a random phase: its first uplink is out of sync
     # unless it lands in the guards
     assert checked or rows[0].in_sync
+
+
+def _resync_count_bounds(cfg: SlotConfig, ppm: float, tx_period_s: int, slot_pick: str,
+                         duration_s: float) -> tuple[int, int]:
+    """The cost law: the fewest and the most resyncs of an adaptive device at ppm.
+
+    With r = |ppm| / 10^6 the device drifts r ns a ns off its corrected
+    grid, towards the guard tb on its side (tb1 when fast, tb2 when
+    slow).  A correction leaves at most half a millisecond, so two
+    resyncs are at least (tb - 1/2 ms) / r apart, and at most
+    (tb + 1/2 ms) / r plus the longest gap between two uplinks, two
+    periods and a slot under random picks, one period and a slot under
+    aligned ones.  The first resync comes at any time up to the run's
+    end, or, when the device boots in sync, once its drift has also
+    crossed the other guard tb'.
+    """
+    r = abs(ppm) / 1e6
+    tb, tb_other = (cfg.tb1_ns, cfg.tb2_ns) if ppm > 0 else (cfg.tb2_ns, cfg.tb1_ns)
+    periods = 2 if slot_pick == "random" else 1
+    gap_ns = periods * tx_period_s * NS_PER_S + cfg.t_slot_ns
+    half_ms = NS_PER_MS / 2
+    drift_ns = duration_s * NS_PER_S * r
+    fewest = math.floor((drift_ns - tb_other) / (tb + half_ms + r * gap_ns)) - 1
+    most = 1 + math.ceil(drift_ns / (tb - half_ms))
+    return fewest, most
+
+
+def _check_the_cost_law(guards_ms, devices, slot_pick, seed, duration_s):
+    tb1_ms, tb2_ms = guards_ms
+    cfg = PUBLISHED_SLOT._replace(tb1_ns=ms_to_ns(tb1_ms), tb2_ns=ms_to_ns(tb2_ms))
+    ppms = [ppm if fast else -ppm for ppm, fast, _ in devices]
+    specs = tuple(
+        DeviceSpec(name=f"d{i}", clock_model=Piecewise(((0.0, ppm),)), tx_period_s=float(period))
+        for i, (ppm, (_, _, period)) in enumerate(zip(ppms, devices))
+    )
+    m, _ = run(Scenario(duration_s=duration_s, cfg=cfg, devices=specs, seed=seed,
+                        slot_pick=slot_pick))
+    for spec, ppm in zip(specs, ppms):
+        fewest, most = _resync_count_bounds(cfg, ppm, int(spec.tx_period_s), slot_pick, duration_s)
+        assert fewest <= m.resyncs[spec.name] <= most, (spec, fewest, most)
+
+
+_COST_LAW = dict(
+    # unequal guards, so that a drift charged against the wrong one shows
+    guards_ms=st.lists(st.integers(1, 120), min_size=2, max_size=2, unique=True),
+    devices=st.lists(
+        st.tuples(st.floats(5.0, 100.0), st.booleans(), st.sampled_from([5, 30, 120, 300])),
+        min_size=1, max_size=3,
+    ),
+    slot_pick=st.sampled_from(["aligned", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_COST_LAW)
+# a fast clock against the narrow guard and a slow one against the wide one
+@example(guards_ms=[10, 120], devices=[(100.0, True, 30), (60.0, False, 5)],
+         slot_pick="random", seed=1)
+# a slow clock against a 2 ms guard, which a correction must leave nearly whole
+@example(guards_ms=[120, 2], devices=[(100.0, False, 5)], slot_pick="aligned", seed=1)
+def test_adaptive_resyncs_follow_the_cost_law(guards_ms, devices, slot_pick, seed):
+    _check_the_cost_law(guards_ms, devices, slot_pick, seed, duration_s=4 * 3600)
+
+
+# a failing case is reported as drawn: each run sends up to 150,000 frames
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(**_COST_LAW)
+def test_adaptive_resyncs_follow_the_cost_law_over_three_days(guards_ms, devices, slot_pick, seed):
+    _check_the_cost_law(guards_ms, devices, slot_pick, seed, duration_s=3 * 86400)

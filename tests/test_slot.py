@@ -15,15 +15,7 @@ from lorasync import (
 )
 from lorasync.slot import MAX_SLOT_MS
 from lorasync.units import NS_PER_MS, ms_to_ns
-
-# bench geometry: 306 tx + 1000 rx-delay + 91 rx + 180 + 180 = 1757 ms
-BENCH = SlotConfig(
-    t_tx_ns=ms_to_ns(306),
-    rx_delay_ns=ms_to_ns(1000),
-    t_rx_ns=ms_to_ns(91),
-    tb1_ns=ms_to_ns(180),
-    tb2_ns=ms_to_ns(180),
-)
+from published_slot import PUBLISHED_SLOT as BENCH
 
 
 def test_slot_length_is_the_sum_of_parts():
